@@ -73,7 +73,8 @@ def _load_f(arg: str):
 
 def _fmt(v) -> str:
     if isinstance(v, float):
-        return str(int(v)) if v == int(v) and abs(v) < 1e15 else repr(v)
+        # float() first: numpy scalars are floats whose repr is np.float64(...)
+        return str(int(v)) if v == int(v) and abs(v) < 1e15 else repr(float(v))
     return str(v)
 
 

@@ -13,16 +13,23 @@ plus segments along each skeleton direction out to the arc distance where
 the (safety-doubled) fitted tube width drops below the candidate's
 perpendicular offset.  For q <= q_exhaustive it falls back to a full
 window enumeration; the two paths agree exactly whenever both run.
+
+One generator (``_Kernel._blocks``) enumerates those candidates for a whole
+batch of points as flat ``(sample index, p)`` blocks of bounded size, and
+one evaluator runs each block through a single ``Expr.eval_xy`` call.  A
+vectorized hit test and a single-point minimization (a batch of one) differ
+only in the per-sample threshold that sizes the search, the step cap, and
+how they reduce the values.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad as _scipy_quad
 
 from .errors import IrrationalSkeleton, NonConvergent, SkeletonMismatch
 from .sampling import indicator_estimate
@@ -122,10 +129,25 @@ _BATCH_K_CAP = 64      # tube steps per direction in vectorized hit tests
 _SCALAR_K_CAP = 4096   # tube steps in exact single-point minimization
 _WINDOW_CAP = 600
 _IRR_STEP = 0.5
+_BLOCK = 1 << 16       # candidates per evaluated block
 
 
 class _Kernel:
-    """Candidate generation and evaluation for one (F, q, eps) problem."""
+    """Candidate generation and evaluation for one (F, q, eps) problem.
+
+    For raw points y = q*x, ``_blocks`` is the one candidate generator.  It
+    yields flat ``(sample index, p)`` blocks of at most _BLOCK candidates
+    from four sources: the wrapped point round(y); the central box around
+    it; for each rational skeleton line, steps along every lattice line
+    parallel to it that the fitted tube reaches; for each irrational line,
+    rounded points along it.  Each sample carries a threshold tau that
+    sizes its box and its tube reach, and k_cap bounds the tube steps.
+    ``_evaluate`` runs a block through one ``Expr.eval_xy`` call.  ``hits``
+    (tau = q*eps, k_cap = _BATCH_K_CAP) marks the samples with a value
+    below q*eps, which ends their enumeration; ``minimize`` (a batch of one,
+    tau just above min(F(wrap), q*eps), k_cap = _SCALAR_K_CAP) evaluates
+    all blocks at once and keeps the ``_pick_minimizer`` choice.
+    """
 
     def __init__(self, f: Expr, q: int, eps: float, restricted: bool = False):
         self.f = f
@@ -151,30 +173,23 @@ class _Kernel:
         g2 = np.gcd(np.abs(pi[:, 1] * self.s_hat) % self.q, self.q)
         return (g1 == 1) & (g2 == 1)
 
-    def _box_radius(self, tau: float) -> int:
+    def _box_radius(self, tau: np.ndarray) -> np.ndarray:
         c = max(self.geo.offline_min, 1e-12)
-        return int(max(1, min(64, math.ceil(tau / c) + 1)))
+        return np.clip(np.ceil(tau / c) + 1, 1, 64).astype(np.int64)
 
     # -- exact single-point minimization ------------------------------------
 
     def minimize(self, x) -> tuple[float, tuple[int, int]]:
         """Minimum of F(q*x - p) over the candidate lattice set (raw scale)."""
-        y = self.q * np.asarray(x, dtype=float)
-        p0 = np.round(y)
-        z0 = y - p0
+        y = self.q * np.asarray(x, dtype=float).reshape(1, 2)
+        z0 = y[0] - np.round(y[0])
         v0 = float(self.f.eval_xy(z0[0], z0[1]))
-        tau = min(v0, self.eps_s) * (1.0 + 1e-9) + 1e-300
-        cands = [self._box_points(p0, tau)]
-        for lg in self.geo.lines:
-            cands.append(self._tube_points(lg, y, p0, tau, _SCALAR_K_CAP))
-        p = np.unique(np.concatenate(cands, axis=0), axis=0)
-        ok = self._allowed(p)
-        if not ok.any():
+        tau = np.array([min(v0, self.eps_s) * (1.0 + 1e-9) + 1e-300])
+        blocks = self._blocks(y, tau, _SCALAR_K_CAP, np.zeros(1, dtype=bool))
+        idx, p = (np.concatenate(a) for a in zip(*blocks))
+        _, p, z1, z2, vals = self._evaluate(y, idx, p)
+        if len(vals) == 0:
             return math.inf, (0, 0)
-        p = p[ok]
-        z1 = y[0] - p[:, 0]
-        z2 = y[1] - p[:, 1]
-        vals = self.f.eval_xy(z1, z2)
         i = _pick_minimizer(vals, z1, z2, p)
         return float(vals[i]), (int(p[i, 0]), int(p[i, 1]))
 
@@ -207,161 +222,137 @@ class _Kernel:
         i = _pick_minimizer(vals, z1, z2, p)
         return float(vals[i]), (int(p[i, 0]), int(p[i, 1]))
 
-    def _box_points(self, p0, tau) -> np.ndarray:
-        b = self._box_radius(tau)
-        span = np.arange(-b, b + 1)
-        gx, gy = np.meshgrid(p0[0] + span, p0[1] + span, indexing="ij")
-        return np.column_stack([gx.ravel(), gy.ravel()])
-
-    def _tube_points(self, lg: LineGeometry, y, p0, tau, k_cap) -> np.ndarray:
-        if lg.half.rational:
-            return self._tube_points_rational(lg, y, p0, tau, k_cap)
-        return self._tube_points_irrational(lg, y, tau, k_cap)
-
-    def _tube_points_rational(self, lg, y, p0, tau, k_cap) -> np.ndarray:
-        r, s = lg.half.int_direction()
-        L = math.hypot(r, s)
-        # Bezout vector v with v1*s - v2*r = 1 steps across lattice lines
-        g, v1, v2 = _xgcd(s, -r)
-        v = np.array([v1, v2], dtype=float)
-        d = np.array([r, s], dtype=float)
-        z0 = y - p0
-        c0 = z0[0] * s - z0[1] * r          # cross(z0, d): offset index units
-        a0 = z0[0] * r + z0[1] * s          # dot(z0, d)
-        u_max = min(1.0, 2.0 * float(lg.width(1.0, max(tau, 1e-300))))
-        pts = []
-        j_lo = math.floor(c0 - u_max * L)
-        j_hi = math.ceil(c0 + u_max * L)
-        for j in range(j_lo, j_hi + 1):
-            u = abs(c0 - j) / L
-            reach = lg.reach(max(tau, 1e-300), u, cap=k_cap * L)
-            kw = int(min(k_cap, max(1, math.ceil(reach / L)) ))
-            arc0 = (a0 - j * (v[0] * r + v[1] * s)) / L
-            kc = round(arc0 / L)
-            ks = np.arange(kc - kw, kc + kw + 1)
-            base = p0 + j * v
-            pts.append(np.column_stack([base[0] + ks * d[0], base[1] + ks * d[1]]))
-        return np.concatenate(pts, axis=0) if pts else np.empty((0, 2))
-
-    def _tube_points_irrational(self, lg, y, tau, k_cap) -> np.ndarray:
-        u = lg.half.unit_direction()
-        reach = lg.reach(max(tau, 1e-300), 1e-6, cap=k_cap * _IRR_STEP)
-        ks = np.arange(1, int(min(k_cap, reach / _IRR_STEP)) + 1)
-        if len(ks) == 0:
-            return np.empty((0, 2))
-        ts = ks * _IRR_STEP
-        pts = [np.round(np.column_stack([y[0] - ts * u[0], y[1] - ts * u[1]])),
-               np.round(np.column_stack([y[0] + ts * u[0], y[1] + ts * u[1]]))]
-        return np.concatenate(pts, axis=0)
-
     # -- vectorized hit decisions -------------------------------------------
 
     def hits(self, xs: np.ndarray) -> np.ndarray:
         """Boolean hit array for points xs of shape (m, 2)."""
         y = self.q * np.asarray(xs, dtype=float)
-        p0 = np.round(y)
         if self.geo.axis_monotone and not self.restricted:
             # coordinatewise-monotone body: the wrap is the exact minimizer
-            z = y - p0
+            z = y - np.round(y)
             return self.f.eval_xy(z[:, 0], z[:, 1]) < self.eps_s
         hit = np.zeros(len(y), dtype=bool)
-        self._box_hits(y, p0, hit)
-        for lg in self.geo.lines:
-            if hit.all():
-                break
-            if lg.half.rational:
-                self._tube_hits_rational(lg, y, p0, hit)
-            else:
-                self._tube_hits_irrational(lg, y, hit)
+        tau = np.full(len(y), self.eps_s)
+        for block in self._blocks(y, tau, _BATCH_K_CAP, hit):
+            idx, _, _, _, vals = self._evaluate(y, *block)
+            hit[idx[vals < self.eps_s]] = True
         return hit
 
-    def _try(self, y, p, hit, mask=None):
-        """Mark samples whose candidate p satisfies F(y - p) < q*eps."""
-        alive = ~hit if mask is None else (~hit & mask)
-        if not alive.any():
-            return
-        idx = np.flatnonzero(alive)
-        pa = p[idx] if p.ndim == 2 else np.broadcast_to(p, (len(idx), 2))
+    # -- candidate blocks -----------------------------------------------------
+
+    def _evaluate(self, y, idx, p):
+        """(idx, p, z1, z2, vals) with vals = F(y[idx] - p) in one
+        ``Expr.eval_xy`` call; restricted candidates are dropped."""
         if self.restricted:
-            ok = self._allowed(pa)
-            idx, pa = idx[ok], pa[ok]
-            if len(idx) == 0:
-                return
-        vals = self.f.eval_xy(y[idx, 0] - pa[:, 0], y[idx, 1] - pa[:, 1])
-        hit[idx[vals < self.eps_s]] = True
+            ok = self._allowed(p)
+            idx, p = idx[ok], p[ok]
+        z1 = y[idx, 0] - p[:, 0]
+        z2 = y[idx, 1] - p[:, 1]
+        return idx, p, z1, z2, self.f.eval_xy(z1, z2)
 
-    def _box_hits(self, y, p0, hit):
-        b = self._box_radius(self.eps_s)
-        self._try(y, p0, hit)  # wrapped point first: settles the saturated case
-        alive = np.flatnonzero(~hit)
-        if alive.size == 0:
-            return
-        span = np.arange(-b, b + 1, dtype=float)
-        ox, oy = np.meshgrid(span, span, indexing="ij")
-        offs = np.column_stack([ox.ravel(), oy.ravel()])
-        ya, pa0 = y[alive], p0[alive]
-        for chunk in np.array_split(offs, max(1, len(offs) // 512)):
-            p1 = pa0[:, 0][:, None] + chunk[:, 0][None, :]
-            p2 = pa0[:, 1][:, None] + chunk[:, 1][None, :]
-            z1 = ya[:, 0][:, None] - p1
-            z2 = ya[:, 1][:, None] - p2
-            vals = self.f.eval_xy(z1, z2)
-            if self.restricted:
-                g1 = np.gcd(np.abs(p1.astype(np.int64) * self.r_hat) % self.q, self.q)
-                g2 = np.gcd(np.abs(p2.astype(np.int64) * self.s_hat) % self.q, self.q)
-                vals = np.where((g1 == 1) & (g2 == 1), vals, np.inf)
-            hit[alive[np.any(vals < self.eps_s, axis=1)]] = True
-            alive2 = ~hit[alive]
-            if not alive2.any():
-                return
-        return
+    def _blocks(self, y, tau, k_cap, done):
+        """Yield (idx, p) candidate blocks for the samples not yet `done`.
 
-    def _tube_hits_rational(self, lg, y, p0, hit):
+        `done` is read again before each block, so a consumer that sets it
+        stops the enumeration for those samples; each source enumerates its
+        nearest candidates first.
+        """
+        p0 = np.rint(y)
+        live = np.flatnonzero(~done)
+        yield live, p0[live]     # the wrapped point settles most samples
+        live = np.flatnonzero(~done)
+        b = self._box_radius(tau[live])
+        ring = _ring_offsets(int(b.max(initial=1)))
+        for t, m in _rounds((2 * b + 1) ** 2, live, done):
+            yield live[t], p0[live[t]] + ring[m]
+        for lg in self.geo.lines:
+            if done.all():
+                return
+            if lg.half.rational:
+                yield from self._rational_tube(lg, y - p0, p0, tau, k_cap,
+                                               done)
+            else:
+                yield from self._irrational_tube(lg, y, tau, k_cap, done)
+
+    def _rational_tube(self, lg, z0, p0, tau, k_cap, done):
+        """Steps p = base_j + k*d along every lattice line j = cross(p, d)
+        that the tube reaches: k = kc + dk, |dk| <= kw, per (sample, j)."""
         r, s = lg.half.int_direction()
         L = math.hypot(r, s)
-        g, v1, v2 = _xgcd(s, -r)
-        v = np.array([v1, v2], dtype=float)
         d = np.array([r, s], dtype=float)
-        z0 = y - p0
-        c0 = z0[:, 0] * s - z0[:, 1] * r
-        a0 = z0[:, 0] * r + z0[:, 1] * s
-        u_max = min(1.0, 2.0 * float(lg.width(1.0, self.eps_s)))
-        j_lo = math.floor(float(c0.min()) - u_max * L)
-        j_hi = math.ceil(float(c0.max()) + u_max * L)
-        for j in range(j_lo, j_hi + 1):
-            u = np.abs(c0 - j) / L
-            if lg.width_exp <= 1e-9:
-                kw = np.full(len(y), _BATCH_K_CAP)
-            else:
-                rho = (2.0 * lg.width_coef * self.eps_s / np.maximum(u, 1e-15)
-                       ) ** (1.0 / lg.width_exp)
-                kw = np.minimum(_BATCH_K_CAP, np.ceil(self.eps_s * rho / L))
-            kw = np.maximum(kw, 1)
-            arc0 = (a0 - j * (v[0] * r + v[1] * s)) / L
-            kc = np.round(arc0 / L)
-            base = p0 + j * v
-            for dk in range(-_BATCH_K_CAP, _BATCH_K_CAP + 1):
-                mask = np.abs(dk) <= kw
-                if not mask.any():
-                    continue
-                k = kc + dk
-                p = np.column_stack([base[:, 0] + k * d[0], base[:, 1] + k * d[1]])
-                self._try(y, p, hit, mask)
-                if hit.all():
-                    return
+        # Bezout vector v with v1*s - v2*r = 1 steps across lattice lines
+        _, v1, v2 = _xgcd(s, -r)
+        v = np.array([v1, v2], dtype=float)
+        c0 = z0[:, 0] * s - z0[:, 1] * r    # cross(z0, d): offset index units
+        a0 = z0[:, 0] * r + z0[:, 1] * s    # dot(z0, d)
+        reach = L * np.minimum(1.0, 2.0 * lg.width(1.0, tau))
+        j = np.arange(math.floor(float((c0 - reach).min())),
+                      math.ceil(float((c0 + reach).max())) + 1)
+        live = np.flatnonzero(~done)
+        steps = _arc_steps(lg, tau[live, None], np.abs(c0[live, None] - j) / L,
+                           L, k_cap)
+        kw = np.maximum(np.ceil(steps), 1).astype(np.int64).ravel()
+        vd = v[0] * r + v[1] * s
+        kc = np.rint((a0[live, None] - j * vd) / L / L).ravel()
+        base = (p0[live, None] + j[:, None] * v).reshape(-1, 2)
+        owner = live.repeat(len(j))
+        for t, m in _rounds(2 * kw + 1, owner, done):
+            dk = (m + 1) // 2 * (2 * (m % 2) - 1)     # 0, 1, -1, 2, -2, ...
+            yield owner[t], base[t] + (kc[t] + dk)[:, None] * d
 
-    def _tube_hits_irrational(self, lg, y, hit):
+    def _irrational_tube(self, lg, y, tau, k_cap, done):
+        """Rounded points y -/+ k*_IRR_STEP*u along the line, k = 1..kmax_i."""
         u = lg.half.unit_direction()
-        reach = lg.reach(self.eps_s, 1e-6, cap=_BATCH_K_CAP * _IRR_STEP)
-        kmax = int(min(_BATCH_K_CAP, reach / _IRR_STEP))
-        for k in range(1, kmax + 1):
-            for sgn in (1.0, -1.0):
-                t = sgn * k * _IRR_STEP
-                p = np.round(np.column_stack([y[:, 0] - t * u[0],
-                                              y[:, 1] - t * u[1]]))
-                self._try(y, p, hit)
-                if hit.all():
-                    return
+        live = np.flatnonzero(~done)
+        kmax = np.floor(_arc_steps(lg, tau[live], 1e-6, _IRR_STEP, k_cap))
+        for t, m in _rounds(2 * kmax.astype(np.int64), live, done):
+            i = live[t]
+            arc = (m // 2 + 1) * (1 - 2 * (m % 2)) * _IRR_STEP
+            yield i, np.round(np.column_stack([y[i, 0] - arc * u[0],
+                                               y[i, 1] - arc * u[1]]))
+
+
+def _arc_steps(lg: LineGeometry, tau, u, step: float, cap: int) -> np.ndarray:
+    """Arc distance, in units of `step` and capped at `cap`, out to which the
+    doubled fitted width of {F < tau} still exceeds the offset u
+    (``LineGeometry.reach`` over arrays)."""
+    if lg.width_exp <= 1e-9:
+        return np.full(np.broadcast(tau, u).shape, float(cap))
+    rho = (2.0 * lg.width_coef * tau / np.maximum(u, 1e-15)
+           ) ** (1.0 / lg.width_exp)
+    return np.minimum(cap, tau * rho / step)
+
+
+@functools.lru_cache(maxsize=64)    # box radii are 1..64
+def _ring_offsets(b: int) -> np.ndarray:
+    """Integer offsets of [-b, b]^2 by Chebyshev norm: the first (2c+1)^2
+    rows are the box of radius c."""
+    span = np.arange(-b, b + 1)
+    gx, gy = np.meshgrid(span, span, indexing="ij")
+    off = np.column_stack([gx.ravel(), gy.ravel()])
+    off = off[np.argsort(np.abs(off).max(axis=1), kind="stable")]
+    off.flags.writeable = False     # shared by every caller
+    return off
+
+
+def _rounds(counts: np.ndarray, owner: np.ndarray, done: np.ndarray):
+    """Enumerate ranks 0 .. counts[r]-1 of every row r, low ranks first, in
+    blocks of at most _BLOCK candidates (one rank per row at least).  Before
+    each later block, rows whose sample owner[r] is `done` are dropped.
+    Yields (r, m): the row and the rank of each candidate."""
+    if counts.sum() <= _BLOCK:
+        r = np.arange(len(counts)).repeat(counts)
+        yield r, np.arange(r.size) - (counts.cumsum() - counts)[r]
+        return
+    rows = np.flatnonzero(counts)
+    lo = 0
+    while rows.size:
+        hi = lo + max(1, _BLOCK // rows.size)
+        c = np.minimum(counts[rows], hi) - lo
+        r = rows.repeat(c)
+        yield r, np.arange(r.size) - (c.cumsum() - c).repeat(c) + lo
+        lo = hi
+        rows = rows[(counts[rows] > lo) & ~done[owner[rows]]]
 
 
 def _pick_minimizer(vals, z1, z2, p) -> int:
@@ -460,10 +451,12 @@ def overlap_record(f: Expr, spec_a: ResonantSpec, spec_b: ResonantSpec,
 
 def _bounded_area_unit(f: Expr) -> float:
     """Area of {F < 1} for a bounded body, by radial quadrature."""
+    from scipy.integrate import quad   # slow to import; only used here
+
     def integrand(theta):
         v = f.eval_xy(math.cos(theta), math.sin(theta))
         return 1.0 / (v * v)
-    val, err = _scipy_quad(integrand, 0.0, 2.0 * math.pi, limit=400)
+    val, err = quad(integrand, 0.0, 2.0 * math.pi, limit=400)
     if err > 1e-8 * max(1.0, abs(val)):
         raise NonConvergent(f"radial quadrature error {err:.3g}")
     return 0.5 * val

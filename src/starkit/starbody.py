@@ -101,9 +101,12 @@ class Abs(Expr):
     def __init__(self, a, b=None):
         form = a if isinstance(a, LinearForm) and b is None else LinearForm(a, b)
         object.__setattr__(self, "form", form)
+        # float coefficients for the hot path; not a dataclass field, so
+        # equality and hashing still use the exact form only
+        object.__setattr__(self, "_floats", form.floats())
 
     def _eval(self, x1, x2):
-        fa, fb = self.form.floats()
+        fa, fb = self._floats
         return np.abs(fa * x1 + fb * x2)
 
     def zero_lines(self):
@@ -464,7 +467,10 @@ class LineGeometry:
         u = max(float(u), 1e-15)
         if self.width_exp <= 1e-9:
             return cap
-        rho = (2.0 * self.width_coef * eps / u) ** (1.0 / self.width_exp)
+        try:
+            rho = (2.0 * self.width_coef * eps / u) ** (1.0 / self.width_exp)
+        except OverflowError:   # a nearly flat tube: rho = inf
+            return cap
         return float(min(cap, max(eps * rho, 0.0)))
 
 

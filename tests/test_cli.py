@@ -1,6 +1,9 @@
 import json
+import math
 import subprocess
 import sys
+
+import pytest
 
 from starkit.cli import main
 
@@ -25,6 +28,21 @@ def test_density_analytic_row(tmp_path):
     lines = (tmp_path / "density.csv").read_text().splitlines()
     assert lines[0] == "epsilon,value,stderr,method"
     assert lines[1] == "0.25,0.25,0,analytic"
+
+
+def test_density_quadrature_value_is_a_plain_number(tmp_path):
+    # gm(|x1 - x2|, |x2|) is the multiplicative body under a unimodular
+    # shear, so its periodized density is the hyperbola closed form
+    eps = 0.375
+    rc = main(["--out", str(tmp_path), "density", "--f",
+               "gm(abs(1,-1),abs(0,1))", "--eps", repr(eps),
+               "--method", "quadrature"])
+    assert rc == 0
+    row = (tmp_path / "density.csv").read_text().splitlines()[1].split(",")
+    c = eps * eps
+    assert float(row[1]) == pytest.approx(4 * c * (1 + math.log(1 / (4 * c))),
+                                          abs=1e-7)
+    assert row[3] == "quadrature"
 
 
 def test_density_file_input(tmp_path):

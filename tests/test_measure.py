@@ -1,7 +1,11 @@
 import math
+import subprocess
+import sys
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import starkit as sk
 from starkit.errors import IrrationalSkeleton, SkeletonMismatch
@@ -204,6 +208,39 @@ def test_membership_restricted_against_dumb_oracle(height):
             assert hit.value == vals[i] / q
 
 
+_ATOM = (st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
+         .map(lambda ab: "abs(%d,%d)" % ab))
+
+
+def _combine(children):
+    return st.builds("{}({})".format, st.sampled_from(["gm", "min", "max"]),
+                     st.lists(children, min_size=2, max_size=3).map(",".join))
+
+
+_RATIONAL_BODY = _combine(st.recursive(_ATOM, _combine, max_leaves=3))
+_STOCK_BODIES = ["max(abs(1,0),abs(0,1))", "gm(abs(1,0),abs(0,1))",
+                 "min(gm(abs(1,0),abs(0,1)),"
+                 "gm(abs(invsqrt2,invsqrt2),abs(invsqrt2,-invsqrt2)))",
+                 "gm(abs(1,-1),abs(0,1))"]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(body=st.one_of(st.sampled_from(_STOCK_BODIES), _RATIONAL_BODY),
+       restricted=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_batch_hits_match_exhaustive_oracle(body, restricted, seed):
+    # the batched hit test against the full window enumeration, also beyond
+    # the q <= 64 range where resonant_membership runs the enumeration itself
+    f = sk.parse_distance_function(body)
+    rng = np.random.default_rng([seed, zlib.crc32(body.encode()), restricted])
+    q = int(rng.integers(1, 301))
+    eps = float(rng.uniform(0.02, 0.5)) / q
+    xs = rng.random((3, 2))
+    kern = _Kernel(f, q, eps, restricted)
+    fast = sk.batch_hits(f, xs, q, eps, restricted)
+    slow = [kern.minimize_exhaustive(x)[0] < kern.eps_s for x in xs]
+    assert fast.tolist() == slow, (body, restricted, q, eps, xs)
+
+
 # ---------------------------------------------------------------------------
 # Resonant measures
 # ---------------------------------------------------------------------------
@@ -352,6 +389,16 @@ def test_resonant_ratio_band_wide_q(multiplicative):
                                     samples=20_000, seed=100 + q)
         ratios.append(v / sk.density(multiplicative, q * eps).value)
     assert all(0.25 < r < 4.0 for r in ratios)
+
+
+def test_import_leaves_scipy_unloaded(tmp_path, cli_env):
+    # scipy is slow to import; only the bounded-body radial quadrature needs it
+    code = ("import sys, starkit; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=cli_env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_quadrature_budget_exhaustion(multiplicative):

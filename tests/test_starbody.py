@@ -7,8 +7,8 @@ import pytest
 import starkit as sk
 from starkit.errors import DegenerateExpr, FitFailure, IrrationalSkeleton
 from starkit.exact import Quad
-from starkit.starbody import (Abs, GeoMean, LinearForm, Max, Min, Scale,
-                              is_axis_monotone)
+from starkit.starbody import (Abs, GeoMean, LinearForm, LineGeometry, Max, Min,
+                              Scale, is_axis_monotone)
 
 # ---------------------------------------------------------------------------
 # Evaluation
@@ -297,3 +297,10 @@ def test_axis_monotone_detection(registered_bodies):
     assert is_axis_monotone(registered_bodies["multiplicative"])
     assert not is_axis_monotone(registered_bodies["union_jack"])
     assert not is_axis_monotone(registered_bodies["irrational_cusp"])
+
+
+def test_reach_of_a_nearly_flat_tube_is_the_cap(multiplicative):
+    # 1/width_exp ~ 667: the power overflows a float, the tube never narrows
+    half = sk.extract_skeleton(multiplicative).lines[0]
+    lg = LineGeometry(half, width_coef=1.0, width_exp=0.0015)
+    assert lg.reach(0.3, 1e-6, cap=600.0) == 600.0
