@@ -11,9 +11,7 @@ full-measure limsup conclusion.
 
 from __future__ import annotations
 
-import heapq
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
@@ -152,60 +150,52 @@ def _max_gap_profile(alpha_inv: float, n_max: int) -> np.ndarray:
     """max circular gap of {k*alpha_inv}_{k<=N} for every N, by reverse deletion.
 
     Runs the insertion process backwards: start from the full sorted
-    configuration and delete points N, N-1, ...; each deletion merges two
-    gaps, which keeps a lazy max-heap valid in O(log) per step.
+    configuration and delete points N, N-1, ..., 2.  Deleting a point
+    replaces its two neighbouring gaps g_a, g_i by g_a + g_i, which in
+    floating point is >= each of them; rounding to 15 places is monotone,
+    so the largest rounded gap after the deletion is the larger of the one
+    before it and the rounded merged gap.  The profile is therefore a
+    running maximum, taken from N = n_max down, of the merged gaps, with
+    the full configuration's largest gap at N = n_max.  Entry N of the
+    result is the value for N; entry 0 is unused.
     """
     pts = _orbit(alpha_inv, 0.0, n_max)
     order = np.argsort(pts)
     sorted_pts = pts[order]
-    n = n_max
-    nxt = np.roll(np.arange(n), -1)
-    prv = np.roll(np.arange(n), 1)
     gap_after = np.diff(sorted_pts, append=sorted_pts[0] + 1.0)
-    pos_of = np.empty(n, dtype=int)
-    pos_of[order] = np.arange(n)
-
-    live = Counter(np.round(gap_after, 15).tolist())
-    heap = [-g for g in live]
-    heapq.heapify(heap)
-
-    def push(g):
-        key = round(g, 15)
-        live[key] += 1
-        heapq.heappush(heap, -key)
-
-    def drop(g):
-        key = round(g, 15)
-        live[key] -= 1
-        if live[key] <= 0:
-            del live[key]
-
-    def current_max():
-        while heap and live.get(-heap[0], 0) <= 0:
-            heapq.heappop(heap)
-        return -heap[0]
-
-    out = np.empty(n_max + 1)
-    out[n_max] = current_max()
+    idx = np.arange(n_max)
+    pos_of = np.empty(n_max, dtype=int)
+    pos_of[order] = idx
+    # merged[N - 1] is the gap made by deleting point N + 1; the last slot
+    # holds the full configuration's largest gap
+    merged = np.empty(n_max)
+    merged[-1] = gap_after.max()
+    # the loop reads and writes the arrays through memoryviews, whose items
+    # are plain Python floats and ints, not numpy scalars
+    gap, nxt, prv, pos, merge = (memoryview(v) for v in (
+        gap_after, np.roll(idx, -1), np.roll(idx, 1), pos_of, merged))
     for k in range(n_max, 1, -1):
-        i = pos_of[k - 1]           # delete the point added at time k
+        i = pos[k - 1]              # delete the point added at time k
         a, b = prv[i], nxt[i]
-        drop(gap_after[a])
-        drop(gap_after[i])
-        merged = gap_after[a] + gap_after[i]
-        gap_after[a] = merged
-        push(merged)
+        gap[a] = merge[k - 2] = gap[a] + gap[i]
         nxt[a], prv[b] = b, a
-        out[k - 1] = current_max()
+    out = np.empty(n_max + 1)
+    out[1:] = np.maximum.accumulate(np.round(merged, 15)[::-1])[::-1]
     return out
 
 
 def ubiquity_sequence(alpha_inv, n_max: int) -> list[int]:
-    """All N <= Nmax whose maximal gap is <= 3/(N+1), strictly increasing."""
+    """All N <= Nmax whose maximal gap is <= 3/(N+1), strictly increasing.
+
+    The maximal gaps come from `_max_gap_profile`, one reverse running
+    maximum over the merged gaps of the deletion process, so every N is
+    tested at once.
+    """
     if n_max < 1:
         raise ValueError("Nmax must be >= 1")
     prof = _max_gap_profile(float(alpha_inv), n_max)
-    out = [n for n in range(1, n_max + 1) if prof[n] <= 3.0 / (n + 1)]
+    ns = np.arange(1, n_max + 1)
+    out = ns[prof[1:] <= 3.0 / (ns + 1)].tolist()
     if not out:
         raise EmptySequence("no admissible N found; the sequence is infinite")
     return out
@@ -328,15 +318,20 @@ class CoverageStage:
     fraction_hit_once: float
     fraction_hit_k: float
     stderr: float
+    union_bound: float      # S_N = sum_{n <= N} |Itilde_n|
 
 
 def coverage_experiment(f: Expr, line: HalfLine, epsilon: float, y0: float,
                         stages: Sequence[int], samples: int = 10_000,
                         seed: int = 0, k_hits: int = 3) -> list[CoverageStage]:
     """Fraction of sampled x in H hit by at least one (and >= k) interval
-    Itilde_n with n <= N, per stage N; fractions are non-decreasing in N."""
+    Itilde_n with n <= N, per stage N; fractions are non-decreasing in N.
+
+    Each stage also carries the union bound S_N of its interval system,
+    which no covered fraction can exceed."""
     stages = sorted(int(s) for s in stages)
     system = interval_system(f, line, epsilon, y0, stages[-1])
+    sums = dict(system.partial_sums(stages))
     n_chunks = math.ceil(samples / CHUNK)
     xs = np.concatenate([uniform_chunk(seed, c, min(CHUNK, samples - c * CHUNK), 1)[:, 0]
                          for c in range(n_chunks)])
@@ -363,6 +358,7 @@ def coverage_experiment(f: Expr, line: HalfLine, epsilon: float, y0: float,
         frack = float(np.count_nonzero(counts >= k_hits)) / m
         stderr = math.sqrt(frac1 * (1.0 - frac1) / m)
         out.append(CoverageStage(n=stage, fraction_hit_once=frac1,
-                                 fraction_hit_k=frack, stderr=stderr))
+                                 fraction_hit_k=frack, stderr=stderr,
+                                 union_bound=sums[stage]))
         prev = stage
     return out

@@ -381,7 +381,7 @@ def cmd_philemma(args):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="starkit")
     ap.add_argument("--out", default=".", help="output directory")
-    ap.add_argument("--format", default="csv", choices=["csv", "json", "svg"])
+    ap.add_argument("--format", default="csv", choices=["csv", "svg"])
     ap.add_argument("--precision", type=int, default=None,
                     help="bits for boundary re-evaluation")
     sub = ap.add_subparsers(dest="command", required=True)

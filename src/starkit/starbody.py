@@ -18,6 +18,7 @@ for "carries infinite mass"), and computes the fundamental rectangle
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -529,15 +530,10 @@ class BodyGeometry:
                             width_exp=float(-beta))
 
 
-_GEOMETRY_CACHE: dict[Expr, BodyGeometry] = {}
-
-
+@functools.lru_cache(maxsize=128)
 def body_geometry(f: Expr) -> BodyGeometry:
-    geo = _GEOMETRY_CACHE.get(f)
-    if geo is None:
-        geo = BodyGeometry(f)
-        _GEOMETRY_CACHE[f] = geo
-    return geo
+    """The BodyGeometry of f, shared by every caller while it stays cached."""
+    return BodyGeometry(f)
 
 
 # ---------------------------------------------------------------------------

@@ -221,15 +221,14 @@ def test_criterion_06_three_distance_ubiquity():
 def _irrational_line_coverage(f):
     """Criterion 7's experiment along the slope-sqrt2 skeleton line of f:
     the coverage stages at N = 1e3 and 1e6 (seed 107), and the partial sums
-    S_N = sum_{n <= N} |Itilde_n| of the interval system, keyed by N."""
+    S_N = sum_{n <= N} |Itilde_n| of the experiment's interval system,
+    keyed by N."""
     line = [h for h in sk.extract_skeleton(f).lines
             if not h.rational and h.slope_value > 0][0]
     stages = [1000, 1_000_000]
     cov = sk.coverage_experiment(f, line, 0.2, 0.5, stages,
                                  samples=10_000, seed=107, k_hits=3)
-    system = sk.interval_system(f, line, 0.2, 0.5, 1_000_000,
-                                check_significance=False)
-    return cov, dict(system.partial_sums(stages))
+    return cov, {stage.n: stage.union_bound for stage in cov}
 
 
 def test_criterion_07_irrational_line_coverage(irrational_cusp):

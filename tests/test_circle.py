@@ -96,17 +96,54 @@ def test_three_distance_many_random_alphas():
             assert sum(part.gaps) == pytest.approx(1.0, abs=1e-12)
 
 
+# irrational rotations, rationals whose orbits repeat points, and the two
+# extremes whose orbits creep around the circle in tiny steps
+PROFILE_ALPHAS = [math.sqrt(2) - 1, 2 / (1 + math.sqrt(5)), math.pi - 3,
+                  1 / math.e, math.sqrt(3) - 1, 0.51, 0.5, 0.25, 3 / 7,
+                  1e-3, 0.999]
+
+
+def _sorted_orbit_max_gaps(a, n_max):
+    """Largest circular gap of {k a}, k <= N, for N = 1..n_max (entry N),
+    each from its own sort of the orbit."""
+    out = np.full(n_max + 1, np.nan)
+    orbit = np.mod(np.arange(1, n_max + 1) * a, 1.0)
+    for n in range(1, n_max + 1):
+        pts = np.sort(orbit[:n])
+        out[n] = max(np.max(np.diff(pts), initial=0.0), pts[0] + 1.0 - pts[-1])
+    return out
+
+
 def test_max_gap_profile_matches_direct():
     a = math.sqrt(2) - 1
     prof = _max_gap_profile(a, 300)
     for n in (1, 2, 17, 120, 300):
         part = sk.three_distance_partition(a, 0.0, n)
         assert prof[n] == pytest.approx(max(part.gaps), abs=1e-12)
+    for a in PROFILE_ALPHAS:
+        direct = _sorted_orbit_max_gaps(a, 2000)
+        prof = _max_gap_profile(a, 2000)
+        np.testing.assert_allclose(prof[1:], direct[1:], rtol=0, atol=1e-12,
+                                   err_msg=f"alpha_inv {a!r}")
 
 
 # ---------------------------------------------------------------------------
 # Ubiquity
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("a", PROFILE_ALPHAS)
+def test_ubiquity_matches_direct_scan(a):
+    n_max = 2000
+    direct = _sorted_orbit_max_gaps(a, n_max)
+    listed = set(sk.ubiquity_sequence(a, n_max))
+    checked = 0
+    for n in range(1, n_max + 1):
+        bound = 3.0 / (n + 1)
+        if abs(direct[n] - bound) > 1e-12:   # clear of the boundary
+            assert (n in listed) == (direct[n] <= bound), n
+            checked += 1
+    assert checked >= n_max - 5
 
 
 def test_ubiquity_golden_dense():
@@ -246,6 +283,16 @@ def test_coverage_matches_direct_interval_count(cusp_line):
         np.mean(counts >= 1), abs=1e-12)
     assert out[0].fraction_hit_k == pytest.approx(
         np.mean(counts >= 2), abs=1e-12)
+
+
+def test_coverage_union_bound_is_the_partial_sum(cusp_line):
+    f, line = cusp_line
+    stages = [10, 300, 1000]
+    out = sk.coverage_experiment(f, line, 0.2, 0.5, stages,
+                                 samples=500, seed=9)
+    system = sk.interval_system(f, line, 0.2, 0.5, 1000)
+    assert [(s.n, s.union_bound) for s in out] == system.partial_sums(stages)
+    assert all(s.fraction_hit_once <= s.union_bound for s in out)
 
 
 def test_coverage_stage_zero_has_no_hits(cusp_line):

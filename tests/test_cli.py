@@ -194,6 +194,15 @@ def test_machine_readable_error_record(tmp_path, cli_env):
     assert "error" in rec and "message" in rec
 
 
+def test_format_json_is_not_a_choice(tmp_path, cli_env):
+    # artifacts are CSV or SVG; JSON files are written whatever the format
+    p = run_cli(["--out", str(tmp_path), "--format", "json", "density",
+                 "--f", HEIGHT, "--eps", "0.25"], tmp_path, cli_env)
+    assert p.returncode == 2
+    assert "invalid choice: 'json'" in p.stderr
+    assert not (tmp_path / "density.csv").exists()
+
+
 def test_density_resonant_record(tmp_path):
     rc = main(["--out", str(tmp_path), "density", "--f", HEIGHT,
                "--eps", "0.02", "--q", "5", "--samples", "20000",

@@ -8,7 +8,7 @@ import starkit as sk
 from starkit.errors import DegenerateExpr, FitFailure, IrrationalSkeleton
 from starkit.exact import Quad
 from starkit.starbody import (Abs, GeoMean, LinearForm, LineGeometry, Max, Min,
-                              Scale, is_axis_monotone)
+                              Scale, body_geometry, is_axis_monotone)
 
 # ---------------------------------------------------------------------------
 # Evaluation
@@ -304,3 +304,9 @@ def test_reach_of_a_nearly_flat_tube_is_the_cap(multiplicative):
     half = sk.extract_skeleton(multiplicative).lines[0]
     lg = LineGeometry(half, width_coef=1.0, width_exp=0.0015)
     assert lg.reach(0.3, 1e-6, cap=600.0) == 600.0
+
+
+def test_body_geometry_is_shared_and_the_cache_bounded(union_jack):
+    assert body_geometry(union_jack) is body_geometry(union_jack)
+    maxsize = body_geometry.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
