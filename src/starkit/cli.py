@@ -191,9 +191,18 @@ def cmd_density(args):
     return 0
 
 
+def _parse_monotone_psi(spec: str, q_max: int) -> khintchine.PsiFamily:
+    """psi from its CLI spec, with q*psi(q) non-increasing up to q_max."""
+    psi = khintchine.parse_psi(spec)
+    if not psi.check_monotone(q_max):
+        raise ValidationError(f"q*psi(q) is not non-increasing for {spec!r} "
+                              f"over q in [{psi.q_start}, {q_max}]")
+    return psi
+
+
 def cmd_series(args):
     f = _load_f(args.f)
-    psi = khintchine.parse_psi(args.psi)
+    psi = _parse_monotone_psi(args.psi, args.Qmax)
     sums, verdict = khintchine.series_partial_sums(f, psi, args.Qmax)
     _write_csv(_out(args, "series.csv"), ["Q", "partial_sum"], sums)
     _write_json(_out(args, "series.json"),
@@ -210,8 +219,8 @@ def cmd_series(args):
 def cmd_tail(args):
     f = _load_f(args.f)
     _require_seed(args)
-    psi = khintchine.parse_psi(args.psi)
     blocks = [int(t) for t in args.N.split(",")]
+    psi = _parse_monotone_psi(args.psi, 2 * max(blocks))
     rows = []
     for n in blocks:
         v, e = khintchine.tail_measure(f, psi, n, samples=args.samples,
@@ -382,8 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="starkit")
     ap.add_argument("--out", default=".", help="output directory")
     ap.add_argument("--format", default="csv", choices=["csv", "svg"])
-    ap.add_argument("--precision", type=int, default=None,
-                    help="bits for boundary re-evaluation")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, f=True, seed=True):
@@ -456,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--bound", type=float, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="ignored: transfer is deterministic")
     p.set_defaults(func=cmd_transfer)
 
     p = sub.add_parser("prop5")
@@ -476,8 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.precision is not None:
-        transference._MP_PREC = args.precision
     try:
         return args.func(args)
     except (ValidationError, ValueError, ParseError, ArityError,

@@ -28,7 +28,11 @@ from .starbody import Expr
 
 @dataclass(frozen=True)
 class PsiFamily:
-    """psi(q) > 0 with q*psi(q) non-increasing (checked over requested ranges).
+    """psi(q) > 0 with q*psi(q) non-increasing.
+
+    ``check_monotone`` tests the monotonicity; the ``series`` and ``tail``
+    commands reject a psi that fails it from q_start up to the largest q
+    they use.
 
     kinds: 'power' q^-tau; 'powerlog' q^-tau (log q)^-sigma for q >= 2
     (domain starts at 2, log 1 = 0 is a removable nuisance); 'table' explicit

@@ -1,6 +1,6 @@
 """Transference machinery: box parametrization of the multiplicative body,
-matrix encodings, paired solution systems, and the full verification
-harnesses (multiplicative, union jack, height/inner-product).
+matrix encodings, paired solution systems, and the verification harnesses
+(multiplicative, union jack, height/inner-product).
 
 System (i) asks for q in Z^n with |<q.x>| <= lambda and prod max(|q_i|,1)
 <= mu^n; system (ii) for a single integer p with small geometric mean of
@@ -10,12 +10,24 @@ system-(ii) acceptance threshold  GM <= n lambda^(1/n); the stricter
 GM <= n*lambda variant is additionally recorded on every witness, never
 asserted.
 
-Enumeration runs in float64 with quadratic-surd (or 160-bit) re-evaluation
-of any comparison that lands within 1e-9 of its threshold.
+The three harnesses run one pipeline (``_transfer``) and differ only in
+the candidate rows q, their size and exponent k, mu of a kept row, and
+the quality of p (GM, union-jack F', or max norm):
+
+  enumerate q -> keep |<q.x>| <= size(q)^(-k-eps) (``_q_filter``)
+  -> order by (mu, q), lambda = mu^(-k-eps)
+  -> least p <= n mu lambda^((1-n)/n) with quality(p) <= n lambda^(1/n)
+     (``_least_p``) -> largest admissible eps'.
+
+``solve_system_i`` uses the same q-filter and ``solve_system_ii`` the same
+least-p selector.  Both comparisons run in float64; a value within 1e-9 of
+its threshold is re-evaluated in mpmath at ``_MP_PREC`` bits, with
+quadratic surds and fractions taken exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -64,15 +76,6 @@ def _mp_value(v) -> mpmath.mpf:
 
 def _mp_signed(v: mpmath.mpf) -> mpmath.mpf:
     return v - mpmath.floor(v + mpmath.mpf(1) / 2)
-
-
-def _leq(value: float, threshold: float, recompute=None) -> bool:
-    """value <= threshold, re-evaluated at high precision near the boundary."""
-    if recompute is None or abs(value - threshold) > _BOUNDARY * max(1.0, abs(threshold)):
-        return value <= threshold
-    with mpmath.workprec(_MP_PREC):
-        v, t = recompute()
-        return v <= t
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +308,21 @@ def _enumerate_product_box(n: int, cap: float, q_bound: int) -> np.ndarray:
     return _canonical(q)
 
 
+def _q_filter(x: Sequence[Coordinate], q: np.ndarray, thresh,
+              mp_thresh) -> np.ndarray:
+    """Mask of the rows with |<q.x>| <= thresh (a scalar or one per row).
+
+    A row within the boundary band of its threshold is decided at high
+    precision against mp_thresh(row index).
+    """
+    vals = np.abs(_signed_dot(x, q))
+    keep = vals <= thresh - _BOUNDARY
+    for i in np.flatnonzero(np.abs(vals - thresh) <= _BOUNDARY):
+        with mpmath.workprec(_MP_PREC):
+            keep[i] = _mp_signed_dot(x, q[i]) <= mp_thresh(i)
+    return keep
+
+
 def solve_system_i(x: Sequence[Coordinate], params: TransferParams,
                    q_bound: int) -> list[tuple[int, ...]]:
     """Canonical q != 0 with |<q.x>| <= lambda and (prod max(|q_i|,1))^(1/n) <= mu.
@@ -316,20 +334,9 @@ def solve_system_i(x: Sequence[Coordinate], params: TransferParams,
     if len(x) != n:
         raise DimensionMismatch("x must have length n")
     q = _enumerate_product_box(n, params.mu ** n, q_bound)
-    if len(q) == 0:
-        return []
-    vals = np.abs(_signed_dot(x, q))
-    lam = params.lam
-    sure = vals <= lam - _BOUNDARY
-    border = np.abs(vals - lam) <= _BOUNDARY
-    keep = sure.copy()
-    for i in np.flatnonzero(border):
-        with mpmath.workprec(_MP_PREC):
-            keep[i] = _mp_signed_dot(x, q[i]) <= mpmath.mpf(lam)
-    sols = q[keep]
-    order = sorted(range(len(sols)),
-                   key=lambda i: (f_plus(sols[i]), tuple(sols[i])))
-    return [tuple(int(v) for v in sols[i]) for i in order]
+    sols = q[_q_filter(x, q, params.lam, lambda i: mpmath.mpf(params.lam))]
+    return [row for _, row in sorted((f_plus(r), tuple(int(v) for v in r))
+                                     for r in sols)]
 
 
 def system_ii_values(x: Sequence[Coordinate], p: int) -> float:
@@ -340,13 +347,52 @@ def system_ii_values(x: Sequence[Coordinate], p: int) -> float:
     return prod ** (1.0 / len(x))
 
 
+def _p_distances(x: Sequence[Coordinate], p_max: int):
+    """<p x_i> for p = 1..p_max (index p-1), one array per coordinate.
+
+    A generator, so that a caller folding the arrays holds one at a time.
+    """
+    ps = np.arange(1, p_max + 1, dtype=float)
+    for xi in x:
+        yield nearest_signed_distance(ps * float(xi))
+
+
+def _mp_distances(x: Sequence[Coordinate], p: int) -> list[mpmath.mpf]:
+    """<p x_i> at the working precision, one per coordinate."""
+    return [_mp_signed(p * _mp_value(xi)) for xi in x]
+
+
 def _gm_grid(x: Sequence[Coordinate], p_max: int) -> np.ndarray:
     """GM(<p x_i>) for p = 1..p_max (index p-1)."""
-    ps = np.arange(1, p_max + 1, dtype=float)
     prod = np.ones(p_max)
-    for xi in x:
-        prod *= np.abs(nearest_signed_distance(ps * float(xi)))
+    for d in _p_distances(x, p_max):
+        prod *= np.abs(d)
     return prod ** (1.0 / len(x))
+
+
+def _mp_gm(x: Sequence[Coordinate], p: int) -> mpmath.mpf:
+    """GM(|<p x_i>|) at the working precision."""
+    prod = mpmath.mpf(1)
+    for d in _mp_distances(x, p):
+        prod *= abs(d)
+    return prod ** (mpmath.mpf(1) / len(x))
+
+
+def _least_p(quality: np.ndarray, p_max: int, bound: float,
+             mp_quality) -> Optional[int]:
+    """Least p in 1..p_max with quality[p-1] <= bound, or None.
+
+    A value within the boundary band of bound is decided by mp_quality(p)
+    at high precision.
+    """
+    band = _BOUNDARY * max(1.0, abs(bound))
+    for p in np.flatnonzero(quality[:p_max] <= bound + _BOUNDARY) + 1:
+        if bound - quality[p - 1] > band:
+            return int(p)
+        with mpmath.workprec(_MP_PREC):
+            if mp_quality(int(p)) <= mpmath.mpf(bound):
+                return int(p)
+    return None
 
 
 def solve_system_ii(x: Sequence[Coordinate], params: TransferParams
@@ -357,26 +403,13 @@ def solve_system_ii(x: Sequence[Coordinate], params: TransferParams
     stricter GM <= n*lambda also holds is recorded by callers, not required.
     Returns None when no p in range qualifies.
     """
-    n = params.n
-    if len(x) != n:
+    if len(x) != params.n:
         raise DimensionMismatch("x must have length n")
     p_max = int(math.floor(params.p_bound + 1e-12))
     if p_max < 1:
         return None
-    bound = params.gm_bound
-    gms = _gm_grid(x, p_max)
-    for p in np.flatnonzero(gms <= bound + _BOUNDARY) + 1:
-        gm = float(gms[p - 1])
-
-        def recompute(p=p):
-            prod = mpmath.mpf(1)
-            for xi in x:
-                prod *= abs(_mp_signed(int(p) * _mp_value(xi)))
-            return prod ** (mpmath.mpf(1) / n), mpmath.mpf(bound)
-
-        if _leq(gm, bound, recompute):
-            return int(p)
-    return None
+    return _least_p(_gm_grid(x, p_max), p_max, params.gm_bound,
+                    lambda p: _mp_gm(x, p))
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +534,42 @@ def _admissible_eps(qualities: np.ndarray, p_max: int, n: int,
     return None
 
 
+def _transfer(kind: str, x: Sequence[Coordinate], epsilon: float,
+              bound: float, q: np.ndarray, size: np.ndarray, k: int,
+              mu_of, grid, mp_quality, branch=None) -> TransferReport:
+    """The pipeline behind every harness.
+
+    Keeps the candidate rows q with |<q.x>| <= size(q)^(-k-eps), orders
+    them by (mu, q) with mu = mu_of(size), sets lambda = mu^(-k-eps), and
+    transfers each to the least p <= n mu lambda^((1-n)/n) whose quality
+    (grid(P)[p-1] for p <= P, mp_quality(p) near the threshold) is at most
+    n lambda^(1/n).  admissible_eps is read off the same quality values.
+    branch(row index) labels a step.
+    """
+    n = len(x)
+    expo = -float(k) - epsilon
+    keep = _q_filter(x, q, size ** expo, lambda i: mpmath.mpf(
+        float(size[i])) ** (mpmath.mpf(-k) - epsilon))
+    if not keep.any():
+        raise NoSolutions(f"no {kind} transference solutions below the "
+                          "bound; raise the bound")
+    # mu only for the kept rows: they are few, the candidates millions
+    witnesses = sorted((mu_of(size[i]), tuple(int(v) for v in q[i]), i)
+                       for i in np.flatnonzero(keep))
+    params = [TransferParams(lam=mu ** expo, mu=mu, n=n)
+              for mu, _, _ in witnesses]
+    p_maxes = [int(math.floor(pr.p_bound + 1e-12)) for pr in params]
+    quality = grid(max(1, *p_maxes))
+    steps = []
+    for (mu, q_vec, i), pr, p_max in zip(witnesses, params, p_maxes):
+        p = _least_p(quality, p_max, pr.gm_bound, mp_quality)
+        steps.append(TransferStep(
+            q_vec, mu, pr.lam, p, None if p is None else float(quality[p - 1]),
+            _admissible_eps(quality, p_max, n, epsilon) if p_max >= 1 else None,
+            branch(i) if branch else ""))
+    return TransferReport(kind, epsilon, bound, steps)
+
+
 def verify_theorem_multitrans(x: Sequence[Coordinate], epsilon: float,
                               fplus_bound: float) -> TransferReport:
     """Multiplicative transference pipeline.
@@ -513,37 +582,11 @@ def verify_theorem_multitrans(x: Sequence[Coordinate], epsilon: float,
     """
     n = len(x)
     q = _enumerate_product_box(n, fplus_bound ** n, q_bound=10 ** 9)
-    prods = np.prod(np.maximum(1.0, np.abs(q)), axis=1)
-    vals = np.abs(_signed_dot(x, q))
-    thresh = prods ** (-1.0 - epsilon)
-    keep = vals <= thresh - _BOUNDARY
-    border = np.abs(vals - thresh) <= _BOUNDARY
-    for i in np.flatnonzero(border):
-        with mpmath.workprec(_MP_PREC):
-            t = mpmath.mpf(float(prods[i])) ** (mpmath.mpf(-1) - epsilon)
-            keep[i] = _mp_signed_dot(x, q[i]) <= t
-    sols = q[keep]
-    if len(sols) == 0:
-        raise NoSolutions("no solutions below the bound; raise the bound")
-    order = sorted(range(len(sols)),
-                   key=lambda i: (f_plus(sols[i]), tuple(sols[i])))
-    mus = [f_plus(sols[i]) for i in order]
-    lams = [m ** (-1.0 - epsilon) for m in mus]
-    p_global = int(math.floor(max(
-        TransferParams(lam=l, mu=m, n=n).p_bound
-        for m, l in zip(mus, lams)) + 1e-12))
-    gms = _gm_grid(x, max(p_global, 1))
-    steps = []
-    for i, mu, lam in zip(order, mus, lams):
-        qv = tuple(int(v) for v in sols[i])
-        params = TransferParams(lam=lam, mu=mu, n=n)
-        p = solve_system_ii(x, params)
-        p_max = int(math.floor(params.p_bound + 1e-12))
-        adm = _admissible_eps(gms, p_max, n, epsilon) if p_max >= 1 else None
-        steps.append(TransferStep(qv, mu, lam, p,
-                                  None if p is None else float(gms[p - 1]),
-                                  adm))
-    return TransferReport("mult", epsilon, fplus_bound, steps)
+    return _transfer("mult", x, epsilon, fplus_bound, q,
+                     np.prod(np.maximum(1.0, np.abs(q)), axis=1), 1,
+                     mu_of=lambda s: float(s ** (1.0 / n)),
+                     grid=lambda p_max: _gm_grid(x, p_max),
+                     mp_quality=lambda p: _mp_gm(x, p))
 
 
 def _union_jack_products(q: np.ndarray):
@@ -551,6 +594,12 @@ def _union_jack_products(q: np.ndarray):
     b2 = _HALF_SQRT2 * np.maximum(1.0, np.abs(q[:, 0] + q[:, 1])) \
         * np.maximum(1.0, np.abs(q[:, 0] - q[:, 1]))
     return b1, b2
+
+
+def _mp_union_jack(x: Sequence[Coordinate], p: int) -> mpmath.mpf:
+    """F'(<p x>, <p y>) = min(|uv|, |u^2 - v^2|/2)^(1/2)."""
+    u, v = _mp_distances(x, p)
+    return mpmath.sqrt(min(abs(u * v), abs(u * u - v * v) / 2))
 
 
 def verify_theorem_unionjack(x: Coordinate, y: Coordinate, epsilon: float,
@@ -572,44 +621,20 @@ def verify_theorem_unionjack(x: Coordinate, y: Coordinate, epsilon: float,
     qb = _canonical(qb[np.any(qb != 0, axis=1)])
     q = np.unique(np.concatenate([qa, qb], axis=0), axis=0)
     b1, b2 = _union_jack_products(q)
-    body = np.minimum(b1, b2)
-    keep_region = body <= cap + 1e-9
-    q, b1, b2, body = q[keep_region], b1[keep_region], b2[keep_region], body[keep_region]
-    vals = np.abs(_signed_dot((x, y), q))
-    thresh = body ** (-1.0 - epsilon)
-    keep = vals <= thresh - _BOUNDARY
-    border = np.abs(vals - thresh) <= _BOUNDARY
-    for i in np.flatnonzero(border):
-        with mpmath.workprec(_MP_PREC):
-            t = mpmath.mpf(float(body[i])) ** (mpmath.mpf(-1) - epsilon)
-            keep[i] = _mp_signed_dot((x, y), q[i]) <= t
-    if not keep.any():
-        raise NoSolutions("no union-jack solutions below the bound")
-    sols, sb1, sb2, sbody = q[keep], b1[keep], b2[keep], body[keep]
+    region = np.minimum(b1, b2) <= cap + 1e-9
+    q, b1, b2 = q[region], b1[region], b2[region]
     fprime = union_jack()
-    order = sorted(range(len(sols)),
-                   key=lambda i: (math.sqrt(sbody[i]), tuple(sols[i])))
-    xf, yf = float(x), float(y)
-    mus = [math.sqrt(sbody[i]) for i in order]
-    lams = [m ** (-1.0 - epsilon) for m in mus]
-    p_global = max(1, int(math.floor(max(
-        2 * m * l ** (-0.5) for m, l in zip(mus, lams)) + 1e-12)))
-    ps = np.arange(1, p_global + 1, dtype=float)
-    fvals = fprime.eval_xy(nearest_signed_distance(ps * xf),
-                           nearest_signed_distance(ps * yf))
-    steps = []
-    for i, mu, lam in zip(order, mus, lams):
-        qv = tuple(int(v) for v in sols[i])
-        branch = "axis" if sb1[i] <= sb2[i] else "rotated"
-        p_max = int(math.floor(2 * mu * lam ** (-0.5) + 1e-12))
-        target = 2.0 * math.sqrt(lam)
-        in_range = np.flatnonzero(fvals[:p_max] <= target)
-        p_found = int(in_range[0]) + 1 if in_range.size else None
-        quality = float(fvals[p_found - 1]) if p_found else None
-        adm = _admissible_eps(fvals, p_max, 2, epsilon) if p_max >= 1 else None
-        steps.append(TransferStep(qv, mu, lam, p_found, quality, adm,
-                                  branch=branch))
-    return TransferReport("unionjack", epsilon, bound, steps)
+    return _transfer("unionjack", (x, y), epsilon, bound, q,
+                     np.minimum(b1, b2), 1, mu_of=math.sqrt,
+                     grid=lambda p_max: fprime.eval_xy(
+                         *_p_distances((x, y), p_max)),
+                     mp_quality=lambda p: _mp_union_jack((x, y), p),
+                     branch=lambda i: "axis" if b1[i] <= b2[i] else "rotated")
+
+
+def _mp_height(x: Sequence[Coordinate], p: int) -> mpmath.mpf:
+    """max_i |<p x_i>|."""
+    return max(abs(d) for d in _mp_distances(x, p))
 
 
 def verify_khintchine_transfer(x: Sequence[Coordinate], epsilon: float,
@@ -623,36 +648,8 @@ def verify_khintchine_transfer(x: Sequence[Coordinate], epsilon: float,
     """
     n = len(x)
     q = _enumerate_product_box(n, float(bound) ** n, q_bound=bound)
-    hts = np.max(np.abs(q), axis=1).astype(float)
-    vals = np.abs(_signed_dot(x, q))
-    thresh = hts ** (-float(n) - epsilon)
-    keep = vals <= thresh - _BOUNDARY
-    border = np.abs(vals - thresh) <= _BOUNDARY
-    for i in np.flatnonzero(border):
-        with mpmath.workprec(_MP_PREC):
-            t = mpmath.mpf(float(hts[i])) ** (mpmath.mpf(-n) - epsilon)
-            keep[i] = _mp_signed_dot(x, q[i]) <= t
-    sols = q[keep]
-    if len(sols) == 0:
-        raise NoSolutions("no height-transfer solutions below the bound")
-    order = sorted(range(len(sols)),
-                   key=lambda i: (float(np.max(np.abs(sols[i]))), tuple(sols[i])))
-    mus = [float(np.max(np.abs(sols[i]))) for i in order]
-    lams = [m ** (-float(n) - epsilon) for m in mus]
-    p_global = max(1, int(math.floor(max(
-        n * m * l ** ((1 - n) / n) for m, l in zip(mus, lams)) + 1e-12)))
-    ps = np.arange(1, p_global + 1, dtype=float)
-    hvals = np.zeros(p_global)
-    for xi in x:
-        hvals = np.maximum(hvals, np.abs(nearest_signed_distance(ps * float(xi))))
-    steps = []
-    for i, mu, lam in zip(order, mus, lams):
-        qv = tuple(int(v) for v in sols[i])
-        p_max = int(math.floor(n * mu * lam ** ((1 - n) / n) + 1e-12))
-        target = n * lam ** (1.0 / n)
-        in_range = np.flatnonzero(hvals[:p_max] <= target)
-        p_found = int(in_range[0]) + 1 if in_range.size else None
-        quality = float(hvals[p_found - 1]) if p_found else None
-        adm = _admissible_eps(hvals, p_max, n, epsilon) if p_max >= 1 else None
-        steps.append(TransferStep(qv, mu, lam, p_found, quality, adm))
-    return TransferReport("height", epsilon, bound, steps)
+    return _transfer("height", x, epsilon, bound, q,
+                     np.max(np.abs(q), axis=1).astype(float), n, mu_of=float,
+                     grid=lambda p_max: functools.reduce(
+                         np.maximum, map(np.abs, _p_distances(x, p_max))),
+                     mp_quality=lambda p: _mp_height(x, p))

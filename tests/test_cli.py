@@ -212,3 +212,41 @@ def test_density_resonant_record(tmp_path):
     rec = records[0]
     assert rec["spec"] == {"q": 5, "epsilon": 0.02, "restricted": False}
     assert abs(rec["value"] - 0.04) <= 3 * max(rec["stderr"], 1e-4)
+
+
+def test_precision_is_not_an_option(tmp_path, cli_env):
+    # the boundary rechecks always run at transference._MP_PREC bits
+    p = run_cli(["--out", str(tmp_path), "--precision", "200", "density",
+                 "--f", HEIGHT, "--eps", "0.25"], tmp_path, cli_env)
+    assert p.returncode == 2
+    assert not (tmp_path / "density.csv").exists()
+    from starkit.cli import build_parser
+    assert "--precision" not in build_parser().format_help()
+
+
+@pytest.mark.parametrize("args", [
+    ["series", "--f", HEIGHT, "--psi", "pow:0.5", "--Qmax", "100"],
+    ["tail", "--f", HEIGHT, "--psi", "pow:0.5", "--N", "16",
+     "--samples", "2000", "--seed", "7"],
+])
+def test_non_monotone_psi_is_rejected(tmp_path, cli_env, args):
+    # q*psi(q) = q^0.5 increases
+    p = run_cli(["--out", str(tmp_path)] + args, tmp_path, cli_env)
+    assert p.returncode == 2
+    rec = json.loads(p.stderr.strip().splitlines()[-1])
+    assert rec["error"] == "ValidationError"
+    assert "pow:0.5" in rec["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_transfer_ignores_seed(tmp_path):
+    outs = []
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        rc = main(["--out", str(out), "transfer", "height", "--x",
+                   "sqrt2,sqrt3", "--eps", "0.3", "--bound", "40",
+                   "--seed", seed])
+        assert rc == 0
+        outs.append([(out / f).read_bytes()
+                     for f in ("transfer_height.json", "transfer_height.csv")])
+    assert outs[0] == outs[1]

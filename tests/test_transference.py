@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import starkit as sk
+from starkit import transference
 from starkit.errors import DimensionMismatch, NoSolutions
 from starkit.exact import GOLDEN, SQRT2, SQRT3
 from starkit.transference import (TransferParams, _enumerate_product_box,
@@ -360,3 +362,189 @@ def test_khintchine_transfer_golden_tracks_fibonacci():
 def test_khintchine_transfer_empty_raises():
     with pytest.raises(NoSolutions):
         sk.verify_khintchine_transfer((0.5003, 0.4997), 2.5, 0)
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the transference pipeline: brute force at 50 digits
+# ---------------------------------------------------------------------------
+
+
+def _mp_ctx():
+    ctx = mpmath.mp.clone()
+    ctx.dps = 50
+    return ctx
+
+
+def _oracle_rows(flavor, bound):
+    """Every canonical q != 0 of the flavor's region with its exact size
+    (an mpf), enumerated apart from the library."""
+    ctx = _mp_ctx()
+    rows = {}
+    if flavor == "height":
+        for q1 in range(0, bound + 1):
+            for q2 in range(-bound, bound + 1):
+                if q1 > 0 or q2 > 0:
+                    rows[(q1, q2)] = ctx.mpf(max(abs(q1), abs(q2)))
+        return ctx, rows
+    cap = int(bound) ** 2
+    for q1 in range(0, cap + 1):
+        lim = cap // max(q1, 1)
+        for q2 in range(-lim, lim + 1):
+            if q1 > 0 or q2 > 0:
+                rows[(q1, q2)] = ctx.mpf(max(q1, 1) * max(abs(q2), 1))
+    if flavor == "unionjack":
+        # rotated branch: (1/sqrt2) max(|s|,1) max(|d|,1) <= cap with
+        # s = q1 + q2, d = q1 - q2, i.e. max(|s|,1) max(|d|,1) <= sqrt(2) cap
+        top = math.isqrt(2 * cap * cap)
+        for s in range(-top, top + 1):
+            lim = top // max(abs(s), 1)
+            for d in range(-lim, lim + 1):
+                if (s - d) % 2:
+                    continue
+                q = ((s + d) // 2, (s - d) // 2)
+                if q[0] < 0 or (q[0] == 0 and q[1] <= 0):
+                    continue
+                rot = ctx.mpf(max(abs(s), 1) * max(abs(d), 1)) / ctx.sqrt(2)
+                rows[q] = min(rows.get(q, rot), rot)
+    return ctx, rows
+
+
+def _oracle_witnesses(flavor, eps, bound):
+    """{q: size} with |<q.x>| <= size^(-k-eps) at 50 digits, x = (sqrt2, sqrt3)."""
+    ctx, rows = _oracle_rows(flavor, bound)
+    x = (ctx.sqrt(2), ctx.sqrt(3))
+    k = 2 if flavor == "height" else 1
+    out = {}
+    for q, size in rows.items():
+        v = q[0] * x[0] + q[1] * x[1]
+        dist = abs(v - ctx.nint(v))
+        # size >= 1 and k + eps >= 1, so dist * size > 1 rules q out
+        if dist * size <= 1 and dist <= size ** (-k - ctx.mpf(eps)):
+            out[q] = size
+    return ctx, x, out
+
+
+def _oracle_quality(flavor, ctx, x, p):
+    u, v = (p * xi - ctx.nint(p * xi) for xi in x)
+    if flavor == "mult":
+        return ctx.sqrt(abs(u * v))
+    if flavor == "unionjack":
+        return ctx.sqrt(min(abs(u * v), abs(u * u - v * v) / 2))
+    return max(abs(u), abs(v))
+
+
+_ORACLE_CASES = [("mult", 0.25, 12), ("unionjack", 0.25, 12),
+                 ("height", 0.3, 40)]
+
+
+def _run_flavor(flavor, eps, bound):
+    if flavor == "mult":
+        return sk.verify_theorem_multitrans((SQRT2, SQRT3), eps, float(bound))
+    if flavor == "unionjack":
+        return sk.verify_theorem_unionjack(SQRT2, SQRT3, eps, float(bound))
+    return sk.verify_khintchine_transfer((SQRT2, SQRT3), eps, bound)
+
+
+@pytest.mark.parametrize("flavor,eps,bound", _ORACLE_CASES)
+def test_transfer_witnesses_match_brute_force(flavor, eps, bound):
+    rep = _run_flavor(flavor, eps, bound)
+    ctx, x, want = _oracle_witnesses(flavor, eps, bound)
+    assert rep.kind == flavor
+    assert {s.q_vec for s in rep.steps} == set(want)
+    assert len(rep.steps) == len(want)
+    for s in rep.steps:
+        mu = want[s.q_vec] if flavor == "height" else ctx.sqrt(want[s.q_vec])
+        assert s.mu == pytest.approx(float(mu), rel=1e-14)
+    assert [(s.mu, s.q_vec) for s in rep.steps] == \
+        sorted((s.mu, s.q_vec) for s in rep.steps)
+
+
+@pytest.mark.parametrize("flavor,eps,bound", [
+    ("mult", 0.25, 60), ("unionjack", 0.25, 80), ("height", 0.3, 100)])
+def test_transfer_p_is_least_admissible(flavor, eps, bound):
+    # bounds at which the least p is not always 1
+    rep = _run_flavor(flavor, eps, bound)
+    ctx = _mp_ctx()
+    x = (ctx.sqrt(2), ctx.sqrt(3))
+    quality = {}
+    found = 0
+    for s in rep.steps:
+        p_max = int(math.floor(2 * s.mu * s.lam ** -0.5 + 1e-12))
+        target = 2 * ctx.sqrt(ctx.mpf(s.lam))
+        want = None
+        for p in range(1, p_max + 1):
+            if p not in quality:
+                quality[p] = _oracle_quality(flavor, ctx, x, p)
+            if quality[p] <= target:
+                want = p
+                break
+        assert s.p == want, (s.q_vec, s.p, want)
+        if want is not None:
+            found += 1
+            # float64 <p x_i> is off by up to about p ulps of x_i
+            assert s.quality == pytest.approx(float(quality[want]),
+                                              abs=4 * want * 2.0 ** -52)
+    assert found >= len(rep.steps) - 3
+    assert len({s.p for s in rep.steps}) > 1
+
+
+def test_unionjack_branches_match_exact_products():
+    rep = sk.verify_theorem_unionjack(SQRT2, SQRT3, 0.25, 12.0)
+    for s in rep.steps:
+        q1, q2 = s.q_vec
+        axis = max(abs(q1), 1) * max(abs(q2), 1)
+        rot = max(abs(q1 + q2), 1) * max(abs(q1 - q2), 1)
+        # axis <= rot / sqrt2  <=>  2 axis^2 <= rot^2
+        assert s.branch == ("axis" if 2 * axis * axis <= rot * rot
+                            else "rotated")
+    assert {s.branch for s in rep.steps if s.p is not None} == \
+        {"axis", "rotated"}
+
+
+def _recording(values):
+    calls = []
+
+    def mp_quality(p):
+        calls.append((p, mpmath.mp.prec))
+        return values[p]
+    return mp_quality, calls
+
+
+def test_least_p_band_is_decided_in_mpmath():
+    bound = 0.5
+    prec = transference._MP_PREC
+    # float says just above the bound, mpmath says below: p = 2 is taken
+    quality = np.array([0.9, bound + 5e-10, 0.1])
+    mp_quality, calls = _recording({2: mpmath.mpf(bound) - mpmath.mpf(1e-12)})
+    assert transference._least_p(quality, 3, bound, mp_quality) == 2
+    assert calls == [(2, prec)]
+    # float says just below the bound, mpmath says above: p = 2 is skipped
+    quality = np.array([0.9, bound - 5e-10, 0.1])
+    mp_quality, calls = _recording({2: mpmath.mpf(bound) + mpmath.mpf(1e-12)})
+    assert transference._least_p(quality, 3, bound, mp_quality) == 3
+    assert calls == [(2, prec)]
+    # outside the band the float comparison stands; p_max cuts the range
+    mp_quality, calls = _recording({})
+    quality = np.array([0.9, bound - 2e-9, 0.1])
+    assert transference._least_p(quality, 3, bound, mp_quality) == 2
+    assert transference._least_p(quality, 1, bound, mp_quality) is None
+    assert calls == []
+
+
+def test_wide_band_rechecks_leave_reports_unchanged(monkeypatch):
+    # with a band of 0.1 many comparisons on both sides go to mpmath; the
+    # mpmath qualities must agree with the float grids, so nothing moves
+    cases = [("mult", 0.25, 40), ("unionjack", 0.25, 40), ("height", 0.3, 60)]
+    before = [_run_flavor(*c).to_json() for c in cases]
+    counts = {}
+    for name in ("_mp_gm", "_mp_union_jack", "_mp_height"):
+        fn = getattr(transference, name)
+
+        def counted(x, p, fn=fn, name=name):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(x, p)
+        monkeypatch.setattr(transference, name, counted)
+    monkeypatch.setattr(transference, "_BOUNDARY", 0.1)
+    after = [_run_flavor(*c).to_json() for c in cases]
+    assert after == before
+    assert set(counts) == {"_mp_gm", "_mp_union_jack", "_mp_height"}
