@@ -134,16 +134,20 @@ def _merge_close(values: np.ndarray, tol: float) -> tuple[float, ...]:
     return tuple(float(v) for v in out)
 
 
-def three_distance_partition(alpha_inv, x0: float = 0.0, n: int = 1,
-                             tol: float = 1e-9) -> GapPartition:
-    """Points {x0 + k/alpha}, k = 1..N, their circular gaps and the merged
-    distinct gap values (at most three by the Three Distances Theorem)."""
+_GAP_MERGE_TOL = 1e-9   # gaps closer than this count as one distinct gap
+
+
+def three_distance_partition(alpha_inv, x0: float = 0.0,
+                             n: int = 1) -> GapPartition:
+    """Points {x0 + k/alpha}, k = 1..N, their circular gaps and the distinct
+    gap values, merged within _GAP_MERGE_TOL (at most three by the Three
+    Distances Theorem)."""
     if n < 1:
         raise ValueError("N must be >= 1")
     pts = np.sort(_orbit(float(alpha_inv), float(x0), n))
     gaps = np.diff(pts, append=pts[0] + 1.0)
     return GapPartition(n=n, points=tuple(pts), gaps=tuple(gaps),
-                        distinct_gaps=_merge_close(gaps, tol))
+                        distinct_gaps=_merge_close(gaps, _GAP_MERGE_TOL))
 
 
 def _max_gap_profile(alpha_inv: float, n_max: int) -> np.ndarray:
@@ -260,7 +264,7 @@ class IntervalSystem:
 
 
 def interval_system(f: Expr, line: HalfLine, epsilon: float, y0: float,
-                    n_max: int, check_significance: bool = True) -> IntervalSystem:
+                    n_max: int) -> IntervalSystem:
     """Build (I_n, Itilde_n) for n = 1..Nmax along the horizontal line y = y0.
 
     The line must have irrational slope alpha > 1 (swap axes yourself for
@@ -273,11 +277,10 @@ def interval_system(f: Expr, line: HalfLine, epsilon: float, y0: float,
     alpha = abs(line.slope_value)
     if alpha <= 1.0:
         raise StarkitError("interval system assumes slope alpha > 1")
-    if check_significance:
-        res = classify_significance(f, line, Rmax=1e6, epsilon=epsilon)
-        if not res.significant:
-            raise NotSignificant(
-                f"width exponent {res.width_exponent:.3f} > 1: sum of |I_n| converges")
+    res = classify_significance(f, line, Rmax=1e6, epsilon=epsilon)
+    if not res.significant:
+        raise NotSignificant(
+            f"width exponent {res.width_exponent:.3f} > 1: sum of |I_n| converges")
     theta = math.atan(alpha)
     cosec = 1.0 / math.sin(theta)
     x0 = (y0 / alpha) % 1.0

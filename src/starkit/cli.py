@@ -393,12 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", default="csv", choices=["csv", "svg"])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, f=True, seed=True):
-        if f:
-            p.add_argument("--f", required=True,
-                           help="distance function: file path or inline DSL/JSON")
-        if seed:
-            p.add_argument("--seed", type=int, default=None)
+    def common(p):
+        p.add_argument("--f", required=True,
+                       help="distance function: file path or inline DSL/JSON")
+        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--samples", type=int, default=100_000)
 
     p = sub.add_parser("skeleton")

@@ -16,10 +16,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import sampling
 from .measure import (_Kernel, _analytic_density,
                       analytic_density_info, density)
-from .sampling import CHUNK, map_chunks, uniform_chunk
 from .starbody import Expr
+
+_MONOTONE_BLOCK = 200_000   # q per block of PsiFamily.check_monotone
 
 # ---------------------------------------------------------------------------
 # Approximation functions
@@ -30,9 +32,10 @@ from .starbody import Expr
 class PsiFamily:
     """psi(q) > 0 with q*psi(q) non-increasing.
 
-    ``check_monotone`` tests the monotonicity; the ``series`` and ``tail``
-    commands reject a psi that fails it from q_start up to the largest q
-    they use.
+    ``check_monotone`` tests the monotonicity.  The ``series`` and ``tail``
+    commands are the only gate: they reject a psi that fails it from
+    q_start up to the largest q they use.  The library functions take any
+    psi, so that a test may probe a constant psi on purpose.
 
     kinds: 'power' q^-tau; 'powerlog' q^-tau (log q)^-sigma for q >= 2
     (domain starts at 2, log 1 = 0 is a removable nuisance); 'table' explicit
@@ -79,10 +82,17 @@ class PsiFamily:
         return float(out) if np.ndim(out) == 0 else out
 
     def check_monotone(self, q_max: int) -> bool:
-        """True when q*psi(q) is non-increasing over [q_start, q_max]."""
-        qs = np.arange(self.q_start, min(q_max, 200_000) + 1, dtype=float)
-        v = qs * self(qs)
-        return bool(np.all(np.diff(v) <= 1e-12 * np.abs(v[:-1])))
+        """True when q*psi(q) is non-increasing over [q_start, q_max].
+
+        Checks blocks of _MONOTONE_BLOCK steps that share their end q, so
+        memory stays bounded for any q_max."""
+        for lo in range(self.q_start, q_max, _MONOTONE_BLOCK):
+            qs = np.arange(lo, min(q_max, lo + _MONOTONE_BLOCK) + 1,
+                           dtype=float)
+            v = qs * self(qs)
+            if not np.all(np.diff(v) <= 1e-12 * np.abs(v[:-1])):
+                return False
+        return True
 
 
 def parse_psi(spec: str) -> PsiFamily:
@@ -131,7 +141,8 @@ def series_partial_sums(f: Expr, psi: PsiFamily, q_max: int,
                         method: str = "auto"):
     """Partial sums S(Q) = sum_{q<=Q} D_F(q psi(q)) plus the analytic verdict.
 
-    Returns (list of (Q, S(Q)) for every Q up to q_max, verdict).
+    Returns (list of (Q, S(Q)) for every Q up to q_max, verdict).  psi is
+    not checked for monotonicity here (see ``PsiFamily``).
     """
     info = analytic_density_info(f)
     sums = []
@@ -158,29 +169,24 @@ def tail_measure(f: Expr, psi: PsiFamily, n_block: int, samples: int = 100_000,
 
     Per sampled x, q runs over the block with early exit on the first hit.
     The sample stream depends only on (seed, index), so runs with the same
-    seed are coupled across different psi.
+    seed are coupled across different psi.  psi is not checked for
+    monotonicity here (see ``PsiFamily``).
     """
     if n_block < 1:
         raise ValueError("N must be >= 1")
-    qs = range(max(n_block, psi.q_start), 2 * n_block + 1)
-    kernels = {q: _Kernel(f, q, float(psi(q))) for q in qs}
-    n_chunks = math.ceil(samples / CHUNK)
+    kernels = [_Kernel(f, q, float(psi(q)))
+               for q in range(max(n_block, psi.q_start), 2 * n_block + 1)]
 
-    def work(c):
-        size = min(CHUNK, samples - c * CHUNK)
-        pts = uniform_chunk(seed, c, size)
-        alive = np.ones(size, dtype=bool)
-        for q in qs:
+    def hit(pts):
+        alive = np.ones(len(pts), dtype=bool)
+        for kern in kernels:
             idx = np.flatnonzero(alive)
             if idx.size == 0:
                 break
-            hits = kernels[q].hits(pts[idx])
-            alive[idx[hits]] = False
-        return int(size - np.count_nonzero(alive))
+            alive[idx[kern.hits(pts[idx])]] = False
+        return ~alive
 
-    hits = sum(map_chunks(work, n_chunks))
-    p = hits / samples
-    return p, math.sqrt(max(p * (1 - p), 0.0) / samples)
+    return sampling.indicator_estimate(hit, samples, seed)
 
 
 @dataclass
@@ -268,19 +274,15 @@ class BestApproximation:
     record: bool
 
 
-def best_approximations(f: Expr, x, q_max: int,
-                        q_exhaustive: int = 64) -> list[BestApproximation]:
+def best_approximations(f: Expr, x, q_max: int) -> list[BestApproximation]:
     """Per q <= Qmax the minimizing p, with record-breaking minima flagged."""
     if q_max < 1:
         raise ValueError("Qmax must be >= 1")
     out = []
     best = math.inf
     for q in range(1, q_max + 1):
-        kern = _Kernel(f, q, 1.0)  # threshold irrelevant for pure minimization
-        if q <= q_exhaustive:
-            raw, p = kern.minimize_exhaustive(x)
-        else:
-            raw, p = kern.minimize(x)
+        # threshold irrelevant for pure minimization
+        raw, p = _Kernel(f, q, 1.0).minimum(x)
         val = raw / q
         rec = val < best
         if rec:

@@ -11,8 +11,9 @@ adaptive quadrature or stratified Monte Carlo.
 F(x - p/q) over a candidate lattice set: a central box around round(q*x)
 plus segments along each skeleton direction out to the arc distance where
 the (safety-doubled) fitted tube width drops below the candidate's
-perpendicular offset.  For q <= q_exhaustive it falls back to a full
-window enumeration; the two paths agree exactly whenever both run.
+perpendicular offset.  For q <= _EXHAUSTIVE_Q it enumerates a full window
+instead (``_Kernel.minimum`` picks the path); the two agree exactly
+whenever both run.
 
 One generator (``_Kernel._blocks``) enumerates those candidates for a whole
 batch of points as flat ``(sample index, p)`` blocks of bounded size, and
@@ -128,6 +129,7 @@ def _analytic_density(kind: str, coef: float, eps: float) -> float:
 _BATCH_K_CAP = 64      # tube steps per direction in vectorized hit tests
 _SCALAR_K_CAP = 4096   # tube steps in exact single-point minimization
 _WINDOW_CAP = 600
+_EXHAUSTIVE_Q = 64     # q up to which minimization enumerates a full window
 _IRR_STEP = 0.5
 _BLOCK = 1 << 16       # candidates per evaluated block
 
@@ -179,12 +181,24 @@ class _Kernel:
 
     # -- exact single-point minimization ------------------------------------
 
+    def minimum(self, x) -> tuple[float, tuple[int, int]]:
+        """Minimum of F(q*x - p) and its p: a full window enumeration for
+        q <= _EXHAUSTIVE_Q, the candidate blocks above."""
+        if self.q <= _EXHAUSTIVE_Q:
+            return self.minimize_exhaustive(x)
+        return self.minimize(x)
+
+    def _tau(self, y) -> float:
+        """Search threshold for the point y = q*x: just above
+        min(F(wrapped y), q*eps)."""
+        z0 = y - np.round(y)
+        v0 = float(self.f.eval_xy(z0[0], z0[1]))
+        return min(v0, self.eps_s) * (1.0 + 1e-9) + 1e-300
+
     def minimize(self, x) -> tuple[float, tuple[int, int]]:
         """Minimum of F(q*x - p) over the candidate lattice set (raw scale)."""
         y = self.q * np.asarray(x, dtype=float).reshape(1, 2)
-        z0 = y[0] - np.round(y[0])
-        v0 = float(self.f.eval_xy(z0[0], z0[1]))
-        tau = np.array([min(v0, self.eps_s) * (1.0 + 1e-9) + 1e-300])
+        tau = np.array([self._tau(y[0])])
         blocks = self._blocks(y, tau, _SCALAR_K_CAP, np.zeros(1, dtype=bool))
         idx, p = (np.concatenate(a) for a in zip(*blocks))
         _, p, z1, z2, vals = self._evaluate(y, idx, p)
@@ -197,14 +211,13 @@ class _Kernel:
         """Same minimum through a full window enumeration (small q)."""
         y = self.q * np.asarray(x, dtype=float)
         p0 = np.round(y)
-        z0 = y - p0
-        v0 = float(self.f.eval_xy(z0[0], z0[1]))
-        tau = min(v0, self.eps_s) * (1.0 + 1e-9) + 1e-300
+        tau = self._tau(y)
         reach = 0.0
         for lg in self.geo.lines:
             if lg.half.rational:
                 L = math.hypot(*lg.half.int_direction())
-                reach = max(reach, lg.reach(tau, 0.5 / L, cap=_WINDOW_CAP))
+                reach = max(reach, _arc_steps(lg, tau, 0.5 / L, 1.0,
+                                              _WINDOW_CAP))
             else:
                 reach = max(reach, min(_WINDOW_CAP, _IRR_STEP * _SCALAR_K_CAP))
         w = int(max(self.q / 2 + 1, min(reach, _WINDOW_CAP) + 2))
@@ -314,12 +327,13 @@ class _Kernel:
 
 def _arc_steps(lg: LineGeometry, tau, u, step: float, cap: int) -> np.ndarray:
     """Arc distance, in units of `step` and capped at `cap`, out to which the
-    doubled fitted width of {F < tau} still exceeds the offset u
-    (``LineGeometry.reach`` over arrays)."""
+    doubled fitted width of {F < tau} still exceeds the offset u.  A nearly
+    flat tube overflows the power to rho = inf, which gives the cap."""
     if lg.width_exp <= 1e-9:
         return np.full(np.broadcast(tau, u).shape, float(cap))
-    rho = (2.0 * lg.width_coef * tau / np.maximum(u, 1e-15)
-           ) ** (1.0 / lg.width_exp)
+    with np.errstate(over="ignore"):
+        rho = (2.0 * lg.width_coef * tau / np.maximum(u, 1e-15)
+               ) ** (1.0 / lg.width_exp)
     return np.minimum(cap, tau * rho / step)
 
 
@@ -380,20 +394,16 @@ def _xgcd(a: int, b: int):
 # ---------------------------------------------------------------------------
 
 
-def resonant_membership(f: Expr, x, spec: ResonantSpec,
-                        q_exhaustive: int = 64) -> Optional[ResonantHit]:
+def resonant_membership(f: Expr, x, spec: ResonantSpec) -> Optional[ResonantHit]:
     """Minimizing p for F(x - p/q); a ResonantHit when the minimum is < eps.
 
-    Falls back to full window enumeration for q <= q_exhaustive; the fast
-    candidate search agrees exactly with that enumeration whenever both run.
-    Value ties are broken toward the nearest q*x - p, then lexicographically
-    in p, so the reported minimizer does not depend on the search window.
+    Enumerates a full window for q <= _EXHAUSTIVE_Q (64); the fast candidate
+    search agrees exactly with that enumeration whenever both run.  Value
+    ties are broken toward the nearest q*x - p, then lexicographically in
+    p, so the reported minimizer does not depend on the search window.
     """
     kern = _Kernel(f, spec.q, spec.epsilon, spec.restricted)
-    if spec.q <= q_exhaustive:
-        raw, p = kern.minimize_exhaustive(x)
-    else:
-        raw, p = kern.minimize(x)
+    raw, p = kern.minimum(x)
     if raw < kern.eps_s:
         return ResonantHit(x=(float(x[0]), float(x[1])), q=spec.q, p=p,
                            value=raw / spec.q)
@@ -604,8 +614,6 @@ def overlap_monotonicity_probe(f1: Expr, f2: Expr, delta1: float, delta2: float,
     t2s = np.asarray(t2s, dtype=float)
 
     area = float(rect.s_hat * rect.r_hat)
-    values = np.zeros((len(t1s), len(t2s)))
-    errs = np.zeros_like(values)
     from .sampling import CHUNK, map_chunks, uniform_chunk
     n_chunks = math.ceil(samples / CHUNK)
 

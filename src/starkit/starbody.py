@@ -386,22 +386,27 @@ class SignificanceResult(NamedTuple):
     monotone: bool
 
 
+_FIT_POINTS = 33    # radii of the significance fit
+_FIT_TOL = 0.05     # slack on the significance threshold beta <= 1
+
+
 def classify_significance(f: Expr, line: HalfLine, Rmax: float = 1e6,
-                          epsilon: float = 0.1, fit_tol: float = 0.05,
-                          points: int = 33) -> SignificanceResult:
-    """Fit w(r; eps) ~ C * r^(-beta) over [1, Rmax]; significant iff beta <= 1 + tol.
+                          epsilon: float = 0.1) -> SignificanceResult:
+    """Fit w(r; eps) ~ C * r^(-beta) over [1, Rmax]; significant iff
+    beta <= 1 + _FIT_TOL.
 
     Also reports whether w is non-increasing over the sampled range (the
     monotonicity hypothesis of the irrational-line theorem).
     """
-    rs = np.geomspace(1.0, Rmax, points)
+    rs = np.geomspace(1.0, Rmax, _FIT_POINTS)
     wp, wm = width_profile(f, line, rs, epsilon)
     w = np.asarray(wp) + np.asarray(wm)
     if not np.all(np.isfinite(w)) or np.any(w <= 0):
         raise FitFailure("widths are zero or unbounded over the sampled range")
     beta = -np.polyfit(np.log(rs), np.log(w), 1)[0]
     monotone = bool(np.all(np.diff(w) <= 1e-12 * w[:-1] + 1e-300))
-    return SignificanceResult(bool(beta <= 1.0 + fit_tol), float(beta), monotone)
+    return SignificanceResult(bool(beta <= 1.0 + _FIT_TOL), float(beta),
+                              monotone)
 
 
 def classify_skeleton(f: Expr, report: SkeletonReport, Rmax: float = 1e6,
@@ -463,17 +468,6 @@ class LineGeometry:
         rho = np.maximum(r / eps, 1e-12)
         return eps * self.width_coef * rho ** (-self.width_exp)
 
-    def reach(self, eps, u, cap=1e6):
-        """Largest arc distance where 2*width still exceeds offset u."""
-        u = max(float(u), 1e-15)
-        if self.width_exp <= 1e-9:
-            return cap
-        try:
-            rho = (2.0 * self.width_coef * eps / u) ** (1.0 / self.width_exp)
-        except OverflowError:   # a nearly flat tube: rho = inf
-            return cap
-        return float(min(cap, max(eps * rho, 0.0)))
-
 
 def iter_atoms(f: Expr):
     if isinstance(f, Abs):
@@ -491,20 +485,22 @@ def is_axis_monotone(f: Expr) -> bool:
     return all(a.form.a.sign() == 0 or a.form.b.sign() == 0 for a in iter_atoms(f))
 
 
+_SCAN_ANGLES = 1440     # directions of the unit-circle scan
+
+
 class BodyGeometry:
     """Angular scan constants and fitted tube widths for one distance function."""
 
-    def __init__(self, f: Expr, n_angles: int = 1440):
+    def __init__(self, f: Expr):
         self.f = f
         self.skeleton = extract_skeleton(f)
         self.axis_monotone = is_axis_monotone(f)
-        theta = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
+        theta = np.linspace(0.0, 2.0 * math.pi, _SCAN_ANGLES, endpoint=False)
         u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         vals = f.eval_xy(u[:, 0], u[:, 1])
-        self.circle_max = float(np.max(vals))
         self.circle_min = float(np.min(vals))
         # min of F on the circle away from skeleton directions
-        mask = np.ones(n_angles, dtype=bool)
+        mask = np.ones(_SCAN_ANGLES, dtype=bool)
         for h in self.skeleton.lines:
             ud = h.unit_direction()
             ang = math.atan2(ud[1], ud[0])

@@ -164,11 +164,6 @@ def find_nu(x: Sequence[float], lam: float) -> Optional[NuVector]:
     return NuVector(tuple(nu))
 
 
-def _box_nu(a: float, b: float) -> tuple[float, float]:
-    """Symmetric witness (sqrt(b/a), sqrt(a/b)) for a 2-d box a*b <= mu^2."""
-    return math.sqrt(b / a), math.sqrt(a / b)
-
-
 # ---------------------------------------------------------------------------
 # Matrix encodings
 # ---------------------------------------------------------------------------
@@ -279,33 +274,29 @@ def _canonical(q: np.ndarray) -> np.ndarray:
 
 
 def _enumerate_product_box(n: int, cap: float, q_bound: int) -> np.ndarray:
-    """All q != 0 (canonical) with prod max(|q_i|, 1) <= cap, |q_i| <= q_bound."""
-    top = int(min(q_bound, math.floor(cap + 1e-9)))
-    if n == 2:
-        rows = []
-        for q1 in range(0, top + 1):
-            lim = int(min(q_bound, math.floor(cap / max(q1, 1) + 1e-9)))
-            if q1 == 0:
-                q2 = np.arange(1, lim + 1)
-            else:
-                q2 = np.arange(-lim, lim + 1)
-            rows.append(np.column_stack([np.full(len(q2), q1), q2]))
-        return np.concatenate(rows, axis=0)
-    # generic small-n recursion
-    out = []
+    """All q != 0 (canonical) with prod max(|q_i|, 1) <= cap, |q_i| <= q_bound,
+    in lexicographic order.
 
-    def rec(prefix, prod):
-        i = len(prefix)
-        if i == n:
-            out.append(list(prefix))
-            return
-        lim = int(min(q_bound, math.floor(cap / prod + 1e-9)))
-        for v in range(-lim, lim + 1):
-            rec(prefix + [v], prod * max(abs(v), 1))
-
-    rec([], 1.0)
-    q = np.asarray([r for r in out if any(r)], dtype=int)
-    return _canonical(q)
+    Extends the prefixes one coordinate at a time, each by the range its
+    partial product allows.  Canonical rows have a positive first nonzero
+    entry, so an all-zero prefix takes only entries >= 0 (>= 1 in the last
+    coordinate).
+    """
+    q = np.zeros((1, 0), dtype=np.int64)
+    prod = np.ones(1)
+    for i in range(n):
+        lim = np.minimum(q_bound, np.floor(cap / prod + 1e-9)).astype(np.int64)
+        lo = np.where(q.any(axis=1), -lim, int(i == n - 1))
+        counts = np.maximum(lim - lo + 1, 0)
+        out = np.empty((counts.sum(), i + 1), dtype=np.int64)
+        out[:, :i] = q.repeat(counts, axis=0)
+        # the j-th row extending a prefix takes the entry lo + j
+        out[:, i] = np.arange(len(out))
+        out[:, i] += (lo - (counts.cumsum() - counts)).repeat(counts)
+        if i < n - 1:
+            prod = prod.repeat(counts) * np.maximum(np.abs(out[:, i]), 1)
+        q = out
+    return q
 
 
 def _q_filter(x: Sequence[Coordinate], q: np.ndarray, thresh,

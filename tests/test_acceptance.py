@@ -6,6 +6,7 @@ a laptop-class machine; every tolerance is pinned here, nothing is
 calibrated at runtime.
 """
 
+import bisect
 import math
 import subprocess
 import sys
@@ -146,7 +147,13 @@ def test_criterion_05_multiplicative_breaking_point(multiplicative):
 
 
 def _gap_stats_all_n(alpha_inv, n_max, merge_tol=1e-9):
-    """(max distinct gap count over all N, worst |sum - 1|) by reverse deletion."""
+    """(max distinct gap count over all N, worst |sum - 1|) by reverse deletion.
+
+    The live gaps are kept as multiplicities (`live`) and as the sorted list
+    of their distinct values (`keys`); `breaks` counts the adjacent values
+    more than merge_tol apart, so the merged distinct count is breaks + 1.
+    A value that appears or disappears changes only its neighbours' pairs.
+    """
     ks = np.arange(1, n_max + 1, dtype=float)
     pts = np.mod(ks * alpha_inv, 1.0)
     order = np.argsort(pts)
@@ -157,19 +164,27 @@ def _gap_stats_all_n(alpha_inv, n_max, merge_tol=1e-9):
     pos_of = np.empty(n_max, dtype=int)
     pos_of[order] = np.arange(n_max)
     live = Counter(gap.tolist())
+    keys = sorted(live)
     total = math.fsum(gap.tolist())
     worst_sum = abs(total - 1.0)
-    worst_count = 0
 
-    def distinct(counter):
-        keys = sorted(k for k, c in counter.items() if c > 0)
-        out = 1
-        for a, b in zip(keys, keys[1:]):
-            if b - a > merge_tol:
-                out += 1
-        return out
+    def apart(a, b):
+        return int(a is not None and b is not None and b - a > merge_tol)
 
-    worst_count = distinct(live)
+    def toggle(g, sign):
+        """Insert (sign = 1) or delete (sign = -1) the distinct value g."""
+        nonlocal breaks
+        j = bisect.bisect_left(keys, g)
+        if sign < 0:
+            del keys[j]
+        lo = keys[j - 1] if j > 0 else None
+        hi = keys[j] if j < len(keys) else None
+        breaks += sign * (apart(lo, g) + apart(g, hi) - apart(lo, hi))
+        if sign > 0:
+            keys.insert(j, g)
+
+    breaks = sum(apart(a, b) for a, b in zip(keys, keys[1:]))
+    worst_count = breaks + 1
     for k in range(n_max, 1, -1):
         i = pos_of[k - 1]
         a, b = prv[i], nxt[i]
@@ -180,10 +195,13 @@ def _gap_stats_all_n(alpha_inv, n_max, merge_tol=1e-9):
             live[g] -= 1
             if live[g] <= 0:
                 del live[g]
+                toggle(g, -1)
         live[merged] += 1
+        if live[merged] == 1:
+            toggle(merged, 1)
         gap[a] = merged
         nxt[a], prv[b] = b, a
-        worst_count = max(worst_count, distinct(live))
+        worst_count = max(worst_count, breaks + 1)
         worst_sum = max(worst_sum, abs(total - 1.0))
     return worst_count, worst_sum
 

@@ -239,6 +239,28 @@ def test_non_monotone_psi_is_rejected(tmp_path, cli_env, args):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_psi_checked_past_q_200000(tmp_path, cli_env):
+    # q*psi(q) increases from q = 268,428 on
+    p = run_cli(["--out", str(tmp_path), "series", "--f", HEIGHT, "--psi",
+                 "powlog:0.99,0.125", "--Qmax", "300000"], tmp_path, cli_env)
+    assert p.returncode == 2
+    rec = json.loads(p.stderr.strip().splitlines()[-1])
+    assert rec["error"] == "ValidationError"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_tail_rejects_a_sample_count_below_one(tmp_path, cli_env, samples):
+    p = run_cli(["--out", str(tmp_path), "tail", "--f", HEIGHT, "--psi",
+                 "pow:1.6", "--N", "4", "--samples", samples, "--seed", "1"],
+                tmp_path, cli_env)
+    assert p.returncode == 2
+    rec = json.loads(p.stderr.strip().splitlines()[-1])
+    assert rec["error"] == "ValueError"
+    assert "samples" in rec["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_transfer_ignores_seed(tmp_path):
     outs = []
     for seed in ("1", "2"):

@@ -31,6 +31,22 @@ def test_psi_qpsi_monotone_flag():
     assert sk.PsiFamily.power(1.0).check_monotone(100)
 
 
+def test_psi_monotone_checked_past_the_first_block():
+    # q*psi(q) = q^0.01 (log q)^-0.125 is least near q = e^12.5 ~ 268,337
+    psi = parse_psi("powlog:0.99,0.125")
+    assert psi.check_monotone(200_000)
+    assert not psi.check_monotone(300_000)
+
+
+def test_psi_monotone_blocks_share_their_end_q():
+    # the one increase is from q = 200,001 to 200,002, across a block end
+    n = 200_002
+    vals = [1.0 / q for q in range(1, n + 1)]
+    assert sk.PsiFamily.table(vals).check_monotone(n)
+    vals[-1] = 2.0 / n
+    assert not sk.PsiFamily.table(vals).check_monotone(n)
+
+
 def test_psi_table():
     psi = sk.PsiFamily.table([0.5, 0.25, 0.125])
     assert psi(2) == 0.25

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 import zlib
 
 import numpy as np
@@ -163,6 +164,33 @@ def test_membership_fast_equals_exhaustive(registered_bodies):
             assert (vf < kern.eps_s) == (ve < kern.eps_s), (name, q, eps, x)
             if ve < kern.eps_s:
                 assert vf == ve and pf == pe, (name, q, eps, x)
+
+
+def test_minimum_enumerates_a_window_up_to_q_64(union_jack, monkeypatch):
+    # one call per q, through the method that perfbench's trace wraps
+    calls = []
+    for name in ("minimize", "minimize_exhaustive"):
+        def wrapped(self, x, _orig=getattr(_Kernel, name), _name=name):
+            calls.append((self.q, _name))
+            return _orig(self, x)
+        monkeypatch.setattr(_Kernel, name, wrapped)
+    for q in (1, 64, 65, 300):
+        _Kernel(union_jack, q, 1.0).minimum((0.41, 0.73))
+    assert calls == [(1, "minimize_exhaustive"), (64, "minimize_exhaustive"),
+                     (65, "minimize"), (300, "minimize")]
+
+
+def test_nearly_flat_tube_minimizes_without_overflow():
+    # the fitted width exponent of a skeleton line of this body is so small
+    # that the reach power overflows a float: the reach is then the cap
+    f = sk.load_distance_function("min(abs(-2,1),gm(abs(0,-1),abs(3,-1)))")
+    x = (0.6369616873214543, 0.2697867137638703)
+    kern = _Kernel(f, 1, 0.3435)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value, _ = kern.minimize(x)
+        assert value < kern.eps_s
+        assert kern.minimize_exhaustive(x) == (0.004136660878998555, (129, 257))
 
 
 def test_membership_against_dumb_oracle(height, multiplicative):

@@ -9,6 +9,7 @@ from starkit.errors import DegenerateExpr, FitFailure, IrrationalSkeleton
 from starkit.exact import Quad
 from starkit.starbody import (Abs, GeoMean, LinearForm, LineGeometry, Max, Min,
                               Scale, body_geometry, is_axis_monotone)
+from starkit.measure import _arc_steps
 
 # ---------------------------------------------------------------------------
 # Evaluation
@@ -303,7 +304,7 @@ def test_reach_of_a_nearly_flat_tube_is_the_cap(multiplicative):
     # 1/width_exp ~ 667: the power overflows a float, the tube never narrows
     half = sk.extract_skeleton(multiplicative).lines[0]
     lg = LineGeometry(half, width_coef=1.0, width_exp=0.0015)
-    assert lg.reach(0.3, 1e-6, cap=600.0) == 600.0
+    assert _arc_steps(lg, 0.3, 1e-6, 1.0, 600) == 600.0
 
 
 def test_body_geometry_is_shared_and_the_cache_bounded(union_jack):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -210,6 +211,25 @@ def test_enumerate_product_box_canonical():
     assert (1, 0) in as_set and (0, 1) in as_set and (2, -2) in as_set
 
 
+def test_enumerate_product_box_matches_brute_force():
+    for n, cap, q_bound in [(1, 7.5, 100), (1, 7.5, 3), (2, 12.0, 100),
+                            (2, 12.0, 4), (3, 9.0, 100), (3, 9.0, 2),
+                            (4, 6.0, 100), (2, 0.5, 100), (3, 0.5, 100)]:
+        top = min(q_bound, math.floor(cap))
+        want = [r for r in itertools.product(range(-top, top + 1), repeat=n)
+                if math.prod(max(abs(v), 1) for v in r) <= cap
+                and any(r) and next(v for v in r if v) > 0]
+        q = _enumerate_product_box(n, cap, q_bound)
+        assert q.shape == (len(want), n) and q.dtype == np.int64
+        assert [tuple(r) for r in q.tolist()] == want, (n, cap, q_bound)
+
+
+def test_system_i_empty_box():
+    # mu^n < 1: no q != 0 fits the product box
+    params = TransferParams(lam=0.5, mu=0.5, n=3)
+    assert sk.solve_system_i((0.1, 0.2, 0.3), params, 10) == []
+
+
 def test_system_i_example():
     params = TransferParams(lam=0.45, mu=1.0, n=2)
     sols = sk.solve_system_i((SQRT2, SQRT3), params, 50)
@@ -271,6 +291,13 @@ def test_prop5_vacuous_instance():
     params = TransferParams(lam=1e-9, mu=1.0, n=2)
     rep = sk.verify_prop5((SQRT2, SQRT3), params, 50)
     assert rep.forward == "vacuous" and rep.ok
+
+
+def test_prop5_empty_box_is_vacuous():
+    params = TransferParams(lam=0.5, mu=0.9, n=3)
+    rep = sk.verify_prop5((SQRT2, SQRT3, GOLDEN), params, 10)
+    assert rep.system_i_count == 0
+    assert rep.forward == "vacuous" and rep.witness is None
 
 
 def test_prop5_randomized_suite():
