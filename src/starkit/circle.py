@@ -259,8 +259,13 @@ class IntervalSystem:
         self.len_Itilde = 2.0 * self.sigma_n
 
     def partial_sums(self, stages: Sequence[int]) -> list[tuple[int, float]]:
+        """(N, S_N) per stage N in 0..len(n), S_N = sum_{n <= N} |Itilde_n|."""
+        for s in stages:
+            if not 0 <= s <= len(self.n):
+                raise ValueError(f"stage {s} outside 0..{len(self.n)}, "
+                                 "the range of the interval system")
         csum = np.cumsum(self.len_Itilde)
-        return [(int(s), float(csum[s - 1])) for s in stages]
+        return [(int(s), float(csum[s - 1]) if s else 0.0) for s in stages]
 
 
 def interval_system(f: Expr, line: HalfLine, epsilon: float, y0: float,
@@ -324,16 +329,17 @@ class CoverageStage:
     union_bound: float      # S_N = sum_{n <= N} |Itilde_n|
 
 
-def coverage_experiment(f: Expr, line: HalfLine, epsilon: float, y0: float,
-                        stages: Sequence[int], samples: int = 10_000,
-                        seed: int = 0, k_hits: int = 3) -> list[CoverageStage]:
+def coverage_experiment(system: IntervalSystem, stages: Sequence[int],
+                        samples: int = 10_000, seed: int = 0,
+                        k_hits: int = 3) -> list[CoverageStage]:
     """Fraction of sampled x in H hit by at least one (and >= k) interval
-    Itilde_n with n <= N, per stage N; fractions are non-decreasing in N.
+    Itilde_n of the given system with n <= N, per stage N; fractions are
+    non-decreasing in N.
 
-    Each stage also carries the union bound S_N of its interval system,
-    which no covered fraction can exceed."""
+    A stage outside 0..len(system.n) raises ValueError.  Each stage also
+    carries the union bound S_N of the system, which no covered fraction
+    can exceed."""
     stages = sorted(int(s) for s in stages)
-    system = interval_system(f, line, epsilon, y0, stages[-1])
     sums = dict(system.partial_sums(stages))
     n_chunks = math.ceil(samples / CHUNK)
     xs = np.concatenate([uniform_chunk(seed, c, min(CHUNK, samples - c * CHUNK), 1)[:, 0]

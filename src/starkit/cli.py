@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import circle, dsl, khintchine, measure, transference
+from . import circle, dsl, khintchine, measure, sampling, transference
 from .errors import ArityError, ParseError, StarkitError
 from .exact import GOLDEN, INV_SQRT2, SQRT2, SQRT3, Quad
 from .starbody import classify_significance, extract_skeleton, fundamental_rectangle
@@ -285,18 +285,17 @@ def cmd_coverage(args):
         raise ValidationError("no irrational line with slope > 1 in the skeleton")
     line = irr[0]
     stages = [int(t) for t in args.stages.split(",")]
-    out = circle.coverage_experiment(f, line, args.eps, args.y0, stages,
-                                     samples=args.samples, seed=args.seed,
-                                     k_hits=args.k)
+    system = circle.interval_system(f, line, args.eps, args.y0, max(stages))
+    out = circle.coverage_experiment(system, stages, samples=args.samples,
+                                     seed=args.seed, k_hits=args.k)
     rows = [(s.n, s.fraction_hit_once, s.fraction_hit_k, s.stderr) for s in out]
     _write_csv(_out(args, "coverage.csv"),
                ["N", "fraction_hit_once", "fraction_hit_k", "stderr"], rows)
     if args.intervals:
-        system = circle.interval_system(f, line, args.eps, args.y0,
-                                        min(max(stages), args.intervals))
-        irows = list(zip(system.n.tolist(), system.x_n.tolist(),
-                         system.r_n.tolist(), system.sigma_n.tolist(),
-                         system.len_In.tolist(), system.len_Itilde.tolist()))
+        m = max(args.intervals, 0)
+        irows = list(zip(*(v[:m].tolist() for v in (
+            system.n, system.x_n, system.r_n, system.sigma_n,
+            system.len_In, system.len_Itilde))))
         _write_csv(_out(args, "intervals.csv"),
                    ["n", "x_n", "r_n", "sigma_n", "len_In", "len_Itilde_n"],
                    irows)
@@ -339,8 +338,7 @@ def cmd_transfer(args):
 
 def cmd_prop5(args):
     _require_seed(args)
-    rng = np.random.Generator(np.random.Philox(key=np.array(
-        [np.uint64(args.seed), np.uint64(0)], dtype=np.uint64)))
+    rng = sampling.chunk_rng(args.seed, 0)
     results = []
     bad = 0
     for _ in range(args.instances):
@@ -453,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stages", required=True, help="comma list of N stages")
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--intervals", type=int, default=0,
-                   help="also dump intervals.csv up to this n")
+                   help="also dump intervals.csv up to this n: the first "
+                        "rows of the interval system coverage.csv used")
     p.set_defaults(func=cmd_coverage)
 
     p = sub.add_parser("transfer")

@@ -17,7 +17,10 @@ the quality of p (GM, union-jack F', or max norm):
   enumerate q -> keep |<q.x>| <= size(q)^(-k-eps) (``_q_filter``)
   -> order by (mu, q), lambda = mu^(-k-eps)
   -> least p <= n mu lambda^((1-n)/n) with quality(p) <= n lambda^(1/n)
-     (``_least_p``) -> largest admissible eps'.
+     (``_least_p``).
+
+Each step also reports an admissible eps' = eps/2, which carries no
+information about p (see ``_transfer``).
 
 ``solve_system_i`` uses the same q-filter and ``solve_system_ii`` the same
 least-p selector.  Both comparisons run in float64; a value within 1e-9 of
@@ -319,15 +322,20 @@ def solve_system_i(x: Sequence[Coordinate], params: TransferParams,
     """Canonical q != 0 with |<q.x>| <= lambda and (prod max(|q_i|,1))^(1/n) <= mu.
 
     Exhaustive over |q_i| <= q_bound; boundary-tight inner products are
-    re-evaluated at high precision.  Sorted by (F_plus, lexicographic).
+    re-evaluated at high precision.  Sorted by (F_plus, lexicographic):
+    F_plus = P^(1/n) with the integer P = prod max(|q_i|,1) <= mu^n, and
+    for P < P' the relative gap of the roots is at least 1/(nP), far above
+    one ulp, so ordering by P orders by F_plus, ties included.
     """
     n = params.n
     if len(x) != n:
         raise DimensionMismatch("x must have length n")
     q = _enumerate_product_box(n, params.mu ** n, q_bound)
     sols = q[_q_filter(x, q, params.lam, lambda i: mpmath.mpf(params.lam))]
-    return [row for _, row in sorted((f_plus(r), tuple(int(v) for v in r))
-                                     for r in sols)]
+    prod = np.prod(np.maximum(np.abs(sols), 1), axis=1)
+    # np.lexsort: the last key is the primary one
+    order = np.lexsort((*sols.T[::-1], prod))
+    return [tuple(row) for row in sols[order].tolist()]
 
 
 def system_ii_values(x: Sequence[Coordinate], p: int) -> float:
@@ -509,22 +517,6 @@ class TransferReport:
         }
 
 
-def _eps_grid(epsilon: float, k_max: int = 20):
-    return [epsilon * 2.0 ** (-k) for k in range(1, k_max + 1)]
-
-
-def _admissible_eps(qualities: np.ndarray, p_max: int, n: int,
-                    epsilon: float) -> Optional[float]:
-    """Largest grid eps' such that some p <= p_max has
-    quality(p) <= |p|^(-(1+eps')/n) (the theorem's target inequality)."""
-    ps = np.arange(1, p_max + 1, dtype=float)
-    q = qualities[:p_max]
-    for e in _eps_grid(epsilon):
-        if np.any(q <= ps ** (-(1.0 + e) / n)):
-            return e
-    return None
-
-
 def _transfer(kind: str, x: Sequence[Coordinate], epsilon: float,
               bound: float, q: np.ndarray, size: np.ndarray, k: int,
               mu_of, grid, mp_quality, branch=None) -> TransferReport:
@@ -534,8 +526,12 @@ def _transfer(kind: str, x: Sequence[Coordinate], epsilon: float,
     them by (mu, q) with mu = mu_of(size), sets lambda = mu^(-k-eps), and
     transfers each to the least p <= n mu lambda^((1-n)/n) whose quality
     (grid(P)[p-1] for p <= P, mp_quality(p) near the threshold) is at most
-    n lambda^(1/n).  admissible_eps is read off the same quality values.
-    branch(row index) labels a step.
+    n lambda^(1/n).  branch(row index) labels a step.
+
+    admissible_eps is the largest eps' in the grid eps/2^k (k = 1..20) for
+    which some p in range meets quality(p) <= p^(-(1+eps')/n).  That is
+    always the first value, eps/2: p = 1 is in range whenever p_max >= 1,
+    each |<x_i>| <= 1/2 bounds its GM, max and F' by 1/2, and 1^y = 1.
     """
     n = len(x)
     expo = -float(k) - epsilon
@@ -556,7 +552,7 @@ def _transfer(kind: str, x: Sequence[Coordinate], epsilon: float,
         p = _least_p(quality, p_max, pr.gm_bound, mp_quality)
         steps.append(TransferStep(
             q_vec, mu, pr.lam, p, None if p is None else float(quality[p - 1]),
-            _admissible_eps(quality, p_max, n, epsilon) if p_max >= 1 else None,
+            epsilon / 2 if p_max >= 1 else None,
             branch(i) if branch else ""))
     return TransferReport(kind, epsilon, bound, steps)
 
@@ -567,9 +563,7 @@ def verify_theorem_multitrans(x: Sequence[Coordinate], epsilon: float,
 
     Enumerates solutions q of |<q.x>| <= (prod max(|q_i|,1))^(-1-eps) with
     F_plus(q) <= bound, sets mu_j = F_plus(q_j), lambda_j = mu_j^(-1-eps),
-    transfers each to a p via system (ii), and reports the largest grid
-    eps' for which some p in the system-(ii) range satisfies
-    GM(<p x_i>) <= |p|^(-(1+eps')/n).
+    and transfers each to the least p of system (ii).
     """
     n = len(x)
     q = _enumerate_product_box(n, fplus_bound ** n, q_bound=10 ** 9)
@@ -598,8 +592,8 @@ def verify_theorem_unionjack(x: Coordinate, y: Coordinate, epsilon: float,
     """Union-jack transference pipeline (axis and rotated branches).
 
     Condition (i) uses min of the two branch products to power -1-eps;
-    condition (ii) is F'(<p x>, <p y>) <= |p|^(-(1+eps')/2) with F' the
-    union-jack distance function.
+    the quality of p is F'(<p x>, <p y>) with F' the union-jack distance
+    function.
     """
     cap = bound ** 2
     qa = _enumerate_product_box(2, cap, q_bound=10 ** 9)
@@ -634,8 +628,7 @@ def verify_khintchine_transfer(x: Sequence[Coordinate], epsilon: float,
 
     (i): |<q.x>| <= |q|_inf^(-n-eps) over |q|_inf <= bound; each solution
     transfers with mu_j = |q|_inf, lambda_j = mu_j^(-n-eps) to a p with
-    max_i ||p x_i|| <= n lambda^(1/n), then eps' is read off
-    ||p x||_inf <= |p|^(-(1+eps')/n).
+    max_i ||p x_i|| <= n lambda^(1/n).
     """
     n = len(x)
     q = _enumerate_product_box(n, float(bound) ** n, q_bound=bound)

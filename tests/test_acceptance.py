@@ -244,7 +244,8 @@ def _irrational_line_coverage(f):
     line = [h for h in sk.extract_skeleton(f).lines
             if not h.rational and h.slope_value > 0][0]
     stages = [1000, 1_000_000]
-    cov = sk.coverage_experiment(f, line, 0.2, 0.5, stages,
+    system = sk.interval_system(f, line, 0.2, 0.5, max(stages))
+    cov = sk.coverage_experiment(system, stages,
                                  samples=10_000, seed=107, k_hits=3)
     return cov, {stage.n: stage.union_bound for stage in cov}
 

@@ -253,15 +253,15 @@ def test_interval_system_rejects_rational(multiplicative):
 def test_coverage_monotone_and_reproducible(cusp_line):
     f, line = cusp_line
     stages = [10, 100, 1000, 5000]
-    out = sk.coverage_experiment(f, line, 0.2, 0.5, stages,
-                                 samples=4000, seed=6)
+    out = sk.coverage_experiment(sk.interval_system(f, line, 0.2, 0.5, 5000),
+                                 stages, samples=4000, seed=6)
     fr1 = [s.fraction_hit_once for s in out]
     frk = [s.fraction_hit_k for s in out]
     assert all(a <= b for a, b in zip(fr1, fr1[1:]))
     assert all(a <= b for a, b in zip(frk, frk[1:]))
     assert all(k <= o for k, o in zip(frk, fr1))
-    out2 = sk.coverage_experiment(f, line, 0.2, 0.5, stages,
-                                  samples=4000, seed=6)
+    out2 = sk.coverage_experiment(sk.interval_system(f, line, 0.2, 0.5, 5000),
+                                  stages, samples=4000, seed=6)
     assert out == out2
 
 
@@ -270,9 +270,9 @@ def test_coverage_matches_direct_interval_count(cusp_line):
     f, line = cusp_line
     stages = [200]
     samples = 500
-    out = sk.coverage_experiment(f, line, 0.2, 0.5, stages,
-                                 samples=samples, seed=7, k_hits=2)
     system = sk.interval_system(f, line, 0.2, 0.5, 200)
+    out = sk.coverage_experiment(system, stages,
+                                 samples=samples, seed=7, k_hits=2)
     from starkit.sampling import uniform_chunk
     xs = uniform_chunk(7, 0, samples, 1)[:, 0]
     counts = np.zeros(samples)
@@ -288,19 +288,36 @@ def test_coverage_matches_direct_interval_count(cusp_line):
 def test_coverage_union_bound_is_the_partial_sum(cusp_line):
     f, line = cusp_line
     stages = [10, 300, 1000]
-    out = sk.coverage_experiment(f, line, 0.2, 0.5, stages,
-                                 samples=500, seed=9)
     system = sk.interval_system(f, line, 0.2, 0.5, 1000)
+    out = sk.coverage_experiment(system, stages,
+                                 samples=500, seed=9)
     assert [(s.n, s.union_bound) for s in out] == system.partial_sums(stages)
     assert all(s.fraction_hit_once <= s.union_bound for s in out)
 
 
 def test_coverage_stage_zero_has_no_hits(cusp_line):
     f, line = cusp_line
-    out = sk.coverage_experiment(f, line, 0.2, 0.5, [0, 50],
-                                 samples=300, seed=8)
+    out = sk.coverage_experiment(sk.interval_system(f, line, 0.2, 0.5, 50),
+                                 [0, 50], samples=300, seed=8)
     assert out[0].fraction_hit_once == 0.0
     assert out[0].fraction_hit_k == 0.0
+
+
+def test_coverage_stage_zero_has_a_zero_union_bound(cusp_line):
+    f, line = cusp_line
+    system = sk.interval_system(f, line, 0.2, 0.5, 50)
+    assert system.partial_sums([0, 1]) == [(0, 0.0),
+                                           (1, float(system.len_Itilde[0]))]
+    out = sk.coverage_experiment(system, [0, 50], samples=300, seed=8)
+    assert out[0].union_bound == 0.0
+
+
+@pytest.mark.parametrize("stages", [[-5, 50], [0, 51]])
+def test_coverage_rejects_stages_outside_the_system(cusp_line, stages):
+    f, line = cusp_line
+    system = sk.interval_system(f, line, 0.2, 0.5, 50)
+    with pytest.raises(ValueError, match="stage"):
+        sk.coverage_experiment(system, stages, samples=300, seed=8)
 
 
 def test_generalized_ubiquity_lambda(cusp_line):

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from starkit.cli import main
@@ -123,6 +124,35 @@ def test_coverage_and_intervals(tmp_path):
     assert len(irows) == 51
 
 
+def test_coverage_intervals_are_the_rows_coverage_used(tmp_path, monkeypatch):
+    from starkit import circle
+    build, calls, built = circle.interval_system, [], []
+
+    def recording(*args):
+        calls.append(args)
+        built.append(build(*args))
+        return built[-1]
+    monkeypatch.setattr(circle, "interval_system", recording)
+    rc = main(["--out", str(tmp_path), "coverage", "--f",
+               "gm(abs(-sqrt2,1),abs(1,0))", "--eps", "0.2",
+               "--stages", "10,100", "--samples", "500", "--seed", "3",
+               "--intervals", "50"])
+    assert rc == 0
+    assert len(built) == 1 and len(built[0].n) == 100
+
+    def rows_of(system):
+        return np.column_stack([system.n, system.x_n, system.r_n,
+                                system.sigma_n, system.len_In,
+                                system.len_Itilde]).tolist()
+    rows = [[float(v) for v in line.split(",")] for line in
+            (tmp_path / "intervals.csv").read_text().splitlines()[1:]]
+    assert rows == rows_of(built[0])[:50]
+    # a system built for the 50 dumped rows alone has the same K and rows
+    prefix = build(*calls[0][:4], 50)
+    assert prefix.K == built[0].K
+    assert rows == rows_of(prefix)
+
+
 def test_transfer_mult(tmp_path):
     rc = main(["--out", str(tmp_path), "transfer", "mult", "--x",
                "sqrt2,sqrt3", "--eps", "0.25", "--bound", "20", "--seed", "1"])
@@ -138,6 +168,17 @@ def test_prop5(tmp_path):
     assert rc == 0
     payload = json.loads((tmp_path / "prop5.json").read_text())
     assert payload["counterexamples"] == 0
+
+
+def test_prop5_accepts_a_negative_seed(tmp_path):
+    from starkit.sampling import chunk_rng
+    rc = main(["--out", str(tmp_path), "prop5", "--instances", "2",
+               "--Qbound", "50", "--seed", "-1"])
+    assert rc == 0
+    payload = json.loads((tmp_path / "prop5.json").read_text())
+    assert payload["seed"] == -1
+    assert payload["results"][0]["x"] == (
+        chunk_rng(-1, 0).random(2) * 0.98 + 0.01).tolist()
 
 
 def test_philemma(tmp_path):
@@ -272,3 +313,25 @@ def test_transfer_ignores_seed(tmp_path):
         outs.append([(out / f).read_bytes()
                      for f in ("transfer_height.json", "transfer_height.csv")])
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("stages", ["-5,100", "0,-1"])
+def test_coverage_rejects_a_negative_stage(tmp_path, cli_env, stages):
+    p = run_cli(["--out", str(tmp_path), "coverage", "--f",
+                 "gm(abs(-sqrt2,1),abs(1,0))", "--eps", "0.2",
+                 "--stages=" + stages, "--samples", "500", "--seed", "3",
+                 "--intervals", "50"], tmp_path, cli_env)
+    assert p.returncode == 2
+    rec = json.loads(p.stderr.strip().splitlines()[-1])
+    assert rec["error"] == "ValueError"
+    assert "stage" in rec["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_coverage_stage_zero_covers_nothing(tmp_path):
+    rc = main(["--out", str(tmp_path), "coverage", "--f",
+               "gm(abs(-sqrt2,1),abs(1,0))", "--eps", "0.2",
+               "--stages=0", "--samples", "500", "--seed", "3"])
+    assert rc == 0
+    assert (tmp_path / "coverage.csv").read_text().splitlines() == [
+        "N,fraction_hit_once,fraction_hit_k,stderr", "0,0,0,0"]

@@ -327,21 +327,60 @@ def test_multitrans_pipeline():
     assert mus == sorted(mus)
 
 
-def test_multitrans_eps_grid_monotone():
-    rep = sk.verify_theorem_multitrans((SQRT2, SQRT3), 0.25, 40.0)
-    from starkit.transference import _eps_grid, _gm_grid
-    gms = None
-    for s in rep.steps[:5]:
-        if s.admissible_eps is None:
-            continue
-        p_max = int(2 * s.mu * s.lam ** -0.5)
-        gms = _gm_grid((SQRT2, SQRT3), p_max)
-        ps = np.arange(1, p_max + 1)
-        for e in _eps_grid(0.25):
-            if e > s.admissible_eps:
-                assert not np.any(gms <= ps ** (-(1 + e) / 2))
-            else:
-                assert np.any(gms <= ps ** (-(1 + e) / 2))
+def _grid_eps_scan(quality, p_max, n, epsilon):
+    """Largest eps' in the grid eps/2^k (k = 1..20) for which some p <= p_max
+    has quality(p) <= p^(-(1+eps')/n), as the reports once scanned it."""
+    ps = np.arange(1, p_max + 1, dtype=float)
+    for e in [epsilon * 2.0 ** -k for k in range(1, 21)]:
+        if np.any(quality[:p_max] <= ps ** (-(1.0 + e) / n)):
+            return e
+    return None
+
+
+@pytest.mark.parametrize("flavor", ["mult", "unionjack", "height"])
+def test_admissible_eps_is_the_first_grid_value(flavor):
+    from starkit.starbody import union_jack
+    from starkit.transference import _gm_grid, _p_distances
+    x = (SQRT2, SQRT3)
+    if flavor == "mult":
+        rep = sk.verify_theorem_multitrans(x, 0.25, 40.0)
+        grid = lambda p_max: _gm_grid(x, p_max)
+    elif flavor == "unionjack":
+        rep = sk.verify_theorem_unionjack(*x, 0.25, 20.0)
+        grid = lambda p_max: union_jack().eval_xy(*_p_distances(x, p_max))
+    else:
+        rep = sk.verify_khintchine_transfer(x, 0.3, 40)
+        grid = lambda p_max: np.maximum(*map(np.abs, _p_distances(x, p_max)))
+    p_maxes = [int(math.floor(TransferParams(lam=s.lam, mu=s.mu, n=2).p_bound
+                              + 1e-12)) for s in rep.steps]
+    quality = grid(max(p_maxes))
+    assert rep.steps and min(p_maxes) >= 1
+    for s, p_max in zip(rep.steps, p_maxes):
+        assert s.admissible_eps == _grid_eps_scan(
+            quality, p_max, 2, rep.epsilon) == rep.epsilon / 2
+
+
+@pytest.mark.parametrize("x, lam, mu", [
+    ((Fraction(1, 7),), 0.3, 40.0),
+    ((-2.5,), 0.5, 9.0),
+    # lambda = 1/2 keeps every q: the equal products (1,6), (2,3), (3,2),
+    # (6,1) and their sign variants tie in F_plus
+    ((0.5, 0.5), 0.5, math.sqrt(6.0)),
+    ((SQRT2, SQRT3), 0.2, 12.0),
+    ((Fraction(2, 5), GOLDEN), 0.1, 20.0),
+    ((0.1234, 0.5678), 0.5, 5.0),
+    ((Fraction(1, 3), SQRT2, GOLDEN), 0.3, 5.0),
+    ((0.5, 0.5, 0.5), 0.5, 12.0 ** (1 / 3)),
+])
+def test_system_i_ordered_by_f_plus_then_q(x, lam, mu):
+    sols = sk.solve_system_i(x, TransferParams(lam=lam, mu=mu, n=len(x)),
+                             10 ** 6)
+    assert len(sols) > 3
+    assert sols == sorted(sols, key=lambda q: (sk.f_plus(q), q))
+    assert all(type(v) is int for q in sols for v in q)
+    if x == (0.5, 0.5):
+        ties = [q for q in sols if math.prod(max(abs(v), 1) for v in q) == 6]
+        assert {(1, 6), (2, 3), (3, 2), (6, 1)} <= set(ties)
 
 
 def test_multitrans_distinct_p_grows():
