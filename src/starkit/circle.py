@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (EmptySequence, NotSignificant, PrecisionExhausted,
                      StarkitError)
 from .exact import Quad
-from .sampling import CHUNK, uniform_chunk
+from .sampling import uniform_points
 from .starbody import Expr, HalfLine, classify_significance, width_profile
 
 # ---------------------------------------------------------------------------
@@ -338,12 +338,12 @@ def coverage_experiment(system: IntervalSystem, stages: Sequence[int],
 
     A stage outside 0..len(system.n) raises ValueError.  Each stage also
     carries the union bound S_N of the system, which no covered fraction
-    can exceed."""
+    can exceed.  A sample count or k_hits below 1 raises ValueError."""
+    if k_hits < 1:
+        raise ValueError("k_hits must be at least 1")
     stages = sorted(int(s) for s in stages)
     sums = dict(system.partial_sums(stages))
-    n_chunks = math.ceil(samples / CHUNK)
-    xs = np.concatenate([uniform_chunk(seed, c, min(CHUNK, samples - c * CHUNK), 1)[:, 0]
-                         for c in range(n_chunks)])
+    xs = uniform_points(seed, samples, 1)[:, 0]
     order = np.argsort(xs)
     xs_sorted = xs[order]
     m = len(xs_sorted)

@@ -20,13 +20,11 @@ import numpy as np
 
 from . import circle, dsl, khintchine, measure, sampling, transference
 from .errors import ArityError, ParseError, StarkitError
-from .exact import GOLDEN, INV_SQRT2, SQRT2, SQRT3, Quad
+from .exact import GOLDEN, SQRT2, Quad
 from .starbody import classify_significance, extract_skeleton, fundamental_rectangle
 
+# coordinates beyond the DSL's number grammar
 _COORD_TOKENS = {
-    "sqrt2": SQRT2,
-    "sqrt3": SQRT3,
-    "invsqrt2": INV_SQRT2,
     "golden": GOLDEN,
     "invgolden": Quad(Fraction(-1, 2), Fraction(1, 2), 5),
     "sqrt2m1": SQRT2 - 1,
@@ -37,20 +35,13 @@ class ValidationError(Exception):
     pass
 
 
-def _parse_coord(tok: str):
+def _parse_coord(tok: str) -> Quad:
     tok = tok.strip()
     neg = tok.startswith("-")
     body = tok[1:] if neg else tok
     if body in _COORD_TOKENS:
-        v = _COORD_TOKENS[body]
-        return -v if neg else v
-    try:
-        if "/" in body:
-            v = Quad(Fraction(body))
-            return -v if neg else v
-        return -float(body) if neg else float(body)
-    except ValueError as e:
-        raise ValidationError(f"bad coordinate {tok!r}") from e
+        return -_COORD_TOKENS[body] if neg else _COORD_TOKENS[body]
+    return dsl.parse_number(tok)
 
 
 def _parse_coords(text: str):
@@ -253,7 +244,7 @@ def cmd_search(args):
 
 
 def cmd_threedist(args):
-    part = circle.three_distance_partition(_coord_float(args.alpha_inv),
+    part = circle.three_distance_partition(_parse_coord(args.alpha_inv),
                                            args.x0, args.N)
     _write_json(_out(args, "threedist.json"),
                 {"N": part.n, "points": list(part.points),
@@ -265,15 +256,11 @@ def cmd_threedist(args):
 
 
 def cmd_ubiquity(args):
-    ns = circle.ubiquity_sequence(_coord_float(args.alpha_inv), args.Nmax)
+    ns = circle.ubiquity_sequence(_parse_coord(args.alpha_inv), args.Nmax)
     _write_json(_out(args, "ubiquity.json"),
                 {"Nmax": args.Nmax, "N_r": ns})
     print(f"ubiquity: {len(ns)} admissible N -> {_out(args, 'ubiquity.json')}")
     return 0
-
-
-def _coord_float(text: str) -> float:
-    return float(_parse_coord(text))
 
 
 def cmd_coverage(args):

@@ -21,6 +21,7 @@ The equivalent JSON form uses node kinds ``abs|min|max|gm|scale``::
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .errors import ArityError, ParseError
@@ -85,12 +86,23 @@ def _parse_number(tok: str, sc: _Scanner) -> Quad:
             if "/" in body:
                 val = Quad(Fraction(body))
             else:
-                val = Quad(Fraction(body) if "." not in body and "e" not in body
+                val = Quad(Fraction(body) if "." not in body
+                           and "e" not in body.lower()
                            else Fraction(float(body)))
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError, OverflowError):
             sc.pos -= len(tok)
             sc.error(f"bad number {tok!r}", expected=("number",))
     return -val if neg else val
+
+
+def parse_number(text: str) -> Quad:
+    """Parse one DSL number: ``p/q``, a decimal (the exact value of its
+    float) or a surd token, with an optional leading minus."""
+    sc = _Scanner(text)
+    val = _parse_number(sc.word(), sc)
+    if not sc.eof():
+        sc.error("trailing input after number")
+    return val
 
 
 def _parse_expr(sc: _Scanner) -> Expr:
@@ -164,8 +176,8 @@ def print_distance_function(expr: Expr) -> str:
 
 def _num_from_json(v) -> Quad:
     if isinstance(v, str):
-        return _parse_number(v, _Scanner(v))
-    if isinstance(v, (int, float)):
+        return parse_number(v)
+    if isinstance(v, (int, float)) and math.isfinite(v):
         return Quad(Fraction(v))
     raise ParseError(f"bad JSON number {v!r}")
 

@@ -12,8 +12,10 @@ F(x - p/q) over a candidate lattice set: a central box around round(q*x)
 plus segments along each skeleton direction out to the arc distance where
 the (safety-doubled) fitted tube width drops below the candidate's
 perpendicular offset.  For q <= _EXHAUSTIVE_Q it enumerates a full window
-instead (``_Kernel.minimum`` picks the path); the two agree exactly
-whenever both run.
+instead (``_Kernel.minimum`` picks the path).  The two were checked equal
+on the registered bodies with rational skeletons only: along an
+irrational skeleton line the fast search can find a smaller value far
+out on the line, beyond the window (ROADMAP item 3).
 
 One generator (``_Kernel._blocks``) enumerates those candidates for a whole
 batch of points as flat ``(sample index, p)`` blocks of bounded size, and
@@ -163,7 +165,9 @@ class _Kernel:
                 raise IrrationalSkeleton(
                     "restricted resonant sets need a rational skeleton")
             rect = fundamental_rectangle(self.geo.skeleton)
-            self.r_hat, self.s_hat = rect.r_hat, rect.s_hat
+            # gcd(p*r, q) depends on r mod q only; the reduced factors keep
+            # p*r inside int64 for a huge rectangle
+            self.r_hat, self.s_hat = rect.r_hat % q, rect.s_hat % q
 
     # -- shared helpers ----------------------------------------------------
 
@@ -397,8 +401,10 @@ def _xgcd(a: int, b: int):
 def resonant_membership(f: Expr, x, spec: ResonantSpec) -> Optional[ResonantHit]:
     """Minimizing p for F(x - p/q); a ResonantHit when the minimum is < eps.
 
-    Enumerates a full window for q <= _EXHAUSTIVE_Q (64); the fast candidate
-    search agrees exactly with that enumeration whenever both run.  Value
+    Enumerates a full window for q <= _EXHAUSTIVE_Q (64), the fast
+    candidate search above it.  The two were checked equal on the
+    registered rational bodies; along an irrational skeleton line the
+    fixed window can miss a smaller value far out on the line.  Value
     ties are broken toward the nearest q*x - p, then lexicographically in
     p, so the reported minimizer does not depend on the search window.
     """
@@ -613,24 +619,15 @@ def overlap_monotonicity_probe(f1: Expr, f2: Expr, delta1: float, delta2: float,
     t1s = np.asarray(t1s, dtype=float)
     t2s = np.asarray(t2s, dtype=float)
 
+    scale = np.array([rect.s_hat, rect.r_hat])
+    t1, t2 = t1s[:, None], t2s[None, :]
+
+    def hit(pts):
+        # (m, 1, 1) coordinates against the (t1, t2) grid: (m, T1, T2) hits
+        x1, x2 = (pts * scale).T[:, :, None, None]
+        return (f1.eval_xy(x1, x2) < delta1) & (f2.eval_xy(
+            x1 + t1 * v[0] + t2 * vp[0], x2 + t1 * v[1] + t2 * vp[1]) < delta2)
+
+    p, se = indicator_estimate(hit, samples, seed)
     area = float(rect.s_hat * rect.r_hat)
-    from .sampling import CHUNK, map_chunks, uniform_chunk
-    n_chunks = math.ceil(samples / CHUNK)
-
-    def work(c):
-        size = min(CHUNK, samples - c * CHUNK)
-        pts = uniform_chunk(seed, c, size) * np.array([rect.s_hat, rect.r_hat])
-        in1 = f1.eval_xy(pts[:, 0], pts[:, 1]) < delta1
-        counts = np.zeros((len(t1s), len(t2s)), dtype=np.int64)
-        for i, t1 in enumerate(t1s):
-            for j, t2 in enumerate(t2s):
-                sx = pts[:, 0] + t1 * v[0] + t2 * vp[0]
-                sy = pts[:, 1] + t1 * v[1] + t2 * vp[1]
-                counts[i, j] = np.count_nonzero(in1 & (f2.eval_xy(sx, sy) < delta2))
-        return counts
-
-    total = sum(map_chunks(work, n_chunks))
-    phat = total / samples
-    values = area * phat
-    errs = area * np.sqrt(np.maximum(phat * (1 - phat), 0.0) / samples)
-    return values, errs
+    return area * p, area * se

@@ -45,6 +45,20 @@ def stratified_chunk(seed: int, chunk_index: int, start: int, size: int,
     return np.column_stack([(cx + u[:, 0]) / grid, (cy + u[:, 1]) / grid])
 
 
+def _chunk_sizes(samples: int) -> list[int]:
+    """Sizes of the chunks that hold the first `samples` points."""
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    return [min(CHUNK, samples - c * CHUNK)
+            for c in range(math.ceil(samples / CHUNK))]
+
+
+def uniform_points(seed: int, samples: int, dim: int = 2) -> np.ndarray:
+    """The first `samples` points of the (seed, chunk) stream in [0,1)^dim."""
+    return np.concatenate([uniform_chunk(seed, c, size, dim)
+                           for c, size in enumerate(_chunk_sizes(samples))])
+
+
 def map_chunks(worker, n_chunks: int):
     """Apply worker(chunk_index) for every chunk; results in index order.
 
@@ -62,23 +76,22 @@ def indicator_estimate(hit_worker, samples: int, seed: int,
                        stratified: bool = False):
     """Mean/stderr of a {0,1} indicator over `samples` points in [0,1)^2.
 
-    hit_worker(points) -> boolean array.  Returns (mean, stderr) with the
-    binomial standard error (conservative for stratified draws).
+    hit_worker(points) -> boolean array whose axis 0 runs over the m
+    points: shape (m,) for one indicator, (m, ...) for a stack of them.
+    Returns (mean, stderr) with the binomial standard error (conservative
+    for stratified draws): Python floats for one indicator, arrays of the
+    trailing shape for a stack.
     """
-    if samples <= 0:
-        raise ValueError("samples must be positive")
-    n_chunks = math.ceil(samples / CHUNK)
+    sizes = _chunk_sizes(samples)
     grid = max(1, int(math.isqrt(samples)))
 
     def work(c):
-        size = min(CHUNK, samples - c * CHUNK)
         if stratified:
-            pts = stratified_chunk(seed, c, c * CHUNK, size, grid)
+            pts = stratified_chunk(seed, c, c * CHUNK, sizes[c], grid)
         else:
-            pts = uniform_chunk(seed, c, size)
-        return int(np.count_nonzero(hit_worker(pts)))
+            pts = uniform_chunk(seed, c, sizes[c])
+        return np.count_nonzero(hit_worker(pts), axis=0)
 
-    hits = sum(map_chunks(work, n_chunks))
-    p = hits / samples
-    stderr = math.sqrt(max(p * (1.0 - p), 0.0) / samples)
-    return p, stderr
+    p = sum(map_chunks(work, len(sizes))) / samples
+    stderr = np.sqrt(np.maximum(p * (1.0 - p), 0.0) / samples)
+    return (float(p), float(stderr)) if np.ndim(p) == 0 else (p, stderr)

@@ -114,24 +114,25 @@ class Abs(Expr):
         return frozenset([SkelLine.from_form(self.form)])
 
 
-def _tuple_children(children):
-    out = []
-    for c in children:
-        if not isinstance(c, Expr):
-            raise TypeError("children must be expressions")
-        out.append(c)
-    if not out:
-        raise ValueError("combinators need at least one child")
-    return tuple(out)
-
-
 @dataclass(frozen=True)
-class Min(Expr):
+class Combinator(Expr):
+    """A node over one or more child expressions; equality and hashing
+    compare the class as well as the children, so Min(a, b) != Max(a, b)."""
+
     children: tuple[Expr, ...]
 
     def __init__(self, *children):
-        object.__setattr__(self, "children", _tuple_children(children))
+        if not children:
+            raise ValueError("combinators need at least one child")
+        if not all(isinstance(c, Expr) for c in children):
+            raise TypeError("children must be expressions")
+        object.__setattr__(self, "children", children)
 
+    def zero_lines(self):
+        return frozenset().union(*(c.zero_lines() for c in self.children))
+
+
+class Min(Combinator):
     def _eval(self, x1, x2):
         vals = [c._eval(x1, x2) for c in self.children]
         out = vals[0]
@@ -139,17 +140,8 @@ class Min(Expr):
             out = np.minimum(out, v)
         return out
 
-    def zero_lines(self):
-        return frozenset().union(*(c.zero_lines() for c in self.children))
 
-
-@dataclass(frozen=True)
-class Max(Expr):
-    children: tuple[Expr, ...]
-
-    def __init__(self, *children):
-        object.__setattr__(self, "children", _tuple_children(children))
-
+class Max(Combinator):
     def _eval(self, x1, x2):
         vals = [c._eval(x1, x2) for c in self.children]
         out = vals[0]
@@ -165,14 +157,8 @@ class Max(Expr):
         return out
 
 
-@dataclass(frozen=True)
-class GeoMean(Expr):
+class GeoMean(Combinator):
     """Geometric mean of k degree-1 children (exponent 1/k keeps degree 1)."""
-
-    children: tuple[Expr, ...]
-
-    def __init__(self, *children):
-        object.__setattr__(self, "children", _tuple_children(children))
 
     def _eval(self, x1, x2):
         out = self.children[0]._eval(x1, x2)
@@ -180,9 +166,6 @@ class GeoMean(Expr):
             out = out * c._eval(x1, x2)
         k = len(self.children)
         return out if k == 1 else out ** (1.0 / k)
-
-    def zero_lines(self):
-        return frozenset().union(*(c.zero_lines() for c in self.children))
 
 
 @dataclass(frozen=True)
@@ -364,13 +347,9 @@ def width_profile(f: Expr, line: HalfLine, r, epsilon: float):
     """Perpendicular extents (w+, w-) of {F < eps} at arc distance r.
 
     Found by bisection on t -> F(point + t*normal) against eps; both are
-    >= 0 and (0, 0) when the base point is outside the eps-body.
+    >= 0 and (0, 0) when the base point is outside the eps-body, so
+    everywhere when eps <= 0.
     """
-    if epsilon <= 0:
-        if np.ndim(r) == 0:
-            return 0.0, 0.0
-        z = np.zeros(np.shape(np.asarray(r, dtype=float)))
-        return z, z.copy()
     base = line.arc_point(r)
     n = line.normal()
     wp = _bisect_crossing(f, base, n, epsilon)

@@ -2,11 +2,12 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from starkit.cli import main
+from starkit.cli import _parse_coord, main
 
 
 def run_cli(args, tmp_path, cli_env, env_threads=None):
@@ -335,3 +336,53 @@ def test_coverage_stage_zero_covers_nothing(tmp_path):
     assert rc == 0
     assert (tmp_path / "coverage.csv").read_text().splitlines() == [
         "N,fraction_hit_once,fraction_hit_k,stderr", "0,0,0,0"]
+
+
+@pytest.mark.parametrize("tok,value", [
+    ("sqrt2", math.sqrt(2)), ("-1/3", -1 / 3), ("0.37", 0.37), ("3", 3.0),
+    ("invgolden", -0.5 + 0.5 * math.sqrt(5)),
+    ("-golden", -(0.5 + 0.5 * math.sqrt(5))),
+    ("sqrt2m1", math.sqrt(2) - 1)])
+def test_coordinates_parse_to_their_floats(tok, value):
+    assert float(_parse_coord(tok)) == value
+
+
+@pytest.mark.parametrize("args", [
+    ["search", "--f", HEIGHT, "--x", "nan,0.5", "--Qmax", "5"],
+    ["transfer", "mult", "--x", "inf,0.5", "--eps", "0.3", "--bound", "20"],
+    ["threedist", "--alpha-inv", "1e400", "--N", "5"],
+    ["ubiquity", "--alpha-inv=-inf", "--Nmax", "50"]])
+def test_non_finite_coordinates_are_parse_errors(tmp_path, cli_env, args):
+    p = run_cli(["--out", str(tmp_path)] + args, tmp_path, cli_env)
+    assert p.returncode == 2
+    rec = json.loads(p.stderr.strip().splitlines()[-1])
+    assert rec["error"] == "ParseError"
+    assert "Warning" not in p.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("extra,word", [(["--samples", "0"], "samples"),
+                                        (["--samples", "-5"], "samples"),
+                                        (["--k", "0"], "k_hits")])
+def test_coverage_rejects_a_count_below_one(tmp_path, cli_env, extra, word):
+    p = run_cli(["--out", str(tmp_path), "coverage", "--f",
+                 "gm(abs(-sqrt2,1),abs(1,0))", "--eps", "0.2", "--stages",
+                 "10", "--seed", "1", "--intervals", "5"] + extra,
+                tmp_path, cli_env)
+    assert p.returncode == 2
+    rec = json.loads(p.stderr.strip().splitlines()[-1])
+    assert rec["error"] == "ValueError"
+    assert word in rec["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_perfbench_layer_hooks_install(tmp_path, cli_env):
+    # the benchmark's tracer wraps starkit names; a refactor that drops one
+    # must fail here, not only under a traced benchmark run
+    layers = Path(__file__).resolve().parent.parent / "perfbench"
+    p = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; sys.path.insert(0, {str(layers)!r}); "
+         "import layers; layers.install()"],
+        capture_output=True, text=True, env=cli_env, cwd=tmp_path)
+    assert p.returncode == 0, p.stderr

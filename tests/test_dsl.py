@@ -6,8 +6,10 @@ import pytest
 
 import starkit as sk
 from starkit.dsl import (load_distance_function, parse_distance_function,
-                         print_distance_function, tree_from_json, tree_to_json)
+                         parse_number, print_distance_function, tree_from_json,
+                         tree_to_json)
 from starkit.errors import ArityError, ParseError
+from starkit.exact import SQRT2, Quad
 
 
 def test_parse_height():
@@ -52,6 +54,38 @@ def test_parse_numbers():
     a, b = f.child.form.a, f.child.form.b
     assert float(a) == pytest.approx(-(2 ** 0.5))
     assert b.to_fraction() == Fraction(1, 4)
+
+
+def test_exponent_case_does_not_change_the_number():
+    trees = [parse_distance_function(f"abs({t},1)")
+             for t in ("1E-3", "1e-3", "0.001")]
+    assert trees[0] == trees[1] == trees[2]
+    # a decimal is the exact value of its binary double
+    assert trees[0].form.a == Quad(Fraction(0.001))
+    rect = sk.fundamental_rectangle(sk.extract_skeleton(trees[0]))
+    assert rect.r_hat == Fraction(0.001).denominator
+
+
+@pytest.mark.parametrize("tok", ["1e400", "-1e400", "1E400", "nan", "inf",
+                                 "-inf"])
+def test_non_finite_number_is_a_parse_error(tok):
+    with pytest.raises(ParseError):
+        parse_distance_function(f"abs({tok},1)")
+    with pytest.raises(ParseError):
+        parse_number(tok)
+    with pytest.raises(ParseError):
+        tree_from_json({"kind": "abs", "a": float(tok), "b": 1})
+
+
+def test_parse_number_reads_one_number():
+    assert parse_number("-1/3") == Quad(Fraction(-1, 3))
+    assert parse_number(" sqrt2 ") == SQRT2
+    assert parse_number("-invsqrt2") == -SQRT2 / 2
+    assert parse_number("0.37") == Quad(Fraction(0.37))
+    assert parse_number("3") == Quad(3)
+    for bad in ("", "1 2", "1/0", "sqrt5"):
+        with pytest.raises(ParseError):
+            parse_number(bad)
 
 
 def test_whitespace_tolerated():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import starkit as sk
+from starkit import sampling
 from starkit.errors import IrrationalSkeleton, SkeletonMismatch
 from starkit.measure import _Kernel, analytic_density_info
 from starkit.starbody import Abs, GeoMean, Max, Scale
@@ -236,6 +237,45 @@ def test_membership_restricted_against_dumb_oracle(height):
             assert hit.value == vals[i] / q
 
 
+def test_restricted_coprimality_matches_python_gcd():
+    # a decimal slope makes the fundamental rectangle huge: r_hat = 2^55,
+    # so p1 * r_hat leaves int64 for p1 >= 256
+    f = sk.parse_distance_function("gm(abs(0.1,-1),abs(0,1))")
+    rect = sk.fundamental_rectangle(sk.extract_skeleton(f))
+    assert rect.r_hat == 2 ** 55
+    q = 7
+
+    def allowed(p1s, p2s):
+        a1 = np.array([math.gcd(int(v) * rect.r_hat, q) == 1 for v in p1s])
+        a2 = np.array([math.gcd(int(v) * rect.s_hat, q) == 1 for v in p2s])
+        return np.logical_and.outer(a1, a2)
+
+    p1s, p2s = np.arange(250, 330), np.arange(1, 10)
+    grid = np.array([(a, b) for a in p1s for b in p2s], dtype=float)
+    ok = allowed(p1s, p2s).ravel()
+    assert 0 < ok.sum() < len(ok)
+    # hits: q*x sits 1e-3 above an allowed lattice point, where only that
+    # point is within q*eps
+    kern = _Kernel(f, q, 0.002 / q, restricted=True)
+    xs = (grid[ok] + np.array([0.0, 1e-3])) / q
+    assert kern.hits(xs).all()
+    # minimize_exhaustive against the same window filtered by math.gcd
+    w = 602
+    span = np.arange(-w, w + 1)
+    for p in np.array([(266, 5), (295, 3)], dtype=float):
+        y = p + np.array([0.3, 0.05])
+        assert np.array_equal(np.rint(y), p)
+        got = kern.minimize_exhaustive(y / q)
+        gx, gy = np.meshgrid(p[0] + span, p[1] + span, indexing="ij")
+        keep = allowed(p[0] + span, p[1] + span).ravel()
+        ps = np.column_stack([gx.ravel(), gy.ravel()])[keep]
+        z1, z2 = y[0] - ps[:, 0], y[1] - ps[:, 1]
+        vals = f.eval_xy(z1, z2)
+        zinf = np.maximum(np.abs(z1), np.abs(z2))
+        i = int(np.lexsort((ps[:, 1], ps[:, 0], zinf, vals))[0])
+        assert got == (float(vals[i]), (int(ps[i, 0]), int(ps[i, 1])))
+
+
 _ATOM = (st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
          .map(lambda ab: "abs(%d,%d)" % ab))
 
@@ -387,6 +427,41 @@ def test_probe_monotone_along_line():
     col, err = vals[:, 0], errs[:, 0]
     for a, b, ea, eb in zip(col, col[1:], err, err[1:]):
         assert b <= a + 3 * (ea + eb)
+
+
+def test_probe_equals_a_plain_loop_over_the_sample_stream():
+    f = _single_line_tube()
+    line = sk.extract_skeleton(f).lines[0]
+    t1s, t2s = [0.0, 0.3, 0.7], [0.0, 0.05, 0.1, 0.2, 0.5, 1.5]
+    samples, seed = 30_001, 4
+    vals, errs = sk.overlap_monotonicity_probe(f, f, 0.3, 0.25, line, t1s,
+                                               t2s, samples=samples,
+                                               seed=seed)
+    rect = sk.fundamental_rectangle(sk.extract_skeleton(f))
+    v, vp = line.unit_direction(), line.normal()
+    pts = np.concatenate([
+        sampling.uniform_chunk(seed, c, min(4096, samples - 4096 * c))
+        for c in range(math.ceil(samples / 4096))])
+    pts = pts * np.array([rect.s_hat, rect.r_hat])
+    in1 = f.eval_xy(pts[:, 0], pts[:, 1]) < 0.3
+    area = float(rect.s_hat * rect.r_hat)
+    assert vals.shape == errs.shape == (3, 6)
+    for i, t1 in enumerate(t1s):
+        for j, t2 in enumerate(t2s):
+            sx = pts[:, 0] + t1 * v[0] + t2 * vp[0]
+            sy = pts[:, 1] + t1 * v[1] + t2 * vp[1]
+            hits = np.count_nonzero(in1 & (f.eval_xy(sx, sy) < 0.25))
+            p = hits / samples
+            assert vals[i, j] == area * p
+            assert errs[i, j] == area * math.sqrt(p * (1 - p) / samples)
+
+
+def test_indicator_estimate_returns_floats_for_one_indicator():
+    p, se = sampling.indicator_estimate(
+        lambda pts: pts[:, 0] < 0.25, 5000, 3)
+    assert type(p) is float and type(se) is float
+    with pytest.raises(ValueError, match="samples"):
+        sampling.uniform_points(3, 0)
 
 
 def test_width_outside_body_is_zero(multiplicative, union_jack):

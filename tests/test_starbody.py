@@ -38,8 +38,23 @@ def test_zero_form_rejected():
 
 
 def test_combinators_need_children():
-    with pytest.raises(ValueError):
-        Min()
+    for cls in (Min, Max, GeoMean):
+        with pytest.raises(ValueError):
+            cls()
+        with pytest.raises(TypeError):
+            cls(Abs(1, 0), 0.5)
+
+
+def test_combinators_over_the_same_children_stay_apart():
+    a, b = Abs(1, 0), Abs(0, 1)
+    assert Min(a, b) == Min(Abs(1, 0), Abs(0, 1))
+    assert Min(a, b) != Max(a, b)
+    assert Max(a, b) != GeoMean(a, b)
+    assert GeoMean(a, b) != Min(a, b)
+    # body_geometry caches by the expression: Min and Max keep their own
+    assert body_geometry(Min(a, b)) is not body_geometry(Max(a, b))
+    assert len(body_geometry(Min(a, b)).skeleton.lines) == 4
+    assert body_geometry(Max(a, b)).skeleton.lines == ()
 
 
 def test_scale_requires_positive_factor():
