@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (EmptySequence, NotSignificant, PrecisionExhausted,
                      StarkitError)
 from .exact import Quad
-from .sampling import uniform_points
+from .sampling import binomial_stderr, uniform_points
 from .starbody import Expr, HalfLine, classify_significance, width_profile
 
 # ---------------------------------------------------------------------------
@@ -343,7 +343,7 @@ def coverage_experiment(system: IntervalSystem, stages: Sequence[int],
         raise ValueError("k_hits must be at least 1")
     stages = sorted(int(s) for s in stages)
     sums = dict(system.partial_sums(stages))
-    xs = uniform_points(seed, samples, 1)[:, 0]
+    xs = uniform_points(seed, samples)
     order = np.argsort(xs)
     xs_sorted = xs[order]
     m = len(xs_sorted)
@@ -365,7 +365,7 @@ def coverage_experiment(system: IntervalSystem, stages: Sequence[int],
         counts += np.cumsum(bump[:-1]).astype(np.int32)
         frac1 = float(np.count_nonzero(counts >= 1)) / m
         frack = float(np.count_nonzero(counts >= k_hits)) / m
-        stderr = math.sqrt(frac1 * (1.0 - frac1) / m)
+        stderr = float(binomial_stderr(frac1, m))
         out.append(CoverageStage(n=stage, fraction_hit_once=frac1,
                                  fraction_hit_k=frack, stderr=stderr,
                                  union_bound=sums[stage]))

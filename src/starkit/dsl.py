@@ -21,7 +21,7 @@ The equivalent JSON form uses node kinds ``abs|min|max|gm|scale``::
 from __future__ import annotations
 
 import json
-import math
+import sys
 from fractions import Fraction
 
 from .errors import ArityError, ParseError
@@ -89,6 +89,7 @@ def _parse_number(tok: str, sc: _Scanner) -> Quad:
                 val = Quad(Fraction(body) if "." not in body
                            and "e" not in body.lower()
                            else Fraction(float(body)))
+            float(val)  # a number must be finite as a double
         except (ValueError, ZeroDivisionError, OverflowError):
             sc.pos -= len(tok)
             sc.error(f"bad number {tok!r}", expected=("number",))
@@ -177,7 +178,7 @@ def print_distance_function(expr: Expr) -> str:
 def _num_from_json(v) -> Quad:
     if isinstance(v, str):
         return parse_number(v)
-    if isinstance(v, (int, float)) and math.isfinite(v):
+    if isinstance(v, (int, float)) and abs(v) <= sys.float_info.max:
         return Quad(Fraction(v))
     raise ParseError(f"bad JSON number {v!r}")
 

@@ -619,14 +619,15 @@ def overlap_monotonicity_probe(f1: Expr, f2: Expr, delta1: float, delta2: float,
     t1s = np.asarray(t1s, dtype=float)
     t2s = np.asarray(t2s, dtype=float)
 
-    scale = np.array([rect.s_hat, rect.r_hat])
-    t1, t2 = t1s[:, None], t2s[None, :]
-
     def hit(pts):
-        # (m, 1, 1) coordinates against the (t1, t2) grid: (m, T1, T2) hits
-        x1, x2 = (pts * scale).T[:, :, None, None]
-        return (f1.eval_xy(x1, x2) < delta1) & (f2.eval_xy(
-            x1 + t1 * v[0] + t2 * vp[0], x2 + t1 * v[1] + t2 * vp[1]) < delta2)
+        # (m, T1, T2) hits, one grid cell at a time so only O(m) floats live
+        x1, x2 = (pts * [rect.s_hat, rect.r_hat]).T
+        in1 = f1.eval_xy(x1, x2) < delta1
+        cells = [[in1 & (f2.eval_xy(x1 + t1 * v[0] + t2 * vp[0],
+                                    x2 + t1 * v[1] + t2 * vp[1]) < delta2)
+                  for t2 in t2s] for t1 in t1s]
+        return np.moveaxis(np.reshape(cells, (len(t1s), len(t2s), len(x1))),
+                           -1, 0)
 
     p, se = indicator_estimate(hit, samples, seed)
     area = float(rect.s_hat * rect.r_hat)

@@ -53,10 +53,16 @@ def _chunk_sizes(samples: int) -> list[int]:
             for c in range(math.ceil(samples / CHUNK))]
 
 
-def uniform_points(seed: int, samples: int, dim: int = 2) -> np.ndarray:
-    """The first `samples` points of the (seed, chunk) stream in [0,1)^dim."""
-    return np.concatenate([uniform_chunk(seed, c, size, dim)
+def uniform_points(seed: int, samples: int) -> np.ndarray:
+    """The first `samples` points of the 1-D (seed, chunk) stream in [0,1)."""
+    return np.concatenate([uniform_chunk(seed, c, size, 1)[:, 0]
                            for c, size in enumerate(_chunk_sizes(samples))])
+
+
+def binomial_stderr(p, n: int):
+    """Binomial standard error of a hit fraction p (scalar or array) over
+    n draws."""
+    return np.sqrt(p * (1.0 - p) / n)
 
 
 def map_chunks(worker, n_chunks: int):
@@ -93,5 +99,5 @@ def indicator_estimate(hit_worker, samples: int, seed: int,
         return np.count_nonzero(hit_worker(pts), axis=0)
 
     p = sum(map_chunks(work, len(sizes))) / samples
-    stderr = np.sqrt(np.maximum(p * (1.0 - p), 0.0) / samples)
+    stderr = binomial_stderr(p, samples)
     return (float(p), float(stderr)) if np.ndim(p) == 0 else (p, stderr)

@@ -351,7 +351,10 @@ def test_coordinates_parse_to_their_floats(tok, value):
     ["search", "--f", HEIGHT, "--x", "nan,0.5", "--Qmax", "5"],
     ["transfer", "mult", "--x", "inf,0.5", "--eps", "0.3", "--bound", "20"],
     ["threedist", "--alpha-inv", "1e400", "--N", "5"],
-    ["ubiquity", "--alpha-inv=-inf", "--Nmax", "50"]])
+    ["ubiquity", "--alpha-inv=-inf", "--Nmax", "50"],
+    ["search", "--f", HEIGHT, "--x", "1" + "0" * 400 + ",0.5", "--Qmax", "5"],
+    ["density", "--f", "max(abs(1" + "0" * 400 + ",1),abs(0,1))", "--eps",
+     "0.1"]])
 def test_non_finite_coordinates_are_parse_errors(tmp_path, cli_env, args):
     p = run_cli(["--out", str(tmp_path)] + args, tmp_path, cli_env)
     assert p.returncode == 2
@@ -378,11 +381,31 @@ def test_coverage_rejects_a_count_below_one(tmp_path, cli_env, extra, word):
 
 def test_perfbench_layer_hooks_install(tmp_path, cli_env):
     # the benchmark's tracer wraps starkit names; a refactor that drops one
-    # must fail here, not only under a traced benchmark run
+    # it reads fails the call, and one it assigns shows up as a module or
+    # class attribute that did not exist before install()
     layers = Path(__file__).resolve().parent.parent / "perfbench"
-    p = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys; sys.path.insert(0, {str(layers)!r}); "
-         "import layers; layers.install()"],
-        capture_output=True, text=True, env=cli_env, cwd=tmp_path)
+    script = f"""
+import sys, inspect
+sys.path.insert(0, {str(layers)!r})
+import layers, starkit
+from starkit import (circle, cli, dsl, khintchine, measure, sampling,
+                     starbody, transference)
+mods = [circle, cli, dsl, khintchine, measure, sampling, starbody,
+        transference]
+owners = {{m.__name__: m for m in mods}}
+owners.update({{f"{{m.__name__}}.{{n}}": c for m in mods
+               for n, c in vars(m).items()
+               if inspect.isclass(c) and c.__module__ == m.__name__}})
+before = {{k: set(vars(o)) for k, o in owners.items()}}
+layers.install()
+for k, o in owners.items():
+    for name in sorted(set(vars(o)) - before[k]):
+        print(f"{{k}}.{{name}}")
+"""
+    p = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                       text=True, env=cli_env, cwd=tmp_path)
     assert p.returncode == 0, p.stderr
+    # two stale hooks, both harmless: coverage and the tail measure draw
+    # through sampling, whose uniform_chunk the tracer also counts
+    assert p.stdout.split() == ["starkit.circle.uniform_chunk",
+                                "starkit.khintchine.uniform_chunk"]

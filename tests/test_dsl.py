@@ -67,14 +67,23 @@ def test_exponent_case_does_not_change_the_number():
 
 
 @pytest.mark.parametrize("tok", ["1e400", "-1e400", "1E400", "nan", "inf",
-                                 "-inf"])
+                                 "-inf", "1" + "0" * 400, "-1" + "0" * 400,
+                                 "1" + "0" * 400 + "/3"])
 def test_non_finite_number_is_a_parse_error(tok):
     with pytest.raises(ParseError):
         parse_distance_function(f"abs({tok},1)")
     with pytest.raises(ParseError):
         parse_number(tok)
+    if "/" not in tok:
+        with pytest.raises(ParseError):
+            tree_from_json({"kind": "abs", "a": float(tok), "b": 1})
+
+
+def test_json_integer_too_large_for_a_double_is_a_parse_error():
     with pytest.raises(ParseError):
-        tree_from_json({"kind": "abs", "a": float(tok), "b": 1})
+        tree_from_json({"kind": "abs", "a": 10 ** 400, "b": 1})
+    assert tree_from_json({"kind": "abs", "a": 10 ** 300, "b": 1}) == \
+        parse_distance_function("abs(1" + "0" * 300 + ",1)")
 
 
 def test_parse_number_reads_one_number():
