@@ -75,15 +75,9 @@ def test_non_finite_number_is_a_parse_error(tok):
     with pytest.raises(ParseError):
         parse_number(tok)
     if "/" not in tok:
+        a = int(tok) if tok.lstrip("-").isdigit() else float(tok)
         with pytest.raises(ParseError):
-            tree_from_json({"kind": "abs", "a": float(tok), "b": 1})
-
-
-def test_json_integer_too_large_for_a_double_is_a_parse_error():
-    with pytest.raises(ParseError):
-        tree_from_json({"kind": "abs", "a": 10 ** 400, "b": 1})
-    assert tree_from_json({"kind": "abs", "a": 10 ** 300, "b": 1}) == \
-        parse_distance_function("abs(1" + "0" * 300 + ",1)")
+            tree_from_json({"kind": "abs", "a": a, "b": 1})
 
 
 def test_parse_number_reads_one_number():
