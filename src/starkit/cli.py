@@ -21,7 +21,7 @@ import numpy as np
 from . import circle, dsl, khintchine, measure, sampling, transference
 from .errors import ArityError, ParseError, StarkitError
 from .exact import GOLDEN, SQRT2, Quad
-from .starbody import classify_significance, extract_skeleton, fundamental_rectangle
+from .starbody import classify_skeleton, extract_skeleton, fundamental_rectangle
 
 # coordinates beyond the DSL's number grammar
 _COORD_TOKENS = {
@@ -127,21 +127,21 @@ def _require_seed(args):
 def cmd_skeleton(args):
     f = _load_f(args.f)
     rep = extract_skeleton(f)
+    if args.classify:
+        rep = classify_skeleton(f, rep, Rmax=args.Rmax, epsilon=args.eps0)
     lines = []
     for hl in rep.lines:
         entry = {
             "direction": [float(hl.direction[0]), float(hl.direction[1])],
             "rational": hl.rational,
+            "slope": ("{}/{}".format(*hl.slope_ratio) if hl.rational
+                      else hl.slope_value),
         }
-        if hl.rational:
-            entry["slope"] = f"{hl.slope_num}/{hl.slope_den}"
-        else:
-            entry["slope"] = hl.slope_value
-        if args.classify:
-            res = classify_significance(f, hl, Rmax=args.Rmax, epsilon=args.eps0)
-            entry["significant"] = res.significant
-            entry["width_exponent"] = res.width_exponent
-            entry["width_monotone"] = res.monotone
+        res = hl.significance
+        if res is not None:
+            entry.update(significant=res.significant,
+                         width_exponent=res.width_exponent,
+                         width_monotone=res.monotone)
         lines.append(entry)
     payload = {"expr": dsl.print_distance_function(f), "half_lines": lines}
     if rep.rational_only:

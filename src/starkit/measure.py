@@ -609,9 +609,7 @@ def overlap_monotonicity_probe(f1: Expr, f2: Expr, delta1: float, delta2: float,
     s1, s2 = extract_skeleton(f1), extract_skeleton(f2)
     if len(s1.full_lines()) != 1 or len(s2.full_lines()) != 1:
         raise SkeletonMismatch("both bodies must have a single skeleton line")
-    k1, k2 = s1.lines[0], s2.lines[0]
-    if (k1.rational, k1.slope_num, k1.slope_den, k1.slope_value) != \
-       (k2.rational, k2.slope_num, k2.slope_den, k2.slope_value):
+    if s1.lines[0].slope != s2.lines[0].slope:
         raise SkeletonMismatch("the two skeletons differ")
     rect = fundamental_rectangle(s1)
     v = line.unit_direction()

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
@@ -64,10 +64,6 @@ class LinearForm:
         if self.a.sign() == 0 and self.b.sign() == 0:
             raise DegenerateExpr("linear form (0, 0) vanishes identically")
 
-    @property
-    def rational(self) -> bool:
-        return self.a.is_rational and self.b.is_rational
-
     def floats(self) -> tuple[float, float]:
         return float(self.a), float(self.b)
 
@@ -91,7 +87,8 @@ class Expr:
     def _eval(self, x1, x2):
         raise NotImplementedError
 
-    def zero_lines(self) -> frozenset["SkelLine"]:
+    def zero_lines(self) -> frozenset[Optional[Quad]]:
+        """Exact slopes of the lines making up F^{-1}(0); None is vertical."""
         raise NotImplementedError
 
 
@@ -111,7 +108,9 @@ class Abs(Expr):
         return np.abs(fa * x1 + fb * x2)
 
     def zero_lines(self):
-        return frozenset([SkelLine.from_form(self.form)])
+        # a*x1 + b*x2 = 0  <=>  x2 = (-a/b) x1, vertical when b == 0
+        a, b = self.form.a, self.form.b
+        return frozenset([None if b.sign() == 0 else (-a) / b])
 
 
 @dataclass(frozen=True)
@@ -195,49 +194,34 @@ class Scale(Expr):
 
 
 @dataclass(frozen=True)
-class SkelLine:
-    """A full line through the origin, keyed by exact slope (None = vertical)."""
+class HalfLine:
+    """One half-line of skel(F), keyed by the exact slope of its line.
 
+    ``slope`` is None for a vertical line, whose directions are (0, +-1).
+    A rational slope s/r (lowest terms, r > 0) gives the integer directions
+    +-(r, s); an irrational slope m gives the float directions +-(1, m).
+    ``significance`` is filled in by :func:`classify_skeleton`.
+    """
+
+    direction: tuple
     slope: Optional[Quad]
-
-    @staticmethod
-    def from_form(form: LinearForm) -> "SkelLine":
-        # a*x1 + b*x2 = 0  <=>  x2 = (-a/b) x1, vertical when b == 0
-        if form.b.sign() == 0:
-            return SkelLine(None)
-        return SkelLine((-form.a) / form.b)
-
-    @property
-    def vertical(self) -> bool:
-        return self.slope is None
+    significance: Optional[SignificanceResult] = None
 
     @property
     def rational(self) -> bool:
         return self.slope is None or self.slope.is_rational
 
-    def sort_key(self):
-        return (0, 0.0) if self.slope is None else (1, float(self.slope))
+    @property
+    def slope_value(self) -> float:
+        return math.inf if self.slope is None else float(self.slope)
 
-
-@dataclass(frozen=True)
-class HalfLine:
-    """One half-line of skel(F) with its slope classification.
-
-    ``slope_num/slope_den`` follow the convention slope = s/r with integer
-    direction (r, s); vertical lines are encoded as (s, r) = (1, 0) with
-    direction (0, +-1).  Irrational slopes carry the float value and, when
-    available, the exact quadratic-surd form.  ``significant`` and
-    ``width_exponent`` are filled in by :func:`classify_significance`.
-    """
-
-    direction: tuple
-    rational: bool
-    slope_num: Optional[int] = None
-    slope_den: Optional[int] = None
-    slope_value: float = 0.0
-    slope_exact: Optional[Quad] = None
-    significant: Optional[bool] = None
-    width_exponent: Optional[float] = None
+    @property
+    def slope_ratio(self) -> tuple[int, int]:
+        """(s, r) with slope s/r in lowest terms; (1, 0) for a vertical line."""
+        if self.slope is None:
+            return 1, 0
+        fr = self.slope.to_fraction()
+        return fr.numerator, fr.denominator
 
     def unit_direction(self) -> np.ndarray:
         d = np.asarray(self.direction, dtype=float)
@@ -274,32 +258,25 @@ class SkeletonReport:
         return [h for i, h in enumerate(self.lines) if i % 2 == 0]
 
 
-def _halflines_for(line: SkelLine) -> list[HalfLine]:
-    if line.vertical:
-        base = dict(rational=True, slope_num=1, slope_den=0,
-                    slope_value=math.inf)
-        return [HalfLine(direction=(0, 1), **base),
-                HalfLine(direction=(0, -1), **base)]
-    if line.slope.is_rational:
-        fr = line.slope.to_fraction()
-        s, r = fr.numerator, fr.denominator  # already coprime, r > 0
-        base = dict(rational=True, slope_num=s, slope_den=r,
-                    slope_value=float(fr))
-        return [HalfLine(direction=(r, s), **base),
-                HalfLine(direction=(-r, -s), **base)]
-    # direction (1, m): the defining form cancels exactly in float arithmetic
-    m = float(line.slope)
-    base = dict(rational=False, slope_value=m, slope_exact=line.slope)
-    return [HalfLine(direction=(1.0, m), **base),
-            HalfLine(direction=(-1.0, -m), **base)]
+def _halflines_for(slope: Optional[Quad]) -> list[HalfLine]:
+    if slope is None:
+        d = (0, 1)
+    elif slope.is_rational:
+        fr = slope.to_fraction()
+        d = (fr.denominator, fr.numerator)  # already coprime, r > 0
+    else:
+        # direction (1, m): the defining form cancels exactly in float arithmetic
+        d = (1.0, float(slope))
+    return [HalfLine(d, slope), HalfLine((-d[0], -d[1]), slope)]
 
 
 def extract_skeleton(f: Expr) -> SkeletonReport:
     """All half-lines of F^{-1}(0), slope-classified; empty for gauge functions."""
-    lines = sorted(f.zero_lines(), key=SkelLine.sort_key)
     halves: list[HalfLine] = []
-    for line in lines:
-        halves.extend(_halflines_for(line))
+    # vertical first, then by slope
+    for slope in sorted(f.zero_lines(),
+                        key=lambda m: (0, 0.0) if m is None else (1, float(m))):
+        halves.extend(_halflines_for(slope))
     return SkeletonReport(lines=tuple(halves))
 
 
@@ -390,12 +367,15 @@ def classify_significance(f: Expr, line: HalfLine, Rmax: float = 1e6,
 
 def classify_skeleton(f: Expr, report: SkeletonReport, Rmax: float = 1e6,
                       epsilon: float = 0.1) -> SkeletonReport:
-    """Return a copy of the report with significance fields filled in."""
+    """Return a copy of the report with each line's significance filled in.
+
+    The fit runs once per full line and both half-lines carry it: F is even,
+    so the opposite half-line evaluates F at exactly negated points.
+    """
     out = []
-    for h in report.lines:
+    for h, opposite in zip(report.lines[::2], report.lines[1::2]):
         res = classify_significance(f, h, Rmax=Rmax, epsilon=epsilon)
-        out.append(replace(h, significant=res.significant,
-                           width_exponent=res.width_exponent))
+        out += [replace(h, significance=res), replace(opposite, significance=res)]
     return SkeletonReport(lines=tuple(out))
 
 
@@ -421,7 +401,7 @@ def fundamental_rectangle(skel: SkeletonReport) -> FundamentalRectangle:
         if not h.rational:
             raise IrrationalSkeleton(
                 "fundamental rectangle needs rational slopes")
-        s, r = h.slope_num, h.slope_den
+        s, r = h.slope_ratio
         if s != 0:
             s_hat = math.lcm(s_hat, abs(s))
         if r != 0:

@@ -338,7 +338,7 @@ def test_cf_from_extracted_slope(irrational_cusp=None):
     f = sk.irrational_cusp()
     line = [h for h in sk.extract_skeleton(f).lines
             if not h.rational and h.slope_value > 0][0]
-    cf = sk.continued_fraction(line.slope_exact, 12)
+    cf = sk.continued_fraction(line.slope, 12)
     assert cf.partial_quotients == (1,) + (2,) * 11
     assert cf.exact
 

@@ -273,7 +273,7 @@ def test_significance_requires_line_in_skeleton(height, multiplicative):
 
 def test_classify_skeleton_fills_fields(irrational_cusp):
     rep = sk.classify_skeleton(irrational_cusp, sk.extract_skeleton(irrational_cusp))
-    assert all(h.significant is not None for h in rep.lines)
+    assert all(h.significance is not None for h in rep.lines)
 
 
 # ---------------------------------------------------------------------------
