@@ -279,9 +279,9 @@ def interval_system(f: Expr, line: HalfLine, epsilon: float, y0: float,
     """
     if line.rational:
         raise StarkitError("interval system needs an irrational slope")
-    alpha = abs(line.slope_value)
-    if alpha <= 1.0:
+    if line.slope <= 1:
         raise StarkitError("interval system assumes slope alpha > 1")
+    alpha = line.slope_value
     res = classify_significance(f, line, Rmax=1e6, epsilon=epsilon)
     if not res.significant:
         raise NotSignificant(

@@ -48,6 +48,11 @@ def _parse_coords(text: str):
     return [_parse_coord(t) for t in text.split(",") if t.strip()]
 
 
+def _parse_float(text: str) -> float:
+    """A numeric option read as a DSL number, so nan and inf are parse errors."""
+    return float(dsl.parse_number(text))
+
+
 def _load_f(arg: str):
     if os.path.exists(arg):
         with open(arg, "r", encoding="utf-8") as fh:
@@ -128,7 +133,8 @@ def cmd_skeleton(args):
     f = _load_f(args.f)
     rep = extract_skeleton(f)
     if args.classify:
-        rep = classify_skeleton(f, rep, Rmax=args.Rmax, epsilon=args.eps0)
+        rep = classify_skeleton(f, rep, Rmax=_parse_float(args.Rmax),
+                                epsilon=_parse_float(args.eps0))
     lines = []
     for hl in rep.lines:
         entry = {
@@ -154,7 +160,7 @@ def cmd_skeleton(args):
 
 def cmd_density(args):
     f = _load_f(args.f)
-    eps_list = [float(t) for t in args.eps.split(",")]
+    eps_list = [_parse_float(t) for t in args.eps.split(",")]
     if args.q is not None:
         # resonant-neighborhood measure records |B_q| (or |B*_q|)
         _require_seed(args)
@@ -245,7 +251,7 @@ def cmd_search(args):
 
 def cmd_threedist(args):
     part = circle.three_distance_partition(_parse_coord(args.alpha_inv),
-                                           args.x0, args.N)
+                                           _parse_float(args.x0), args.N)
     _write_json(_out(args, "threedist.json"),
                 {"N": part.n, "points": list(part.points),
                  "gaps": list(part.gaps),
@@ -267,12 +273,13 @@ def cmd_coverage(args):
     f = _load_f(args.f)
     _require_seed(args)
     rep = extract_skeleton(f)
-    irr = [h for h in rep.lines if not h.rational and h.slope_value > 1.0]
+    irr = [h for h in rep.lines if not h.rational and h.slope > 1]
     if not irr:
         raise ValidationError("no irrational line with slope > 1 in the skeleton")
     line = irr[0]
     stages = [int(t) for t in args.stages.split(",")]
-    system = circle.interval_system(f, line, args.eps, args.y0, max(stages))
+    system = circle.interval_system(f, line, _parse_float(args.eps),
+                                    _parse_float(args.y0), max(stages))
     out = circle.coverage_experiment(system, stages, samples=args.samples,
                                      seed=args.seed, k_hits=args.k)
     rows = [(s.n, s.fraction_hit_once, s.fraction_hit_k, s.stderr) for s in out]
@@ -297,16 +304,16 @@ def cmd_coverage(args):
 
 def cmd_transfer(args):
     coords = _parse_coords(args.x)
+    eps, bound = _parse_float(args.eps), _parse_float(args.bound)
     if args.flavor == "mult":
-        rep = transference.verify_theorem_multitrans(coords, args.eps, args.bound)
+        rep = transference.verify_theorem_multitrans(coords, eps, bound)
     elif args.flavor == "unionjack":
         if len(coords) != 2:
             raise ValidationError("union jack needs two coordinates")
         rep = transference.verify_theorem_unionjack(coords[0], coords[1],
-                                                    args.eps, args.bound)
+                                                    eps, bound)
     else:
-        rep = transference.verify_khintchine_transfer(coords, args.eps,
-                                                      int(args.bound))
+        rep = transference.verify_khintchine_transfer(coords, eps, int(bound))
     _write_json(_out(args, f"transfer_{args.flavor}.json"), rep.to_json())
     rows = [(("(" + " ".join(str(v) for v in s.q_vec) + ")"), s.mu, s.lam,
              s.p if s.p is not None else "",
@@ -387,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("skeleton")
     p.add_argument("--f", required=True)
     p.add_argument("--classify", action="store_true")
-    p.add_argument("--Rmax", type=float, default=1e6)
-    p.add_argument("--eps0", type=float, default=0.1)
+    p.add_argument("--Rmax", default="1e6")
+    p.add_argument("--eps0", default="0.1")
     p.set_defaults(func=cmd_skeleton)
 
     p = sub.add_parser("density")
@@ -422,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threedist")
     p.add_argument("--alpha-inv", dest="alpha_inv", required=True)
-    p.add_argument("--x0", type=float, default=0.0)
+    p.add_argument("--x0", default="0")
     p.add_argument("--N", type=int, required=True)
     p.set_defaults(func=cmd_threedist)
 
@@ -433,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coverage")
     common(p)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--y0", type=float, default=0.5)
+    p.add_argument("--eps", required=True)
+    p.add_argument("--y0", default="0.5")
     p.add_argument("--stages", required=True, help="comma list of N stages")
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--intervals", type=int, default=0,
@@ -445,8 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transfer")
     p.add_argument("flavor", choices=["mult", "unionjack", "height"])
     p.add_argument("--x", required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--bound", type=float, required=True)
+    p.add_argument("--eps", required=True)
+    p.add_argument("--bound", required=True)
     p.add_argument("--seed", type=int, default=None,
                    help="ignored: transfer is deterministic")
     p.set_defaults(func=cmd_transfer)

@@ -144,6 +144,9 @@ def series_partial_sums(f: Expr, psi: PsiFamily, q_max: int,
     Returns (list of (Q, S(Q)) for every Q up to q_max, verdict).  psi is
     not checked for monotonicity here (see ``PsiFamily``).
     """
+    if q_max < psi.q_start:
+        raise ValueError(f"q_max {q_max} is below the first q {psi.q_start} "
+                         "of psi: there is no partial sum")
     info = analytic_density_info(f)
     sums = []
     total = 0.0

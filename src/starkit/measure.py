@@ -34,7 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import IrrationalSkeleton, NonConvergent, SkeletonMismatch
+from .errors import (IrrationalSkeleton, NonConvergent, SkeletonMismatch,
+                     StarkitError)
 from .sampling import indicator_estimate
 from .starbody import (Abs, Expr, GeoMean, HalfLine, Max, Scale,
                        LineGeometry, body_geometry, extract_skeleton,
@@ -303,8 +304,16 @@ class _Kernel:
         c0 = z0[:, 0] * s - z0[:, 1] * r    # cross(z0, d): offset index units
         a0 = z0[:, 0] * r + z0[:, 1] * s    # dot(z0, d)
         reach = L * np.minimum(1.0, 2.0 * lg.width(1.0, tau))
-        j = np.arange(math.floor(float((c0 - reach).min())),
-                      math.ceil(float((c0 + reach).max())) + 1)
+        lo = math.floor(float((c0 - reach).min()))
+        hi = math.ceil(float((c0 + reach).max()))
+        if hi - lo >= _BLOCK:
+            # every (sample, line) row takes a candidate, so one sample alone
+            # would overflow a block
+            raise StarkitError(
+                f"the tube along the skeleton line of slope {s}/{r} meets "
+                f"{hi - lo + 1} lattice lines, more than a block of {_BLOCK} "
+                "candidates holds")
+        j = np.arange(lo, hi + 1)
         live = np.flatnonzero(~done)
         steps = _arc_steps(lg, tau[live, None], np.abs(c0[live, None] - j) / L,
                            L, k_cap)

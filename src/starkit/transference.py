@@ -533,6 +533,8 @@ def _transfer(kind: str, x: Sequence[Coordinate], epsilon: float,
     always the first value, eps/2: p = 1 is in range whenever p_max >= 1,
     each |<x_i>| <= 1/2 bounds its GM, max and F' by 1/2, and 1^y = 1.
     """
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     n = len(x)
     expo = -float(k) - epsilon
     keep = _q_filter(x, q, size ** expo, lambda i: mpmath.mpf(

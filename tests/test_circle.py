@@ -239,6 +239,19 @@ def test_interval_system_rejects_insignificant_line():
         sk.interval_system(f, line, 0.1, 0.5, 100)
 
 
+@pytest.mark.parametrize("a", [SQRT2, -sk.INV_SQRT2],
+                         ids=["slope_minus_sqrt2", "slope_inv_sqrt2"])
+def test_interval_system_rejects_a_slope_not_above_one(a):
+    # x_n = {x0 + n/alpha} follows the line only for alpha > 1; the slope
+    # -sqrt2 line meets y = y0 + n at 1 - x_n, so its centres would mirror
+    from starkit.starbody import Abs, GeoMean
+    f = GeoMean(Abs(a, 1), Abs(1, 0))
+    line = [h for h in sk.extract_skeleton(f).lines if not h.rational][0]
+    assert abs(line.slope_value) != 1.0
+    with pytest.raises(sk.StarkitError, match="alpha > 1"):
+        sk.interval_system(f, line, 0.2, 0.5, 10)
+
+
 def test_interval_system_rejects_rational(multiplicative):
     line = sk.extract_skeleton(multiplicative).lines[0]
     with pytest.raises(sk.StarkitError):

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from starkit.cli import _parse_coord, main
+from starkit import measure, starbody
+from starkit.cli import _parse_coord, _parse_float, main
 
 
 def run_cli(args, tmp_path, cli_env, env_threads=None):
@@ -21,6 +22,9 @@ def run_cli(args, tmp_path, cli_env, env_threads=None):
 
 
 HEIGHT = "max(abs(1,0),abs(0,1))"
+CUSP = "gm(abs(-sqrt2,1),abs(1,0))"
+UNION_JACK = ("min(gm(abs(1,0),abs(0,1)),"
+              "gm(abs(invsqrt2,invsqrt2),abs(invsqrt2,-invsqrt2)))")
 
 
 def test_density_analytic_row(tmp_path):
@@ -64,6 +68,28 @@ def test_skeleton_json(tmp_path):
     payload = json.loads((tmp_path / "skeleton.json").read_text())
     assert len(payload["half_lines"]) == 4
     assert payload["fundamental_rectangle"] == {"s_hat": 1, "r_hat": 1}
+
+
+def test_skeleton_classify_fits_each_line_once(tmp_path, monkeypatch):
+    calls = []
+    fit = starbody.classify_significance
+
+    def counted(f, line, **kw):
+        calls.append(line.direction)
+        return fit(f, line, **kw)
+
+    monkeypatch.setattr(starbody, "classify_significance", counted)
+    rc = main(["--out", str(tmp_path), "skeleton", "--f", UNION_JACK,
+               "--classify"])
+    assert rc == 0
+    halves = json.loads((tmp_path / "skeleton.json").read_text())["half_lines"]
+    assert len(calls) == 4 and len(halves) == 8
+    assert [h["slope"] for h in halves[::2]] == ["1/0", "-1/1", "0/1", "1/1"]
+    keys = ("slope", "rational", "significant", "width_exponent",
+            "width_monotone")
+    for h, opposite in zip(halves[::2], halves[1::2]):
+        assert [h[k] for k in keys] == [opposite[k] for k in keys]
+        assert h["direction"] == [-c for c in opposite["direction"]]
 
 
 def test_series_verdict(tmp_path):
@@ -409,3 +435,87 @@ for k, o in owners.items():
     # through sampling, whose uniform_chunk the tracer also counts
     assert p.stdout.split() == ["starkit.circle.uniform_chunk",
                                 "starkit.khintchine.uniform_chunk"]
+
+
+def _error_record(err):
+    return json.loads(err.strip().splitlines()[-1])
+
+
+DECIMAL_SLOPE = "gm(abs(0.1,-1),abs(0,1))"
+
+
+def test_a_tube_past_one_block_is_a_numeric_error(tmp_path, cli_env):
+    # the decimal 0.1 is the double 3602879701896397/2^55, so the integer
+    # direction of the line is about 3.6e16 long
+    p = run_cli(["--out", str(tmp_path), "density", "--f", DECIMAL_SLOPE,
+                 "--eps", "0.01", "--q", "7", "--samples", "100", "--seed",
+                 "1"], tmp_path, cli_env)
+    assert p.returncode == 3, p.stderr
+    rec = _error_record(p.stderr)
+    assert rec["error"] == "StarkitError"
+    assert "slope 3602879701896397/36028797018963968" in rec["message"]
+    assert "Traceback" not in p.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_search_stops_at_a_tube_past_one_block(tmp_path, capsys,
+                                               monkeypatch):
+    # --Qmax 70 reaches the tube at q = 65 after 64 full-window minima of
+    # about 0.6 s each; with the window off, q = 1 reaches it at once
+    monkeypatch.setattr(measure, "_EXHAUSTIVE_Q", 0)
+    assert main(["--out", str(tmp_path), "search", "--f", DECIMAL_SLOPE,
+                 "--x", "0.3,0.7", "--Qmax", "70"]) == 3
+    rec = _error_record(capsys.readouterr().err)
+    assert rec["error"] == "StarkitError"
+    assert "slope 3602879701896397/36028797018963968" in rec["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args,word", [
+    (["series", "--f", HEIGHT, "--psi", "pow:2", "--Qmax", "0"], "q_max"),
+    (["series", "--f", HEIGHT, "--psi", "powlog:1.5,1.2", "--Qmax", "1"],
+     "q_max"),
+    (["transfer", "mult", "--x", "sqrt2,sqrt3", "--eps", "-0.5", "--bound",
+      "50"], "epsilon"),
+    (["transfer", "unionjack", "--x", "sqrt2,sqrt3", "--eps", "0", "--bound",
+      "20"], "epsilon"),
+    (["transfer", "height", "--x", "sqrt2,sqrt3", "--eps", "-1", "--bound",
+      "10"], "epsilon")],
+    ids=["series_qmax0", "series_below_q_start", "mult_eps", "unionjack_eps",
+         "height_eps"])
+def test_inputs_without_a_result_are_rejected(tmp_path, capsys, args, word):
+    assert main(["--out", str(tmp_path)] + args) == 2
+    rec = _error_record(capsys.readouterr().err)
+    assert rec["error"] == "ValueError"
+    assert word in rec["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["density", "--f", HEIGHT, "--eps={}"],
+    ["density", "--f", HEIGHT, "--eps=0.1,{}", "--method", "quadrature"],
+    ["coverage", "--f", CUSP, "--eps={}", "--stages", "10", "--seed", "1"],
+    ["coverage", "--f", CUSP, "--eps", "0.2", "--y0={}", "--stages", "10",
+     "--seed", "1"],
+    ["transfer", "mult", "--x", "sqrt2,sqrt3", "--eps={}", "--bound", "20"],
+    ["transfer", "height", "--x", "sqrt2,sqrt3", "--eps", "0.3",
+     "--bound={}"],
+    ["threedist", "--alpha-inv", "invgolden", "--x0={}", "--N", "5"],
+    ["skeleton", "--f", CUSP, "--classify", "--Rmax={}"],
+    ["skeleton", "--f", CUSP, "--classify", "--eps0={}"]],
+    ids=["density_eps", "density_eps_list", "coverage_eps", "coverage_y0",
+         "transfer_eps", "transfer_bound", "threedist_x0", "skeleton_Rmax",
+         "skeleton_eps0"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_numeric_options_are_parse_errors(tmp_path, capsys, args,
+                                                     value):
+    argv = [a.format(value) for a in args]
+    assert main(["--out", str(tmp_path)] + argv) == 2
+    assert _error_record(capsys.readouterr().err)["error"] == "ParseError"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("tok", ["0.1", "0.375", "1e6", "1E-3", "-0.5", "3",
+                                 "0", "2.5e-300", "12345678901234567890"])
+def test_numeric_options_keep_their_doubles(tok):
+    assert _parse_float(tok) == float(tok)

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import warnings
 import zlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -400,6 +401,34 @@ def test_probe_requires_matching_skeleton(multiplicative):
         sk.overlap_monotonicity_probe(f1, multiplicative, 0.3, 0.3,
                                       sk.extract_skeleton(f1).lines[0],
                                       [0.0], [0.0], samples=100, seed=0)
+
+
+def _tube_of_slope(m):
+    # gm(|x2 - m x1|, max(|x1|,|x2|)): single skeleton line of slope m
+    return GeoMean(Abs(-m, 1), Max(Abs(1, 0), Abs(0, 1)))
+
+
+@pytest.mark.parametrize("m1,m2", [(sk.SQRT2, sk.SQRT3),
+                                   (Fraction(1, 2), Fraction(1, 3))],
+                         ids=["sqrt2_sqrt3", "half_third"])
+def test_probe_rejects_different_exact_slopes(m1, m2):
+    f1, f2 = _tube_of_slope(m1), _tube_of_slope(m2)
+    with pytest.raises(SkeletonMismatch):
+        sk.overlap_monotonicity_probe(f1, f2, 0.3, 0.3,
+                                      sk.extract_skeleton(f1).lines[0],
+                                      [0.0], [0.0], samples=100, seed=0)
+
+
+def test_probe_accepts_equal_slopes_from_different_forms():
+    f1 = _tube_of_slope(Fraction(1, 2))
+    f2 = Scale(2, Abs(-2, 4))      # the line x2 = x1/2 again
+    line = sk.extract_skeleton(f1).lines[0]
+    assert line.slope == sk.extract_skeleton(f2).lines[0].slope
+    vals, errs = sk.overlap_monotonicity_probe(f1, f2, 0.3, 0.3, line,
+                                               [0.0], [0.0], samples=2000,
+                                               seed=0)
+    assert vals.shape == errs.shape == (1, 1)
+    assert vals[0, 0] > 0
 
 
 def test_probe_monotone_and_peaked():

@@ -276,6 +276,64 @@ def test_classify_skeleton_fills_fields(irrational_cusp):
     assert all(h.significance is not None for h in rep.lines)
 
 
+_S2 = Quad.sqrt(2)
+_M2 = float(_S2)
+
+
+@pytest.mark.parametrize("f,halves,rect", [
+    # (repr of direction, slope, rational, slope_value) per half-line, and
+    # the fundamental rectangle (None: irrational skeleton)
+    (Abs(1, 0), [("(0, 1)", None, True, math.inf),
+                 ("(0, -1)", None, True, math.inf)], (1, 1)),
+    (Abs(2, 3), [("(3, -2)", Quad(Fraction(-2, 3)), True, -2 / 3),
+                 ("(-3, 2)", Quad(Fraction(-2, 3)), True, -2 / 3)], (2, 3)),
+    (sk.union_jack(), [("(0, 1)", None, True, math.inf),
+                       ("(0, -1)", None, True, math.inf),
+                       ("(1, -1)", Quad(-1), True, -1.0),
+                       ("(-1, 1)", Quad(-1), True, -1.0),
+                       ("(1, 0)", Quad(0), True, 0.0),
+                       ("(-1, 0)", Quad(0), True, 0.0),
+                       ("(1, 1)", Quad(1), True, 1.0),
+                       ("(-1, -1)", Quad(1), True, 1.0)], (1, 1)),
+    (sk.irrational_cusp(), [("(0, 1)", None, True, math.inf),
+                            ("(0, -1)", None, True, math.inf),
+                            (repr((1.0, _M2)), _S2, False, _M2),
+                            (repr((-1.0, -_M2)), _S2, False, _M2)], None)],
+    ids=["vertical", "negative_rational", "union_jack", "cusp"])
+def test_skeleton_lines_are_read_from_the_exact_slope(f, halves, rect):
+    rep = sk.extract_skeleton(f)
+    got = [(repr(h.direction), h.slope, h.rational, h.slope_value)
+           for h in rep.lines]
+    assert got == halves
+    assert all(h.slope is None or isinstance(h.slope, Quad)
+               for h in rep.lines)
+    if rect is None:
+        with pytest.raises(IrrationalSkeleton):
+            sk.fundamental_rectangle(rep)
+    else:
+        r = sk.fundamental_rectangle(rep)
+        assert (r.s_hat, r.r_hat) == rect
+
+
+def test_classify_skeleton_fits_each_line_once(union_jack, monkeypatch):
+    calls = []
+    fit = sk.starbody.classify_significance
+
+    def counted(f, line, **kw):
+        calls.append(line.direction)
+        return fit(f, line, **kw)
+
+    monkeypatch.setattr(sk.starbody, "classify_significance", counted)
+    rep = sk.classify_skeleton(union_jack, sk.extract_skeleton(union_jack))
+    full = [h.direction for h in rep.full_lines()]
+    assert calls == full and len(full) == 4
+    for h, opposite in zip(rep.lines[::2], rep.lines[1::2]):
+        assert h.significance is not None
+        assert h.significance == opposite.significance
+        # the opposite half-line measures the same widths bit for bit
+        assert sk.classify_significance(union_jack, opposite) == h.significance
+
+
 # ---------------------------------------------------------------------------
 # Fundamental rectangle
 # ---------------------------------------------------------------------------
