@@ -273,7 +273,6 @@ def _halflines_for(slope: Optional[Quad]) -> list[HalfLine]:
 def extract_skeleton(f: Expr) -> SkeletonReport:
     """All half-lines of F^{-1}(0), slope-classified; empty for gauge functions."""
     halves: list[HalfLine] = []
-    # vertical first, then by slope
     for slope in sorted(f.zero_lines(),
                         key=lambda m: (0, 0.0) if m is None else (1, float(m))):
         halves.extend(_halflines_for(slope))
