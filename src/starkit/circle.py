@@ -295,6 +295,9 @@ def interval_system(f: Expr, line: HalfLine, epsilon: float, y0: float,
     w_plus, w_minus = width_profile(f, line, r_n, epsilon)
 
     # horizontal half-extents of the component of H ∩ {F < eps} at each crossing
+    # imported here, not at module level, so that a wrapper installed on
+    # starbody._bisect_crossing after import (perfbench/layers.py) sees
+    # these calls too
     from .starbody import _bisect_crossing
     u = line.unit_direction()
     base = np.stack([r_n * u[0], r_n * u[1]], axis=-1)

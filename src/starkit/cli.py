@@ -272,6 +272,8 @@ def cmd_ubiquity(args):
 def cmd_coverage(args):
     f = _load_f(args.f)
     _require_seed(args)
+    if args.intervals < 0:
+        raise ValueError("--intervals must be at least 0")
     rep = extract_skeleton(f)
     irr = [h for h in rep.lines if not h.rational and h.slope > 1]
     if not irr:
@@ -286,8 +288,7 @@ def cmd_coverage(args):
     _write_csv(_out(args, "coverage.csv"),
                ["N", "fraction_hit_once", "fraction_hit_k", "stderr"], rows)
     if args.intervals:
-        m = max(args.intervals, 0)
-        irows = list(zip(*(v[:m].tolist() for v in (
+        irows = list(zip(*(v[:args.intervals].tolist() for v in (
             system.n, system.x_n, system.r_n, system.sigma_n,
             system.len_In, system.len_Itilde))))
         _write_csv(_out(args, "intervals.csv"),
@@ -332,6 +333,11 @@ def cmd_transfer(args):
 
 def cmd_prop5(args):
     _require_seed(args)
+    if args.instances < 1:
+        raise ValueError("--instances must be at least 1")
+    if args.Qbound < 4:
+        # mu is drawn from [2, sqrt(Qbound)]
+        raise ValueError("--Qbound must be at least 4")
     rng = sampling.chunk_rng(args.seed, 0)
     results = []
     bad = 0

@@ -29,7 +29,9 @@ from .exact import INV_SQRT2, SQRT2, SQRT3, Quad
 from .starbody import Abs, Expr, GeoMean, Max, Min, Scale
 
 _SURD_TOKENS = {"sqrt2": SQRT2, "sqrt3": SQRT3, "invsqrt2": INV_SQRT2}
-_KINDS = ("abs", "min", "max", "gm", "scale")
+_COMBINATORS = {"min": Min, "max": Max, "gm": GeoMean}
+_COMBINATOR_NAMES = {cls: name for name, cls in _COMBINATORS.items()}
+_KINDS = ("abs", *_COMBINATORS, "scale")
 
 
 class _Scanner:
@@ -134,8 +136,7 @@ def _parse_expr(sc: _Scanner) -> Expr:
         sc.expect(",")
         children.append(_parse_expr(sc))
     sc.expect(")")
-    cls = {"min": Min, "max": Max, "gm": GeoMean}[head]
-    return cls(*children)
+    return _COMBINATORS[head](*children)
 
 
 def parse_distance_function(text: str) -> Expr:
@@ -165,7 +166,7 @@ def print_distance_function(expr: Expr) -> str:
         return f"abs({_print_number(expr.form.a)},{_print_number(expr.form.b)})"
     if isinstance(expr, Scale):
         return f"scale({_print_number(expr.factor)},{print_distance_function(expr.child)})"
-    kind = {Min: "min", Max: "max", GeoMean: "gm"}[type(expr)]
+    kind = _COMBINATOR_NAMES[type(expr)]
     inner = ",".join(print_distance_function(c) for c in expr.children)
     return f"{kind}({inner})"
 
@@ -192,12 +193,11 @@ def tree_from_json(obj) -> Expr:
         return Abs(_num_from_json(obj["a"]), _num_from_json(obj["b"]))
     if kind == "scale":
         return Scale(_num_from_json(obj["factor"]), tree_from_json(obj["child"]))
-    if kind in ("min", "max", "gm"):
+    if isinstance(kind, str) and kind in _COMBINATORS:
         children = obj.get("children", [])
         if not children:
             raise ArityError(f"{kind} node needs at least one child")
-        cls = {"min": Min, "max": Max, "gm": GeoMean}[kind]
-        return cls(*[tree_from_json(c) for c in children])
+        return _COMBINATORS[kind](*[tree_from_json(c) for c in children])
     raise ParseError(f"unknown node kind {kind!r}")
 
 
@@ -208,8 +208,8 @@ def tree_to_json(expr: Expr):
     if isinstance(expr, Scale):
         return {"kind": "scale", "factor": _print_number(expr.factor),
                 "child": tree_to_json(expr.child)}
-    kind = {Min: "min", Max: "max", GeoMean: "gm"}[type(expr)]
-    return {"kind": kind, "children": [tree_to_json(c) for c in expr.children]}
+    return {"kind": _COMBINATOR_NAMES[type(expr)],
+            "children": [tree_to_json(c) for c in expr.children]}
 
 
 def load_distance_function(text: str) -> Expr:

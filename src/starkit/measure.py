@@ -38,7 +38,7 @@ from .errors import (IrrationalSkeleton, NonConvergent, SkeletonMismatch,
                      StarkitError)
 from .sampling import indicator_estimate
 from .starbody import (Abs, Expr, GeoMean, HalfLine, Max, Scale,
-                       LineGeometry, body_geometry, extract_skeleton,
+                       LineGeometry, _bisect, body_geometry, extract_skeleton,
                        fundamental_rectangle)
 
 # ---------------------------------------------------------------------------
@@ -195,9 +195,13 @@ class _Kernel:
 
     def _tau(self, y) -> float:
         """Search threshold for the point y = q*x: just above
-        min(F(wrapped y), q*eps)."""
-        z0 = y - np.round(y)
+        min(F(wrapped y), q*eps), where the wrap round(y) counts only when
+        it is an allowed candidate."""
+        p0 = np.round(y)
+        z0 = y - p0
         v0 = float(self.f.eval_xy(z0[0], z0[1]))
+        if not self._allowed(p0.reshape(1, 2))[0]:
+            v0 = math.inf
         return min(v0, self.eps_s) * (1.0 + 1e-9) + 1e-300
 
     def minimize(self, x) -> tuple[float, tuple[int, int]]:
@@ -205,18 +209,13 @@ class _Kernel:
         y = self.q * np.asarray(x, dtype=float).reshape(1, 2)
         tau = np.array([self._tau(y[0])])
         blocks = self._blocks(y, tau, _SCALAR_K_CAP, np.zeros(1, dtype=bool))
-        idx, p = (np.concatenate(a) for a in zip(*blocks))
-        _, p, z1, z2, vals = self._evaluate(y, idx, p)
-        if len(vals) == 0:
-            return math.inf, (0, 0)
-        i = _pick_minimizer(vals, z1, z2, p)
-        return float(vals[i]), (int(p[i, 0]), int(p[i, 1]))
+        return self._best(y, *(np.concatenate(a) for a in zip(*blocks)))
 
     def minimize_exhaustive(self, x) -> tuple[float, tuple[int, int]]:
         """Same minimum through a full window enumeration (small q)."""
-        y = self.q * np.asarray(x, dtype=float)
-        p0 = np.round(y)
-        tau = self._tau(y)
+        y = self.q * np.asarray(x, dtype=float).reshape(1, 2)
+        p0 = np.round(y[0])
+        tau = self._tau(y[0])
         reach = 0.0
         for lg in self.geo.lines:
             if lg.half.rational:
@@ -229,14 +228,14 @@ class _Kernel:
         span = np.arange(-w, w + 1)
         gx, gy = np.meshgrid(p0[0] + span, p0[1] + span, indexing="ij")
         p = np.column_stack([gx.ravel(), gy.ravel()]).astype(float)
-        p = p[np.lexsort((p[:, 1], p[:, 0]))]
-        ok = self._allowed(p)
-        if not ok.any():
+        return self._best(y, np.zeros(len(p), dtype=np.intp), p)
+
+    def _best(self, y, idx, p) -> tuple[float, tuple[int, int]]:
+        """Least F(y[idx] - p) over the allowed candidates and its p, by the
+        ``_pick_minimizer`` rule; (inf, (0, 0)) when none is allowed."""
+        _, p, z1, z2, vals = self._evaluate(y, idx, p)
+        if len(vals) == 0:
             return math.inf, (0, 0)
-        p = p[ok]
-        z1 = y[0] - p[:, 0]
-        z2 = y[1] - p[:, 1]
-        vals = self.f.eval_xy(z1, z2)
         i = _pick_minimizer(vals, z1, z2, p)
         return float(vals[i]), (int(p[i, 0]), int(p[i, 1]))
 
@@ -383,9 +382,12 @@ def _rounds(counts: np.ndarray, owner: np.ndarray, done: np.ndarray):
 
 
 def _pick_minimizer(vals, z1, z2, p) -> int:
-    """Deterministic, window-independent argmin: break value ties by the
-    nearest z (so a tie along a vanishing lattice line does not depend on
-    the enumeration window), then lexicographically by p."""
+    """Deterministic argmin: break value ties by the nearest z, then
+    lexicographically by p.  The order is total, so the candidates may come
+    in any order.  The choice is window-independent only among exact float
+    ties: along a nearly flat tube a far candidate can undercut a near one
+    by rounding (about 1e-12 of the value), and then a wider window picks
+    the far one."""
     zinf = np.maximum(np.abs(z1), np.abs(z2))
     return int(np.lexsort((p[:, 1], p[:, 0], zinf, vals))[0])
 
@@ -412,10 +414,11 @@ def resonant_membership(f: Expr, x, spec: ResonantSpec) -> Optional[ResonantHit]
 
     Enumerates a full window for q <= _EXHAUSTIVE_Q (64), the fast
     candidate search above it.  The two were checked equal on the
-    registered rational bodies; along an irrational skeleton line the
-    fixed window can miss a smaller value far out on the line.  Value
-    ties are broken toward the nearest q*x - p, then lexicographically in
-    p, so the reported minimizer does not depend on the search window.
+    registered rational bodies, restricted or not, for q <= 300; along an
+    irrational skeleton line the fixed window can miss a smaller value far
+    out on the line.  Value ties are broken toward the nearest q*x - p,
+    then lexicographically in p, so among exactly tied values the reported
+    minimizer does not depend on the search window.
     """
     kern = _Kernel(f, spec.q, spec.epsilon, spec.restricted)
     raw, p = kern.minimum(x)
@@ -487,10 +490,14 @@ def _bounded_area_unit(f: Expr) -> float:
     return 0.5 * val
 
 
-def _section_length(kern: _Kernel, x2: float, grid: int = 1024) -> float:
+_SECTION_GRID = 1024   # x1 cells scanned before each section edge is bisected
+_QUAD_TOL = 1e-7       # adaptive Simpson tolerance of the periodized quadrature
+
+
+def _section_length(kern: _Kernel, x2: float) -> float:
     """Measure of {x1 in [0,1] : (x1, x2) in B_1(F, eps)}."""
-    x1 = np.linspace(0.0, 1.0, grid + 1)
-    pts = np.column_stack([x1, np.full(grid + 1, x2)])
+    x1 = np.linspace(0.0, 1.0, _SECTION_GRID + 1)
+    pts = np.column_stack([x1, np.full(_SECTION_GRID + 1, x2)])
     h = kern.hits(pts)
     if h.all():
         return 1.0
@@ -498,14 +505,13 @@ def _section_length(kern: _Kernel, x2: float, grid: int = 1024) -> float:
         return 0.0
     # refine every transition edge by bisection, all edges in lockstep
     edges = np.flatnonzero(h[:-1] != h[1:])
-    lo, hi = x1[edges].copy(), x1[edges + 1].copy()
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        hm = kern.hits(np.column_stack([mid, np.full(len(mid), x2)]))
-        same_as_left = hm == h[edges]
-        lo = np.where(same_as_left, mid, lo)
-        hi = np.where(same_as_left, hi, mid)
-    cross = 0.5 * (lo + hi)
+    h_left = h[edges]
+    mid_pts = np.full((len(edges), 2), x2)   # column 0 is set per step
+
+    def same_as_left(mid):
+        mid_pts[:, 0] = mid
+        return kern.hits(mid_pts) == h_left
+    cross = _bisect(same_as_left, x1[edges], x1[edges + 1], 40)
     # walk runs of True cells using refined boundaries
     total = 0.0
     start = 0.0 if h[0] else None
@@ -520,8 +526,7 @@ def _section_length(kern: _Kernel, x2: float, grid: int = 1024) -> float:
     return total
 
 
-def _periodized_quadrature(f: Expr, eps: float, tol: float = 1e-7,
-                           budget: int = 20_000) -> float:
+def _periodized_quadrature(f: Expr, eps: float, budget: int = 20_000) -> float:
     kern = _Kernel(f, 1, eps)
     evals = [0]
 
@@ -550,7 +555,7 @@ def _periodized_quadrature(f: Expr, eps: float, tol: float = 1e-7,
     m = 0.5 * (a + b)
     fa, fm, fb = g(a), g(m), g(b)
     whole = simpson(a, fa, m, fm, b, fb)
-    return adapt(a, fa, m, fm, b, fb, whole, tol, depth=48)
+    return adapt(a, fa, m, fm, b, fb, whole, _QUAD_TOL, depth=48)
 
 
 def density(f: Expr, epsilon: float, method: str = "auto",

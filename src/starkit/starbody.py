@@ -133,36 +133,25 @@ class Combinator(Expr):
 
 class Min(Combinator):
     def _eval(self, x1, x2):
-        vals = [c._eval(x1, x2) for c in self.children]
-        out = vals[0]
-        for v in vals[1:]:
-            out = np.minimum(out, v)
-        return out
+        return functools.reduce(np.minimum,
+                                (c._eval(x1, x2) for c in self.children))
 
 
 class Max(Combinator):
     def _eval(self, x1, x2):
-        vals = [c._eval(x1, x2) for c in self.children]
-        out = vals[0]
-        for v in vals[1:]:
-            out = np.maximum(out, v)
-        return out
+        return functools.reduce(np.maximum,
+                                (c._eval(x1, x2) for c in self.children))
 
     def zero_lines(self):
-        sets = [c.zero_lines() for c in self.children]
-        out = sets[0]
-        for s in sets[1:]:
-            out = out & s
-        return out
+        return frozenset.intersection(*(c.zero_lines() for c in self.children))
 
 
 class GeoMean(Combinator):
     """Geometric mean of k degree-1 children (exponent 1/k keeps degree 1)."""
 
     def _eval(self, x1, x2):
-        out = self.children[0]._eval(x1, x2)
-        for c in self.children[1:]:
-            out = out * c._eval(x1, x2)
+        out = functools.reduce(np.multiply,
+                               (c._eval(x1, x2) for c in self.children))
         k = len(self.children)
         return out if k == 1 else out ** (1.0 / k)
 
@@ -284,39 +273,56 @@ def extract_skeleton(f: Expr) -> SkeletonReport:
 # ---------------------------------------------------------------------------
 
 
-def _bisect_crossing(f: Expr, base: np.ndarray, step: np.ndarray, eps: float,
-                     iters: int = 80) -> np.ndarray:
+def _bisect(left, lo: np.ndarray, hi: np.ndarray, steps: int) -> np.ndarray:
+    """Halve every bracket [lo, hi] `steps` times in lockstep, in place.
+
+    left(mid) is True where the boundary lies above mid: lo moves up to mid
+    there, hi down to mid elsewhere.  Returns the final midpoints.  `mid`
+    is one buffer for all steps, so left must copy what it keeps of it.
+    """
+    mid = np.empty_like(lo)
+    for _ in range(steps):
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        below = left(mid)
+        np.copyto(lo, mid, where=below)
+        np.copyto(hi, mid, where=~below)
+    return 0.5 * (lo + hi)
+
+
+def _bisect_crossing(f: Expr, base: np.ndarray, step: np.ndarray,
+                     eps: float) -> np.ndarray:
     """Vectorized first crossing of F(base + t*step) = eps from t=0 upward.
 
-    base: (..., 2); step: (2,).  Returns t per point (inf if no crossing is
-    bracketed below the cap).
+    base: (..., 2); step: (2,).  Returns t per point: 0 where base is not
+    inside the eps-body, inf where no crossing is bracketed below the cap.
     """
     x0, y0 = base[..., 0], base[..., 1]
+    x, y = np.empty(np.shape(x0)), np.empty(np.shape(x0))
+
+    def value_at(t):
+        # F(base + t*step) through the coordinate buffers, filled in place
+        np.add(x0, np.multiply(t, step[0], out=x), out=x)
+        np.add(y0, np.multiply(t, step[1], out=y), out=y)
+        return f.eval_xy(x, y)
+
     inside0 = f.eval_xy(x0, y0) < eps
     t_lo = np.zeros(np.shape(x0))
-    t_hi = np.full(np.shape(x0), eps if eps > 0 else 1.0)
-    out = np.full(np.shape(x0), np.inf)
-    # grow brackets geometrically
+    t_hi = np.full(np.shape(x0), eps, dtype=float)
+    # grow brackets geometrically; a NaN value counts as not crossed
     active = inside0.copy()
     for _ in range(90):
         if not np.any(active):
             break
-        v = f.eval_xy(x0 + t_hi * step[0], y0 + t_hi * step[1])
-        crossed = active & (v >= eps)
-        t_lo = np.where(active & ~crossed, t_hi, t_lo)
-        t_hi = np.where(active & ~crossed, t_hi * 2.0, t_hi)
-        active = active & ~crossed & (t_hi < _WIDTH_CAP)
+        grow = active & ~(value_at(t_hi) >= eps)
+        np.copyto(t_lo, t_hi, where=grow)
+        np.multiply(t_hi, 2.0, out=t_hi, where=grow)
+        active = grow & (t_hi < _WIDTH_CAP)
     bracketed = inside0 & (t_hi < _WIDTH_CAP)
-    lo = np.where(bracketed, t_lo, 0.0)
-    hi = np.where(bracketed, t_hi, 1.0)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        v = f.eval_xy(x0 + mid * step[0], y0 + mid * step[1])
-        below = v < eps
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    out = np.where(bracketed, 0.5 * (lo + hi), out)
-    return np.where(inside0, out, 0.0)
+    np.copyto(t_lo, 0.0, where=~bracketed)
+    np.copyto(t_hi, 1.0, where=~bracketed)
+    t = _bisect(lambda mid: value_at(mid) < eps, t_lo, t_hi, 80)
+    return np.where(inside0, np.where(bracketed, t, np.inf), 0.0)
 
 
 def width_profile(f: Expr, line: HalfLine, r, epsilon: float):

@@ -480,9 +480,16 @@ def test_search_stops_at_a_tube_past_one_block(tmp_path, capsys,
     (["transfer", "unionjack", "--x", "sqrt2,sqrt3", "--eps", "0", "--bound",
       "20"], "epsilon"),
     (["transfer", "height", "--x", "sqrt2,sqrt3", "--eps", "-1", "--bound",
-      "10"], "epsilon")],
+      "10"], "epsilon"),
+    (["prop5", "--instances", "0", "--seed", "2"], "--instances"),
+    (["prop5", "--instances", "-2", "--seed", "2"], "--instances"),
+    (["prop5", "--instances", "3", "--Qbound", "3", "--seed", "2"],
+     "--Qbound"),
+    (["coverage", "--f", CUSP, "--eps", "0.2", "--stages", "10", "--seed",
+      "1", "--intervals", "-1"], "--intervals")],
     ids=["series_qmax0", "series_below_q_start", "mult_eps", "unionjack_eps",
-         "height_eps"])
+         "height_eps", "prop5_instances0", "prop5_instances_negative",
+         "prop5_qbound3", "coverage_intervals_negative"])
 def test_inputs_without_a_result_are_rejected(tmp_path, capsys, args, word):
     assert main(["--out", str(tmp_path)] + args) == 2
     rec = _error_record(capsys.readouterr().err)

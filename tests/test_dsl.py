@@ -157,5 +157,7 @@ def test_load_auto_detects():
 def test_json_bad_kind():
     with pytest.raises(ParseError):
         tree_from_json({"kind": "pow", "a": 1})
+    with pytest.raises(ParseError):   # a JSON list kind is no table key
+        tree_from_json({"kind": ["min"], "children": []})
     with pytest.raises(ArityError):
         tree_from_json({"kind": "min", "children": []})

@@ -152,20 +152,42 @@ def test_membership_restricted_needs_rational(irrational_cusp):
 
 
 def test_membership_fast_equals_exhaustive(registered_bodies):
+    # q runs past _EXHAUSTIVE_Q, where resonant_membership takes the fast
+    # path, restricted or not
     rng = np.random.default_rng(21)
     for name, f in registered_bodies.items():
         if name == "irrational_cusp":
             continue  # tube translates along irrational lines have no lattice period
-        for _ in range(60):
-            q = int(rng.integers(1, 65))
-            eps = float(rng.uniform(0.05, 0.5)) / q
-            x = tuple(rng.random(2))
-            kern = _Kernel(f, q, eps)
-            vf, pf = kern.minimize(x)
-            ve, pe = kern.minimize_exhaustive(x)
-            assert (vf < kern.eps_s) == (ve < kern.eps_s), (name, q, eps, x)
-            if ve < kern.eps_s:
-                assert vf == ve and pf == pe, (name, q, eps, x)
+        for restricted in (False, True):
+            for _ in range(60):
+                q = int(rng.integers(1, 301))
+                eps = float(rng.uniform(0.05, 0.5)) / q
+                x = tuple(rng.random(2))
+                kern = _Kernel(f, q, eps, restricted)
+                vf, pf = kern.minimize(x)
+                ve, pe = kern.minimize_exhaustive(x)
+                case = (name, restricted, q, eps, x)
+                assert (vf < kern.eps_s) == (ve < kern.eps_s), case
+                if ve < kern.eps_s:
+                    assert vf == ve and pf == pe, case
+
+
+@pytest.mark.parametrize("q,eps,x,want", [
+    (225, 0.001068746768269329, (0.04370094297778038, 0.23178098788932566),
+     (0.22875898153073013, (13, 49))),
+    (192, 0.00252194582874272, (0.7609004959251774, 0.38515085757742007),
+     (0.35009592970078635, (149, 71)))], ids=["q225", "q192"])
+def test_restricted_minimize_skips_a_forbidden_wrap(union_jack, q, eps, x,
+                                                    want):
+    # round(q*x) is not coprime-admissible here, so its small value must not
+    # size the search; want is the least admissible value (and its p) over
+    # a window of half-width q/2 + 1500 around round(q*x)
+    kern = _Kernel(union_jack, q, eps, restricted=True)
+    assert kern.minimize(x) == want
+    assert kern.minimize_exhaustive(x) == want
+    hit = sk.resonant_membership(union_jack, x, sk.ResonantSpec(
+        q=q, epsilon=eps, restricted=True))
+    assert hit is not None and hit.p == want[1]
 
 
 def test_minimum_enumerates_a_window_up_to_q_64(union_jack, monkeypatch):

@@ -7,8 +7,9 @@ import pytest
 import starkit as sk
 from starkit.errors import DegenerateExpr, FitFailure, IrrationalSkeleton
 from starkit.exact import Quad
-from starkit.starbody import (Abs, GeoMean, LinearForm, LineGeometry, Max, Min,
-                              Scale, body_geometry, is_axis_monotone)
+from starkit.starbody import (_WIDTH_CAP, Abs, GeoMean, LinearForm,
+                              LineGeometry, Max, Min, Scale, _bisect_crossing,
+                              body_geometry, is_axis_monotone)
 from starkit.measure import _arc_steps
 
 # ---------------------------------------------------------------------------
@@ -245,6 +246,67 @@ def test_width_gridscan_agreement(registered_bodies):
             gp, gm_ = _grid_scan_width(f, line, 3.7, 0.15, 1e-5)
             assert abs(wp - gp) <= 2e-5, name
             assert abs(wm - gm_) <= 2e-5, name
+
+
+def _where_loop_crossing(f, base, step, eps, iters=80):
+    """Reference: the np.where bracket-and-halve loop that _bisect_crossing
+    replaced with in-place updates; the two must agree bit for bit."""
+    x0, y0 = base[..., 0], base[..., 1]
+    inside0 = f.eval_xy(x0, y0) < eps
+    t_lo = np.zeros(np.shape(x0))
+    t_hi = np.full(np.shape(x0), eps if eps > 0 else 1.0)
+    out = np.full(np.shape(x0), np.inf)
+    active = inside0.copy()
+    for _ in range(90):
+        if not np.any(active):
+            break
+        v = f.eval_xy(x0 + t_hi * step[0], y0 + t_hi * step[1])
+        crossed = active & (v >= eps)
+        t_lo = np.where(active & ~crossed, t_hi, t_lo)
+        t_hi = np.where(active & ~crossed, t_hi * 2.0, t_hi)
+        active = active & ~crossed & (t_hi < _WIDTH_CAP)
+    bracketed = inside0 & (t_hi < _WIDTH_CAP)
+    lo = np.where(bracketed, t_lo, 0.0)
+    hi = np.where(bracketed, t_hi, 1.0)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        v = f.eval_xy(x0 + mid * step[0], y0 + mid * step[1])
+        below = v < eps
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    out = np.where(bracketed, 0.5 * (lo + hi), out)
+    return np.where(inside0, out, 0.0)
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.02, 0.0, -0.5])
+def test_bisect_crossing_matches_the_where_loop(registered_bodies, eps):
+    rng = np.random.default_rng(8)
+    scale = 10.0 ** rng.uniform(-3, 1, (399, 1))
+    pts = rng.uniform(-1, 1, (399, 2)) * scale
+    # on an axis and on the sqrt2 line (unbracketed along them), and NaN
+    special = [[0.3, 0.0], [0.0, 0.7], [0.5, 0.5 * math.sqrt(2)],
+               [math.nan, 0.1], [-2.0, 0.0], [0.0, -1e-3]]
+    base = np.vstack([pts, special]).reshape(-1, 3, 2)
+    steps = [np.array([1.0, 0.0]), np.array([0.0, -1.0]),
+             np.array([-0.6, 0.8])]
+    kinds = set()
+    for name, f in registered_bodies.items():
+        for step in steps:
+            got = _bisect_crossing(f, base, step, eps)
+            want = _where_loop_crossing(f, base, step, eps)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (name, step, eps)
+            kinds |= {("outside" if t == 0 else "unbracketed"
+                       if t == math.inf else "crossed") for t in got.flat}
+            # one base point, as width_profile passes a scalar radius
+            one = _bisect_crossing(f, base[0, 0], step, eps)
+            assert np.ndim(one) == 0
+            assert one.tobytes() == _where_loop_crossing(
+                f, base[0, 0], step, eps).tobytes()
+    if eps > 0:
+        assert kinds == {"outside", "unbracketed", "crossed"}
+    else:   # no point lies inside a body with eps <= 0
+        assert kinds == {"outside"}
 
 
 def test_significance_multiplicative_axis(multiplicative):
