@@ -343,9 +343,14 @@ def _arc_steps(lg: LineGeometry, tau, u, step: float, cap: int) -> np.ndarray:
     flat tube overflows the power to rho = inf, which gives the cap."""
     if lg.width_exp <= 1e-9:
         return np.full(np.broadcast(tau, u).shape, float(cap))
-    with np.errstate(over="ignore"):
-        rho = (2.0 * lg.width_coef * tau / np.maximum(u, 1e-15)
-               ) ** (1.0 / lg.width_exp)
+    power = 1.0 / lg.width_exp
+    base = 2.0 * lg.width_coef * tau / np.maximum(u, 1e-15)
+    if power <= 1:
+        rho = base ** power
+    else:
+        # the only case that can overflow; entering errstate costs about 1 us
+        with np.errstate(over="ignore"):
+            rho = base ** power
     return np.minimum(cap, tau * rho / step)
 
 

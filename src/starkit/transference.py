@@ -11,21 +11,32 @@ GM <= n*lambda variant is additionally recorded on every witness, never
 asserted.
 
 The three harnesses run one pipeline (``_transfer``) and differ only in
-the candidate rows q, their size and exponent k, mu of a kept row, and
-the quality of p (GM, union-jack F', or max norm):
+the region of candidate rows q, their size and exponent k, mu of a kept
+row, and the quality of p (GM, union-jack F', or max norm):
 
-  enumerate q -> keep |<q.x>| <= size(q)^(-k-eps) (``_q_filter``)
+  candidates q -> keep |<q.x>| <= size(q)^(-k-eps) (``_q_filter``)
   -> order by (mu, q), lambda = mu^(-k-eps)
   -> least p <= n mu lambda^((1-n)/n) with quality(p) <= n lambda^(1/n)
-     (``_least_p``).
+     (``_least_p`` over blocks of p, ``_QualityBlocks``).
+
+Both sides are output-sensitive.  For n = 2 the candidates come from a
+window search over the sorted keys {q2 x2} (``_window_rows``): every row
+of the region that can pass the filter, and few others, so the work
+follows the solutions rather than the region.  For other n, and for
+system (i), the whole region comes from a prefix enumeration
+(``_enumerate_product_box``).  The quality of p is computed in blocks of
+``_P_BLOCK`` values, only as far as some step scans, and each scan stops
+at the first admissible p.
 
 Each step also reports an admissible eps' = eps/2, which carries no
 information about p (see ``_transfer``).
 
 ``solve_system_i`` uses the same q-filter and ``solve_system_ii`` the same
-least-p selector.  Both comparisons run in float64; a value within 1e-9 of
-its threshold is re-evaluated in mpmath at ``_MP_PREC`` bits, with
-quadratic surds and fractions taken exactly.
+blocked least-p selector.  Both comparisons run in float64; a value within
+1e-9 of its threshold is re-evaluated in mpmath at ``_MP_PREC`` bits, with
+quadratic surds and fractions taken exactly.  The window and the blocks
+change no decision: each is the same float or mpmath expression on the
+same row or p.
 """
 
 from __future__ import annotations
@@ -45,6 +56,8 @@ from .starbody import union_jack
 
 _BOUNDARY = 1e-9
 _MP_PREC = 160
+_P_BLOCK = 2 ** 16      # p values per block of the quality grid
+_ULP = 2.0 ** -53       # unit roundoff of float64
 
 Coordinate = Union[float, Fraction, Quad]
 
@@ -265,17 +278,6 @@ def _mp_signed_dot(x, q_row):
                                       for qi, xi in zip(q_row, x))))
 
 
-def _canonical(q: np.ndarray) -> np.ndarray:
-    """Keep one representative of each +-q pair: first nonzero entry > 0."""
-    lead = np.zeros(len(q))
-    undecided = np.ones(len(q), dtype=bool)
-    for i in range(q.shape[1]):
-        col = q[:, i]
-        lead = np.where(undecided & (col != 0), col, lead)
-        undecided &= col == 0
-    return q[lead > 0]
-
-
 def _enumerate_product_box(n: int, cap: float, q_bound: int) -> np.ndarray:
     """All q != 0 (canonical) with prod max(|q_i|, 1) <= cap, |q_i| <= q_bound,
     in lexicographic order.
@@ -300,6 +302,74 @@ def _enumerate_product_box(n: int, cap: float, q_bound: int) -> np.ndarray:
             prod = prod.repeat(counts) * np.maximum(np.abs(out[:, i]), 1)
         q = out
     return q
+
+
+def _window_rows(x: Sequence[Coordinate], expo: float, q1_max: int, q2_lim,
+                 size_floor) -> np.ndarray:
+    """Canonical q = (q1, q2), 0 <= q1 <= q1_max, |q2| <= q2_lim(q1), that
+    can pass ``_q_filter`` against size(q)^expo (expo < 0); a superset of
+    them, few beyond.
+
+    The q2 fall into the shells {0, +-1} and 2^(j-1) < |q2| <= 2^j.  In a
+    shell whose rows have m <= |q2| <= M, size(q) >= size_floor(q1, m, M)
+    for every row, so w = size_floor^expo (plus the margins below) bounds
+    every threshold in the (q1, shell) cell.  A row passes only if
+    {q1 x1} + {q2 x2} lies within w of an integer, so per shell the keys
+    {q2 x2} are sorted once and each q1 takes the keys within w of
+    -{q1 x1} mod 1 by searchsorted (the whole shell when w >= 1/2).
+
+    Margins, with u = 2^-53.  The row thresholds: sizes are integer
+    products, exact, or carry at most three roundings (b2 of the union
+    jack), and size_floor at most two, so every float size in the cell is
+    >= size_floor (1 - 6u).  With pow and the products within 2u each,
+    size^expo <= size_floor^expo (1 - 8u)^(-|expo| - 2).  ``_q_filter``
+    keeps a row only if |<q.x>| <= threshold + _BOUNDARY + u.  The keys:
+    with t_i = q_i x_i in float (the products ``_signed_dot`` forms),
+    |<q.x>| is the distance of fl(t1 + t2) to Z, which lies within u M of
+    t1 + t2 when |t1| + |t2| <= M, and t1 + t2 = {t1} + {t2} mod 1.  The
+    two fractional parts, their shifts by one, the two sums forming w and
+    that comparison of the filter round by at most u each, and each window
+    end by 2u (it lies in [0, 2)): (M + 8) u in all, which delta =
+    (M + 8) 2u covers twice over.
+    """
+    x1, x2 = float(x[0]), float(x[1])
+    q1 = np.arange(q1_max + 1)
+    lim = q2_lim(q1)
+    top = int(lim.max()) if len(lim) else -1
+    v = -(q1 * x1)
+    target = v - np.floor(v)
+    target += target < 0.5          # the centre, in [0.5, 1.5)
+    delta = (q1_max * abs(x1) + top * abs(x2) + 8) * 2 * _ULP
+    reach = _BOUNDARY + delta
+    widen = (1 - 8 * _ULP) ** (expo - 2)
+    found = []
+    for j in range(max(top - 1, 0).bit_length() + 1):
+        m, hi = (0, 1) if j == 0 else (2 ** (j - 1) + 1, 2 ** j)
+        mags = np.arange(m, min(hi, top) + 1)
+        q2 = np.concatenate([mags, -mags[mags > 0]])
+        t2 = q2 * x2
+        key = t2 - np.floor(t2)
+        order = np.argsort(key)
+        key, q2 = key[order], q2[order]
+        k = len(key)
+        # both copies of the keys, so a window around the centre is a
+        # single run of positions
+        twice = np.concatenate([key, key + 1.0])
+        live = np.flatnonzero(lim >= m)
+        w = size_floor(q1[live], m, min(hi, top)) ** expo * widen + reach
+        start = np.searchsorted(twice, target[live] - w, side="left")
+        stop = np.searchsorted(twice, target[live] + w, side="right")
+        whole = w >= 0.5
+        start[whole] = 0
+        counts = np.where(whole, k, np.minimum(stop - start, k))
+        # the i-th candidate of a cell takes the key at start + i (mod k)
+        pos = np.arange(counts.sum())
+        pos += (start - (counts.cumsum() - counts)).repeat(counts)
+        rows = np.column_stack([q1[live].repeat(counts), q2[pos % k]])
+        fits = (np.abs(rows[:, 1]) <= lim[rows[:, 0]]) \
+            & ((rows[:, 0] > 0) | (rows[:, 1] > 0))
+        found.append(rows[fits])
+    return np.concatenate(found)
 
 
 def _q_filter(x: Sequence[Coordinate], q: np.ndarray, thresh,
@@ -346,12 +416,13 @@ def system_ii_values(x: Sequence[Coordinate], p: int) -> float:
     return prod ** (1.0 / len(x))
 
 
-def _p_distances(x: Sequence[Coordinate], p_max: int):
-    """<p x_i> for p = 1..p_max (index p-1), one array per coordinate.
+def _p_distances(x: Sequence[Coordinate], p_max: int, start: int = 1):
+    """<p x_i> for p = start..p_max (index p-start), one array per
+    coordinate; each value is the same float for every start.
 
     A generator, so that a caller folding the arrays holds one at a time.
     """
-    ps = np.arange(1, p_max + 1, dtype=float)
+    ps = np.arange(start, p_max + 1, dtype=float)
     for xi in x:
         yield nearest_signed_distance(ps * float(xi))
 
@@ -361,10 +432,11 @@ def _mp_distances(x: Sequence[Coordinate], p: int) -> list[mpmath.mpf]:
     return [_mp_signed(p * _mp_value(xi)) for xi in x]
 
 
-def _gm_grid(x: Sequence[Coordinate], p_max: int) -> np.ndarray:
-    """GM(<p x_i>) for p = 1..p_max (index p-1)."""
-    prod = np.ones(p_max)
-    for d in _p_distances(x, p_max):
+def _gm_grid(x: Sequence[Coordinate], p_max: int,
+             start: int = 1) -> np.ndarray:
+    """GM(<p x_i>) for p = start..p_max (index p-start)."""
+    prod = np.ones(p_max - start + 1)
+    for d in _p_distances(x, p_max, start):
         prod *= np.abs(d)
     return prod ** (1.0 / len(x))
 
@@ -394,6 +466,31 @@ def _least_p(quality: np.ndarray, p_max: int, bound: float,
     return None
 
 
+class _QualityBlocks:
+    """quality(p) for p = 1..p_top, computed by grid(start, stop) in blocks
+    of ``_P_BLOCK`` p values, each block once and only when a scan reaches
+    it.  Every value equals that of one grid over 1..p_top."""
+
+    def __init__(self, grid, p_top: int):
+        self._grid, self._top, self._size = grid, p_top, _P_BLOCK
+        self._blocks = []
+
+    def least_p(self, p_max: int, bound: float, mp_quality):
+        """(p, quality(p)) for the least p <= p_max with quality(p) <= bound,
+        or (None, None): ``_least_p`` on each block in turn, stopping at
+        the first block that holds one."""
+        for b, start in enumerate(range(1, p_max + 1, self._size)):
+            if b == len(self._blocks):
+                self._blocks.append(self._grid(
+                    start, min(start + self._size - 1, self._top)))
+            block = self._blocks[b]
+            p = _least_p(block, min(len(block), p_max - start + 1), bound,
+                         lambda p: mp_quality(p + start - 1))
+            if p is not None:
+                return p + start - 1, float(block[p - 1])
+        return None, None
+
+
 def solve_system_ii(x: Sequence[Coordinate], params: TransferParams
                     ) -> Optional[int]:
     """Smallest p with 0 < p <= n mu lambda^((1-n)/n) and GM(<p x_i>) <= n lambda^(1/n).
@@ -405,10 +502,8 @@ def solve_system_ii(x: Sequence[Coordinate], params: TransferParams
     if len(x) != params.n:
         raise DimensionMismatch("x must have length n")
     p_max = int(math.floor(params.p_bound + 1e-12))
-    if p_max < 1:
-        return None
-    return _least_p(_gm_grid(x, p_max), p_max, params.gm_bound,
-                    lambda p: _mp_gm(x, p))
+    blocks = _QualityBlocks(lambda lo, hi: _gm_grid(x, hi, lo), p_max)
+    return blocks.least_p(p_max, params.gm_bound, lambda p: _mp_gm(x, p))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -518,15 +613,21 @@ class TransferReport:
 
 
 def _transfer(kind: str, x: Sequence[Coordinate], epsilon: float,
-              bound: float, q: np.ndarray, size: np.ndarray, k: int,
-              mu_of, grid, mp_quality, branch=None) -> TransferReport:
+              bound: float, k: int, rows, mu_of, grid, mp_quality,
+              branch=None) -> TransferReport:
     """The pipeline behind every harness.
 
-    Keeps the candidate rows q with |<q.x>| <= size(q)^(-k-eps), orders
-    them by (mu, q) with mu = mu_of(size), sets lambda = mu^(-k-eps), and
-    transfers each to the least p <= n mu lambda^((1-n)/n) whose quality
-    (grid(P)[p-1] for p <= P, mp_quality(p) near the threshold) is at most
-    n lambda^(1/n).  branch(row index) labels a step.
+    rows(expo) gives the candidate rows q and their sizes; for n = 2 a
+    window search (``_window_rows``) over the harness's region, which
+    returns every row of the region that can pass the filter, otherwise the
+    whole region by prefix enumeration (``_enumerate_product_box``).  Keeps
+    the rows with |<q.x>| <= size(q)^(-k-eps), orders them by (mu, q) with
+    mu = mu_of(size), sets lambda = mu^(-k-eps), and transfers each to the
+    least p <= n mu lambda^((1-n)/n) whose quality is at most
+    n lambda^(1/n).  The quality is grid(start, stop) over blocks of
+    ``_P_BLOCK`` p values (``_QualityBlocks``), computed as far as some
+    step scans, and mp_quality(p) near the threshold.  branch(q) labels a
+    step.
 
     admissible_eps is the largest eps' in the grid eps/2^k (k = 1..20) for
     which some p in range meets quality(p) <= p^(-(1+eps')/n).  That is
@@ -537,26 +638,42 @@ def _transfer(kind: str, x: Sequence[Coordinate], epsilon: float,
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     n = len(x)
     expo = -float(k) - epsilon
+    q, size = rows(expo)
     keep = _q_filter(x, q, size ** expo, lambda i: mpmath.mpf(
         float(size[i])) ** (mpmath.mpf(-k) - epsilon))
     if not keep.any():
         raise NoSolutions(f"no {kind} transference solutions below the "
                           "bound; raise the bound")
-    # mu only for the kept rows: they are few, the candidates millions
-    witnesses = sorted((mu_of(size[i]), tuple(int(v) for v in q[i]), i)
+    witnesses = sorted((mu_of(size[i]), tuple(int(v) for v in q[i]))
                        for i in np.flatnonzero(keep))
     params = [TransferParams(lam=mu ** expo, mu=mu, n=n)
-              for mu, _, _ in witnesses]
+              for mu, _ in witnesses]
     p_maxes = [int(math.floor(pr.p_bound + 1e-12)) for pr in params]
-    quality = grid(max(1, *p_maxes))
+    quality = _QualityBlocks(grid, max(p_maxes))
     steps = []
-    for (mu, q_vec, i), pr, p_max in zip(witnesses, params, p_maxes):
-        p = _least_p(quality, p_max, pr.gm_bound, mp_quality)
+    for (mu, q_vec), pr, p_max in zip(witnesses, params, p_maxes):
+        p, value = quality.least_p(p_max, pr.gm_bound, mp_quality)
         steps.append(TransferStep(
-            q_vec, mu, pr.lam, p, None if p is None else float(quality[p - 1]),
-            epsilon / 2 if p_max >= 1 else None,
-            branch(i) if branch else ""))
+            q_vec, mu, pr.lam, p, value, epsilon / 2 if p_max >= 1 else None,
+            branch(q_vec) if branch else ""))
     return TransferReport(kind, epsilon, bound, steps)
+
+
+def _product_lim(cap: float, q1: np.ndarray) -> np.ndarray:
+    """The |q2| range of ``_enumerate_product_box`` after the entry q1."""
+    return np.floor(cap / np.maximum(q1, 1) + 1e-9).astype(np.int64)
+
+
+def _mult_rows(x: Sequence[Coordinate], cap: float, expo: float):
+    """Candidate rows of the multiplicative harness, prod max(|q_i|,1) <= cap,
+    and their products."""
+    if len(x) == 2:
+        q = _window_rows(x, expo, math.floor(cap + 1e-9),
+                         functools.partial(_product_lim, cap),
+                         lambda q1, m, m_hi: np.maximum(q1, 1) * max(m, 1.0))
+    else:
+        q = _enumerate_product_box(len(x), cap, q_bound=10 ** 9)
+    return q, np.prod(np.maximum(1.0, np.abs(q)), axis=1)
 
 
 def verify_theorem_multitrans(x: Sequence[Coordinate], epsilon: float,
@@ -568,11 +685,10 @@ def verify_theorem_multitrans(x: Sequence[Coordinate], epsilon: float,
     and transfers each to the least p of system (ii).
     """
     n = len(x)
-    q = _enumerate_product_box(n, fplus_bound ** n, q_bound=10 ** 9)
-    return _transfer("mult", x, epsilon, fplus_bound, q,
-                     np.prod(np.maximum(1.0, np.abs(q)), axis=1), 1,
+    return _transfer("mult", x, epsilon, fplus_bound, 1,
+                     functools.partial(_mult_rows, x, fplus_bound ** n),
                      mu_of=lambda s: float(s ** (1.0 / n)),
-                     grid=lambda p_max: _gm_grid(x, p_max),
+                     grid=lambda lo, hi: _gm_grid(x, hi, lo),
                      mp_quality=lambda p: _mp_gm(x, p))
 
 
@@ -589,6 +705,34 @@ def _mp_union_jack(x: Sequence[Coordinate], p: int) -> mpmath.mpf:
     return mpmath.sqrt(min(abs(u * v), abs(u * u - v * v) / 2))
 
 
+def _union_jack_branch(q_vec) -> str:
+    b1, b2 = _union_jack_products(np.array([q_vec]))
+    return "axis" if b1[0] <= b2[0] else "rotated"
+
+
+def _unionjack_rows(x: Sequence[Coordinate], cap: float, expo: float):
+    """Candidate rows of the union-jack harness, min(b1, b2) <= cap, and
+    min(b1, b2).
+
+    s = max(|q1 + q2|, 1) max(|q1 - q2|, 1) is at least |q1| + |q2|, and
+    at least (q1 + m) max(q1 - M, m - q1, 1) when m <= |q2| <= M.  The
+    rotated product b2 = s/sqrt2 carries three roundings, so
+    b2 <= cap + 1e-9 forces |q1| + |q2| <= sqrt2 (cap + 1e-9) (1 - u)^-3,
+    which the float product ``rotated`` bounds from above.
+    """
+    rotated = math.floor(math.sqrt(2.0) * (cap + 1e-9) * (1 + 8 * _ULP))
+    q = _window_rows(
+        x, expo, max(math.floor(cap + 1e-9), rotated),
+        lambda q1: np.maximum(_product_lim(cap, q1), rotated - q1),
+        lambda q1, m, m_hi: np.minimum(
+            np.maximum(q1, 1) * max(m, 1.0),
+            _HALF_SQRT2 * (np.maximum(q1 + m, 1)
+                           * np.maximum(np.maximum(q1 - m_hi, m - q1), 1))))
+    size = np.minimum(*_union_jack_products(q))
+    region = size <= cap + 1e-9
+    return q[region], size[region]
+
+
 def verify_theorem_unionjack(x: Coordinate, y: Coordinate, epsilon: float,
                              bound: float) -> TransferReport:
     """Union-jack transference pipeline (axis and rotated branches).
@@ -597,26 +741,26 @@ def verify_theorem_unionjack(x: Coordinate, y: Coordinate, epsilon: float,
     the quality of p is F'(<p x>, <p y>) with F' the union-jack distance
     function.
     """
-    cap = bound ** 2
-    qa = _enumerate_product_box(2, cap, q_bound=10 ** 9)
-    # rotated region via u = q1+q2, v = q1-q2 of equal parity
-    uv = _enumerate_product_box(2, cap * math.sqrt(2.0), q_bound=10 ** 9)
-    uv = np.concatenate([uv, -uv], axis=0)
-    same_parity = (uv[:, 0] - uv[:, 1]) % 2 == 0
-    qb = np.column_stack([(uv[:, 0] + uv[:, 1]) // 2,
-                          (uv[:, 0] - uv[:, 1]) // 2])[same_parity]
-    qb = _canonical(qb[np.any(qb != 0, axis=1)])
-    q = np.unique(np.concatenate([qa, qb], axis=0), axis=0)
-    b1, b2 = _union_jack_products(q)
-    region = np.minimum(b1, b2) <= cap + 1e-9
-    q, b1, b2 = q[region], b1[region], b2[region]
     fprime = union_jack()
-    return _transfer("unionjack", (x, y), epsilon, bound, q,
-                     np.minimum(b1, b2), 1, mu_of=math.sqrt,
-                     grid=lambda p_max: fprime.eval_xy(
-                         *_p_distances((x, y), p_max)),
+    return _transfer("unionjack", (x, y), epsilon, bound, 1,
+                     functools.partial(_unionjack_rows, (x, y), bound ** 2),
+                     mu_of=math.sqrt,
+                     grid=lambda lo, hi: fprime.eval_xy(
+                         *_p_distances((x, y), hi, lo)),
                      mp_quality=lambda p: _mp_union_jack((x, y), p),
-                     branch=lambda i: "axis" if b1[i] <= b2[i] else "rotated")
+                     branch=_union_jack_branch)
+
+
+def _height_rows(x: Sequence[Coordinate], bound: int, expo: float):
+    """Candidate rows of the height harness, |q|_inf <= bound, and |q|_inf."""
+    if len(x) == 2:
+        q = _window_rows(x, expo, bound,
+                         lambda q1: np.full(len(q1), bound, np.int64),
+                         lambda q1, m, m_hi: np.maximum(q1, max(m, 1.0)))
+    else:
+        q = _enumerate_product_box(len(x), float(bound) ** len(x),
+                                   q_bound=bound)
+    return q, np.max(np.abs(q), axis=1).astype(float)
 
 
 def _mp_height(x: Sequence[Coordinate], p: int) -> mpmath.mpf:
@@ -633,9 +777,8 @@ def verify_khintchine_transfer(x: Sequence[Coordinate], epsilon: float,
     max_i ||p x_i|| <= n lambda^(1/n).
     """
     n = len(x)
-    q = _enumerate_product_box(n, float(bound) ** n, q_bound=bound)
-    return _transfer("height", x, epsilon, bound, q,
-                     np.max(np.abs(q), axis=1).astype(float), n, mu_of=float,
-                     grid=lambda p_max: functools.reduce(
-                         np.maximum, map(np.abs, _p_distances(x, p_max))),
+    return _transfer("height", x, epsilon, bound, n,
+                     functools.partial(_height_rows, x, bound), mu_of=float,
+                     grid=lambda lo, hi: functools.reduce(
+                         np.maximum, map(np.abs, _p_distances(x, hi, lo))),
                      mp_quality=lambda p: _mp_height(x, p))

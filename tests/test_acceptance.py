@@ -236,33 +236,37 @@ def test_criterion_06_three_distance_ubiquity():
     assert ok, line
 
 
-def _irrational_line_coverage(f):
-    """Criterion 7's experiment along the slope-sqrt2 skeleton line of f:
-    the coverage stages at N = 1e3 and 1e6 (seed 107), and the partial sums
-    S_N = sum_{n <= N} |Itilde_n| of the experiment's interval system,
-    keyed by N."""
-    line = [h for h in sk.extract_skeleton(f).lines
+@pytest.fixture(scope="module")
+def irrational_line_coverage(irrational_cusp):
+    """Criterion 7's experiment along the slope-sqrt2 skeleton line of the
+    cusp, built once for both tests that read it: the coverage stages at
+    N = 1e3 and 1e6 (seed 107), the partial sums S_N = sum_{n <= N}
+    |Itilde_n| of the experiment's interval system keyed by N, and the
+    seconds the build took."""
+    t0 = time.time()
+    line = [h for h in sk.extract_skeleton(irrational_cusp).lines
             if not h.rational and h.slope_value > 0][0]
     stages = [1000, 1_000_000]
-    system = sk.interval_system(f, line, 0.2, 0.5, max(stages))
+    system = sk.interval_system(irrational_cusp, line, 0.2, 0.5, max(stages))
     cov = sk.coverage_experiment(system, stages,
                                  samples=10_000, seed=107, k_hits=3)
-    return cov, {stage.n: stage.union_bound for stage in cov}
+    return cov, {stage.n: stage.union_bound for stage in cov}, time.time() - t0
 
 
-def test_criterion_07_irrational_line_coverage(irrational_cusp):
+def test_criterion_07_irrational_line_coverage(irrational_line_coverage):
     # Faithful to the stated thresholds.  The interval lengths are harmonic
     # (|Itilde_n| ~ K eps^2 / n), so the N=1e6 partial sum is ~2x the N=1e3
     # value, the union of the intervals has total length S_N ~0.45, and no
     # covering fraction near 0.99 is reachable.  The detail line reports S_N
-    # and the test below checks the measured coverage against it.
+    # and the test below checks the measured coverage against it.  The
+    # runtime counts the build of the shared fixture.
     t0 = time.time()
-    cov, sums = _irrational_line_coverage(irrational_cusp)
+    cov, sums, build_s = irrational_line_coverage
     frac1 = cov[-1].fraction_hit_once
     frack = cov[-1].fraction_hit_k
     growth = sums[1_000_000] / sums[1000]
     union = sums[1_000_000]
-    elapsed = time.time() - t0
+    elapsed = build_s + time.time() - t0
     checks = {
         "hit-once >= 0.99": frac1 >= 0.99,
         "hit-3 >= 0.95": frack >= 0.95,
@@ -279,7 +283,7 @@ def test_criterion_07_irrational_line_coverage(irrational_cusp):
     assert ok, line_txt
 
 
-def test_irrational_line_coverage_bounds(irrational_cusp):
+def test_irrational_line_coverage_bounds(irrational_line_coverage):
     """Criterion 7's hit-once fraction lies where the interval lengths put it.
 
     At each stage N the covered measure is at most the union bound S_N, and
@@ -288,7 +292,7 @@ def test_irrational_line_coverage_bounds(irrational_cusp):
     bounds come from the lengths |Itilde_n|, widened by 3 standard errors of
     the sampled fraction.
     """
-    cov, sums = _irrational_line_coverage(irrational_cusp)
+    cov, sums, _ = irrational_line_coverage
     for stage in cov:
         s_n = sums[stage.n]
         lo = 1.0 - math.exp(-s_n) - 3 * stage.stderr

@@ -614,3 +614,132 @@ def test_wide_band_rechecks_leave_reports_unchanged(monkeypatch):
     after = [_run_flavor(*c).to_json() for c in cases]
     assert after == before
     assert set(counts) == {"_mp_gm", "_mp_union_jack", "_mp_height"}
+
+
+# ---------------------------------------------------------------------------
+# The window search for n = 2 and the blocked least p
+# ---------------------------------------------------------------------------
+
+
+def _window_xs():
+    """Coordinates of every kind: floats of both signs and beyond 1,
+    fractions, quadratic surds, and (0.5, 0.5), where every |<q.x>| is 0
+    or 1/2."""
+    rng = np.random.default_rng(11)
+    xs = [(0.5, 0.5), (SQRT2, SQRT3), (Fraction(-7, 3), GOLDEN),
+          (sk.Quad(Fraction(1, 3), -2, 7), Fraction(5, 11))]
+    for _ in range(3):
+        xs.append(tuple(float(v) for v in rng.uniform(-3.0, 3.0, size=2)))
+    return xs
+
+
+def _region_oracle(flavor, bound):
+    """Every canonical row of the flavor's region with its size, by prefix
+    enumeration and the region mask."""
+    if flavor == "height":
+        q = _enumerate_product_box(2, float(bound) ** 2, q_bound=bound)
+        return q, np.max(np.abs(q), axis=1).astype(float)
+    cap = float(bound) ** 2
+    if flavor == "mult":
+        q = _enumerate_product_box(2, cap, q_bound=10 ** 9)
+        return q, np.prod(np.maximum(1.0, np.abs(q)), axis=1)
+    # |q1| + |q2| <= sqrt2 b2, so this box holds the whole region
+    top = math.ceil(math.sqrt(2.0) * cap) + 1
+    q = _enumerate_product_box(2, float(top) ** 2, q_bound=top)
+    size = np.minimum(*transference._union_jack_products(q))
+    region = size <= cap + 1e-9
+    return q[region], size[region]
+
+
+def _window(flavor, x, bound, expo):
+    if flavor == "height":
+        return transference._height_rows(x, bound, expo)
+    if flavor == "mult":
+        return transference._mult_rows(x, float(bound) ** 2, expo)
+    return transference._unionjack_rows(x, float(bound) ** 2, expo)
+
+
+def _kept(x, q, size, k, eps):
+    mp_thresh = lambda i: mpmath.mpf(float(size[i])) ** (mpmath.mpf(-k) - eps)
+    keep = transference._q_filter(x, q, size ** (-k - eps), mp_thresh)
+    return {tuple(r) for r in q[keep].tolist()}
+
+
+@pytest.mark.parametrize("band", [None, 0.1])
+@pytest.mark.parametrize("flavor,bounds", [
+    ("height", (0, 1, 7, 200)), ("mult", (0.9, 1, 6.5, 40)),
+    ("unionjack", (0.9, 1, 5.5, 16))])
+def test_window_rows_match_region_oracle(flavor, bounds, band, monkeypatch):
+    # a failure here is a bug in the window's width, not a width to raise;
+    # the wide band puts many rows just above their thresholds
+    if band is not None:
+        monkeypatch.setattr(transference, "_BOUNDARY", band)
+        bounds = bounds[:3]
+    k = 2 if flavor == "height" else 1
+    for bound in bounds:
+        want_q, want_size = _region_oracle(flavor, bound)
+        region = {tuple(r) for r in want_q.tolist()}
+        for x in _window_xs():
+            for eps in (0.05, 0.25, 1.0):
+                expo = -k - eps
+                q, size = _window(flavor, x, bound, expo)
+                got = {tuple(r) for r in q.tolist()}
+                assert len(got) == len(q) and got <= region
+                vals = np.abs(transference._signed_dot(x, want_q))
+                near = want_q[vals <= want_size ** expo
+                              + transference._BOUNDARY]
+                assert {tuple(r) for r in near.tolist()} <= got, \
+                    (flavor, bound, x, eps)
+                assert _kept(x, q, size, k, eps) == \
+                    _kept(x, want_q, want_size, k, eps)
+
+
+def test_height_window_checks_few_candidates():
+    # the full box at bound 1000 has 2,002,000 rows
+    q, _ = transference._height_rows((SQRT2, SQRT3), 1000, -2.1)
+    assert 40 <= len(q) <= 20_020
+
+
+def test_quality_blocks_scan_in_order_and_once(monkeypatch):
+    values = np.linspace(0.9, 0.5, 20)      # all above the bound 0.3
+    for size in (7, 1):
+        monkeypatch.setattr(transference, "_P_BLOCK", size)
+        for p_star in (1, 6, 7, 8, 14, 15, 20):
+            calls = []
+
+            def grid(lo, hi):
+                calls.append((lo, hi))
+                return quality[lo - 1:hi].copy()
+            quality = values.copy()
+            quality[p_star - 1] = 0.1
+            blocks = transference._QualityBlocks(grid, 20)
+            assert blocks.least_p(20, 0.3, None) == (p_star, 0.1)
+            assert blocks.least_p(p_star - 1, 0.3, None) == (None, None)
+            # blocks in order, each once, only as far as the scans reach
+            assert [lo for lo, _ in calls] == list(range(1, p_star + 1, size))
+            assert calls[-1][1] == min(calls[-1][0] + size - 1, 20)
+            # a value in the band goes to mpmath at its own p
+            quality[p_star - 1] = 0.3 + 5e-10
+            seen = []
+
+            def mp_quality(p):
+                seen.append(p)
+                return mpmath.mpf(0.2)
+            blocks = transference._QualityBlocks(grid, 20)
+            assert blocks.least_p(20, 0.3, mp_quality) == (p_star, 0.3 + 5e-10)
+            assert seen == [p_star]
+
+
+def test_blocked_least_p_leaves_reports_unchanged(monkeypatch):
+    x = (SQRT2, SQRT3)
+    cases = [("mult", 0.25, 60), ("unionjack", 0.25, 80), ("height", 0.3, 100)]
+    params = TransferParams(lam=1e-3, mu=30.0, n=2)
+    before = [_run_flavor(*c).to_json() for c in cases]
+    p_ii = sk.solve_system_ii(x, params)
+    # at 7 p values a block, p = 7 and 1463 end a block and p = 29 opens one
+    assert {7, 1463} <= {w["p"] for w in before[2]["witnesses"]}
+    assert p_ii == 29
+    for size in (7, 1):
+        monkeypatch.setattr(transference, "_P_BLOCK", size)
+        assert [_run_flavor(*c).to_json() for c in cases] == before
+        assert sk.solve_system_ii(x, params) == p_ii
