@@ -29,8 +29,6 @@ import numpy as np
 from .errors import DegenerateExpr, FitFailure, IrrationalSkeleton
 from .exact import Quad
 
-Vec2 = tuple[float, float]
-
 _WIDTH_CAP = 1e12  # beyond this the sublevel set is treated as unbounded sideways
 
 

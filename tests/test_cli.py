@@ -486,10 +486,15 @@ def test_search_stops_at_a_tube_past_one_block(tmp_path, capsys,
     (["prop5", "--instances", "3", "--Qbound", "3", "--seed", "2"],
      "--Qbound"),
     (["coverage", "--f", CUSP, "--eps", "0.2", "--stages", "10", "--seed",
-      "1", "--intervals", "-1"], "--intervals")],
+      "1", "--intervals", "-1"], "--intervals"),
+    (["transfer", "mult", "--x", "", "--eps", "0.25", "--bound", "20"],
+     "at least one coordinate"),
+    (["transfer", "height", "--x", "", "--eps", "0.1", "--bound", "20"],
+     "at least one coordinate")],
     ids=["series_qmax0", "series_below_q_start", "mult_eps", "unionjack_eps",
          "height_eps", "prop5_instances0", "prop5_instances_negative",
-         "prop5_qbound3", "coverage_intervals_negative"])
+         "prop5_qbound3", "coverage_intervals_negative", "mult_no_x",
+         "height_no_x"])
 def test_inputs_without_a_result_are_rejected(tmp_path, capsys, args, word):
     assert main(["--out", str(tmp_path)] + args) == 2
     rec = _error_record(capsys.readouterr().err)

@@ -212,9 +212,10 @@ def test_enumerate_product_box_canonical():
 
 
 def test_enumerate_product_box_matches_brute_force():
-    for n, cap, q_bound in [(1, 7.5, 100), (1, 7.5, 3), (2, 12.0, 100),
-                            (2, 12.0, 4), (3, 9.0, 100), (3, 9.0, 2),
-                            (4, 6.0, 100), (2, 0.5, 100), (3, 0.5, 100)]:
+    for n, cap, q_bound in [(0, 7.5, 100), (1, 7.5, 100), (1, 7.5, 3),
+                            (2, 12.0, 100), (2, 12.0, 4), (3, 9.0, 100),
+                            (3, 9.0, 2), (4, 6.0, 100), (2, 0.5, 100),
+                            (3, 0.5, 100)]:
         top = min(q_bound, math.floor(cap))
         want = [r for r in itertools.product(range(-top, top + 1), repeat=n)
                 if math.prod(max(abs(v), 1) for v in r) <= cap
@@ -617,31 +618,36 @@ def test_wide_band_rechecks_leave_reports_unchanged(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The window search for n = 2 and the blocked least p
+# The window search and the blocked least p
 # ---------------------------------------------------------------------------
 
 
-def _window_xs():
-    """Coordinates of every kind: floats of both signs and beyond 1,
-    fractions, quadratic surds, and (0.5, 0.5), where every |<q.x>| is 0
-    or 1/2."""
+def _window_xs(n):
+    """n coordinates of every kind: floats of both signs and beyond 1,
+    fractions, quadratic surds, and (0.5, ..., 0.5), where every |<q.x>| is
+    0 or 1/2."""
     rng = np.random.default_rng(11)
-    xs = [(0.5, 0.5), (SQRT2, SQRT3), (Fraction(-7, 3), GOLDEN),
-          (sk.Quad(Fraction(1, 3), -2, 7), Fraction(5, 11))]
+    quad = sk.Quad(Fraction(1, 3), -2, 7)
+    xs = {1: [(0.5,), (SQRT2,), (Fraction(-7, 3),), (quad,), (-0.75,)],
+          2: [(0.5, 0.5), (SQRT2, SQRT3), (Fraction(-7, 3), GOLDEN),
+              (quad, Fraction(5, 11))],
+          3: [(0.5, 0.5, 0.5), (SQRT2, SQRT3, GOLDEN),
+              (Fraction(-7, 3), GOLDEN, -0.75),
+              (quad, Fraction(5, 11), SQRT3)]}[n]
     for _ in range(3):
-        xs.append(tuple(float(v) for v in rng.uniform(-3.0, 3.0, size=2)))
+        xs.append(tuple(float(v) for v in rng.uniform(-3.0, 3.0, size=n)))
     return xs
 
 
-def _region_oracle(flavor, bound):
-    """Every canonical row of the flavor's region with its size, by prefix
-    enumeration and the region mask."""
+def _region_oracle(flavor, bound, n):
+    """Every canonical row of the flavor's region in n coordinates with its
+    size, by prefix enumeration and the region mask."""
     if flavor == "height":
-        q = _enumerate_product_box(2, float(bound) ** 2, q_bound=bound)
+        q = _enumerate_product_box(n, float(bound) ** n, q_bound=bound)
         return q, np.max(np.abs(q), axis=1).astype(float)
-    cap = float(bound) ** 2
+    cap = float(bound) ** n
     if flavor == "mult":
-        q = _enumerate_product_box(2, cap, q_bound=10 ** 9)
+        q = _enumerate_product_box(n, cap, q_bound=10 ** 9)
         return q, np.prod(np.maximum(1.0, np.abs(q)), axis=1)
     # |q1| + |q2| <= sqrt2 b2, so this box holds the whole region
     top = math.ceil(math.sqrt(2.0) * cap) + 1
@@ -655,7 +661,7 @@ def _window(flavor, x, bound, expo):
     if flavor == "height":
         return transference._height_rows(x, bound, expo)
     if flavor == "mult":
-        return transference._mult_rows(x, float(bound) ** 2, expo)
+        return transference._mult_rows(x, float(bound) ** len(x), expo)
     return transference._unionjack_rows(x, float(bound) ** 2, expo)
 
 
@@ -667,37 +673,44 @@ def _kept(x, q, size, k, eps):
 
 @pytest.mark.parametrize("band", [None, 0.1])
 @pytest.mark.parametrize("flavor,bounds", [
-    ("height", (0, 1, 7, 200)), ("mult", (0.9, 1, 6.5, 40)),
-    ("unionjack", (0.9, 1, 5.5, 16))])
+    ("height", {2: (0, 1, 7, 200)}), ("mult", {2: (0.9, 1, 6.5, 40)}),
+    ("unionjack", {2: (0.9, 1, 5.5, 16)}),
+    ("height", {1: (0, 1, 7, 500), 3: (0, 1, 4, 20)}),
+    ("mult", {1: (0.9, 1, 6.5, 500), 3: (0.9, 1, 3.5, 8)})])
 def test_window_rows_match_region_oracle(flavor, bounds, band, monkeypatch):
-    # a failure here is a bug in the window's width, not a width to raise;
+    # bounds maps the number of coordinates to the bounds run there.  A
+    # failure here is a bug in the window's width, not a width to raise;
     # the wide band puts many rows just above their thresholds
     if band is not None:
         monkeypatch.setattr(transference, "_BOUNDARY", band)
-        bounds = bounds[:3]
-    k = 2 if flavor == "height" else 1
-    for bound in bounds:
-        want_q, want_size = _region_oracle(flavor, bound)
-        region = {tuple(r) for r in want_q.tolist()}
-        for x in _window_xs():
-            for eps in (0.05, 0.25, 1.0):
-                expo = -k - eps
-                q, size = _window(flavor, x, bound, expo)
-                got = {tuple(r) for r in q.tolist()}
-                assert len(got) == len(q) and got <= region
-                vals = np.abs(transference._signed_dot(x, want_q))
-                near = want_q[vals <= want_size ** expo
-                              + transference._BOUNDARY]
-                assert {tuple(r) for r in near.tolist()} <= got, \
-                    (flavor, bound, x, eps)
-                assert _kept(x, q, size, k, eps) == \
-                    _kept(x, want_q, want_size, k, eps)
+    for n, n_bounds in bounds.items():
+        k = n if flavor == "height" else 1
+        for bound in n_bounds[:3] if band is not None else n_bounds:
+            want_q, want_size = _region_oracle(flavor, bound, n)
+            region = {tuple(r) for r in want_q.tolist()}
+            for x in _window_xs(n):
+                for eps in (0.05, 0.25, 1.0):
+                    expo = -k - eps
+                    q, size = _window(flavor, x, bound, expo)
+                    got = {tuple(r) for r in q.tolist()}
+                    assert len(got) == len(q) and got <= region
+                    vals = np.abs(sk.nearest_signed_distance(
+                        transference._dot(x, want_q)))
+                    near = want_q[vals <= want_size ** expo
+                                  + transference._BOUNDARY]
+                    assert {tuple(r) for r in near.tolist()} <= got, \
+                        (flavor, bound, x, eps)
+                    assert _kept(x, q, size, k, eps) == \
+                        _kept(x, want_q, want_size, k, eps)
 
 
 def test_height_window_checks_few_candidates():
-    # the full box at bound 1000 has 2,002,000 rows
+    # the full box holds 2,002,000 rows at n = 2, bound 1000, and
+    # 4,060,300 at n = 3, bound 100
     q, _ = transference._height_rows((SQRT2, SQRT3), 1000, -2.1)
     assert 40 <= len(q) <= 20_020
+    q, _ = transference._height_rows((SQRT2, SQRT3, GOLDEN), 100, -3.1)
+    assert len(q) <= 40_603
 
 
 def test_quality_blocks_scan_in_order_and_once(monkeypatch):
