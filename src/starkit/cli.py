@@ -14,38 +14,20 @@ import json
 import os
 import sys
 import tempfile
-from fractions import Fraction
 
 import numpy as np
 
 from . import circle, dsl, khintchine, measure, sampling, transference
 from .errors import ArityError, ParseError, StarkitError
-from .exact import GOLDEN, SQRT2, Quad
 from .starbody import classify_skeleton, extract_skeleton, fundamental_rectangle
-
-# coordinates beyond the DSL's number grammar
-_COORD_TOKENS = {
-    "golden": GOLDEN,
-    "invgolden": Quad(Fraction(-1, 2), Fraction(1, 2), 5),
-    "sqrt2m1": SQRT2 - 1,
-}
 
 
 class ValidationError(Exception):
     pass
 
 
-def _parse_coord(tok: str) -> Quad:
-    tok = tok.strip()
-    neg = tok.startswith("-")
-    body = tok[1:] if neg else tok
-    if body in _COORD_TOKENS:
-        return -_COORD_TOKENS[body] if neg else _COORD_TOKENS[body]
-    return dsl.parse_number(tok)
-
-
 def _parse_coords(text: str):
-    return [_parse_coord(t) for t in text.split(",") if t.strip()]
+    return [dsl.parse_number(t) for t in text.split(",") if t.strip()]
 
 
 def _parse_float(text: str) -> float:
@@ -250,7 +232,7 @@ def cmd_search(args):
 
 
 def cmd_threedist(args):
-    part = circle.three_distance_partition(_parse_coord(args.alpha_inv),
+    part = circle.three_distance_partition(dsl.parse_number(args.alpha_inv),
                                            _parse_float(args.x0), args.N)
     _write_json(_out(args, "threedist.json"),
                 {"N": part.n, "points": list(part.points),
@@ -262,7 +244,7 @@ def cmd_threedist(args):
 
 
 def cmd_ubiquity(args):
-    ns = circle.ubiquity_sequence(_parse_coord(args.alpha_inv), args.Nmax)
+    ns = circle.ubiquity_sequence(dsl.parse_number(args.alpha_inv), args.Nmax)
     _write_json(_out(args, "ubiquity.json"),
                 {"Nmax": args.Nmax, "N_r": ns})
     print(f"ubiquity: {len(ns)} admissible N -> {_out(args, 'ubiquity.json')}")

@@ -8,10 +8,13 @@ Grammar::
           | "gm("  expr {"," expr} ")"
           | "scale(" num "," expr ")"
 
-Numbers accept ``p/q`` exact rationals, decimals, and the tokens
-``sqrt2``, ``sqrt3``, ``invsqrt2``, each with an optional leading minus.
-``parse(print(tree))`` reproduces the tree exactly for any tree whose
-coefficients are token-representable (all parser output is).
+A number is at most one leading minus, then an integer or ``p/q`` (an
+exact rational), a decimal with an optional ``e``/``E`` exponent (the exact
+value of its binary double), or one of the tokens ``sqrt2``, ``sqrt3``,
+``invsqrt2``, ``golden``, ``invgolden`` (golden - 1) and ``sqrt2m1``, in
+ASCII.  The same grammar reads JSON string numbers and every number the
+CLI takes.  ``parse(print(tree))`` reproduces the tree exactly for any tree
+whose coefficients are token-representable (all parser output is).
 
 The equivalent JSON form uses node kinds ``abs|min|max|gm|scale``::
 
@@ -21,14 +24,20 @@ The equivalent JSON form uses node kinds ``abs|min|max|gm|scale``::
 from __future__ import annotations
 
 import json
+import re
 import sys
 from fractions import Fraction
 
 from .errors import ArityError, ParseError
-from .exact import INV_SQRT2, SQRT2, SQRT3, Quad
+from .exact import GOLDEN, INV_SQRT2, SQRT2, SQRT3, Quad
 from .starbody import Abs, Expr, GeoMean, Max, Min, Scale
 
-_SURD_TOKENS = {"sqrt2": SQRT2, "sqrt3": SQRT3, "invsqrt2": INV_SQRT2}
+_TOKENS = {"sqrt2": SQRT2, "sqrt3": SQRT3, "invsqrt2": INV_SQRT2,
+           "golden": GOLDEN, "invgolden": GOLDEN - 1, "sqrt2m1": SQRT2 - 1}
+# groups: the minus, a token, an integer or p/q, a decimal
+_NUMERAL = re.compile(
+    r"(-?)(?:(" + "|".join(_TOKENS) + r")|([0-9]+(?:/[0-9]+)?)"
+    r"|((?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?))")
 _COMBINATORS = {"min": Min, "max": Max, "gm": GeoMean}
 _COMBINATOR_NAMES = {cls: name for name, cls in _COMBINATORS.items()}
 _KINDS = ("abs", *_COMBINATORS, "scale")
@@ -79,28 +88,24 @@ class _Scanner:
 def _parse_number(tok: str, sc: _Scanner) -> Quad:
     if not tok:
         sc.error("expected a number", expected=("number",))
-    neg = tok.startswith("-")
-    body = tok[1:] if neg else tok
-    if body in _SURD_TOKENS:
-        val = _SURD_TOKENS[body]
-    else:
-        try:
-            if "/" in body:
-                val = Quad(Fraction(body))
-            else:
-                val = Quad(Fraction(body) if "." not in body
-                           and "e" not in body.lower()
-                           else Fraction(float(body)))
-            float(val)  # a number must be finite as a double
-        except (ValueError, ZeroDivisionError, OverflowError):
-            sc.pos -= len(tok)
-            sc.error(f"bad number {tok!r}", expected=("number",))
+    m = _NUMERAL.fullmatch(tok)
+    try:
+        if m is None:
+            raise ValueError(tok)
+        neg, token, exact, decimal = m.groups()
+        val = _TOKENS[token] if token else Quad(
+            Fraction(exact) if exact else Fraction(float(decimal)))
+        float(val)  # a number must be finite as a double
+    except (ValueError, ZeroDivisionError, OverflowError):
+        sc.pos -= len(tok)
+        sc.error(f"bad number {tok!r}", expected=("number",))
     return -val if neg else val
 
 
 def parse_number(text: str) -> Quad:
-    """Parse one DSL number: ``p/q``, a decimal (the exact value of its
-    float) or a surd token, with an optional leading minus."""
+    """Parse one number of the grammar above: an integer, ``p/q``, a
+    decimal (the exact value of its double) or a token, with an optional
+    leading minus."""
     sc = _Scanner(text)
     val = _parse_number(sc.word(), sc)
     if not sc.eof():
@@ -154,7 +159,7 @@ def _print_number(q: Quad) -> str:
     if q.is_rational:
         fr = q.to_fraction()
         return str(fr.numerator) if fr.denominator == 1 else f"{fr}"
-    for name, val in _SURD_TOKENS.items():
+    for name, val in _TOKENS.items():
         if q == val:
             return name
     return repr(float(q))  # lossy fallback for non-token surds

@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import sampling
+from .dsl import parse_number
 from .measure import (_Kernel, _analytic_density,
                       analytic_density_info, density)
 from .starbody import Expr
@@ -96,12 +97,13 @@ class PsiFamily:
 
 
 def parse_psi(spec: str) -> PsiFamily:
-    """CLI syntax: 'pow:<tau>' or 'powlog:<tau>,<sigma>'."""
+    """CLI syntax: 'pow:<tau>' or 'powlog:<tau>,<sigma>', each parameter a
+    DSL number (``dsl.parse_number``)."""
     head, _, rest = spec.partition(":")
     if head == "pow":
-        return PsiFamily.power(float(rest))
+        return PsiFamily.power(float(parse_number(rest)))
     if head == "powlog":
-        tau, sigma = (float(t) for t in rest.split(","))
+        tau, sigma = (float(parse_number(t)) for t in rest.split(","))
         return PsiFamily.powerlog(tau, sigma)
     raise ValueError(f"unknown psi spec {spec!r}")
 

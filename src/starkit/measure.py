@@ -157,7 +157,6 @@ class _Kernel:
     def __init__(self, f: Expr, q: int, eps: float, restricted: bool = False):
         self.f = f
         self.q = q
-        self.eps = eps
         self.eps_s = q * eps
         self.geo = body_geometry(f)
         self.restricted = restricted
@@ -216,15 +215,15 @@ class _Kernel:
         y = self.q * np.asarray(x, dtype=float).reshape(1, 2)
         p0 = np.round(y[0])
         tau = self._tau(y[0])
-        reach = 0.0
+        reach = 0.0     # at most _WINDOW_CAP, the reach of an irrational line
         for lg in self.geo.lines:
             if lg.half.rational:
                 L = math.hypot(*lg.half.int_direction())
                 reach = max(reach, _arc_steps(lg, tau, 0.5 / L, 1.0,
                                               _WINDOW_CAP))
             else:
-                reach = max(reach, min(_WINDOW_CAP, _IRR_STEP * _SCALAR_K_CAP))
-        w = int(max(self.q / 2 + 1, min(reach, _WINDOW_CAP) + 2))
+                reach = _WINDOW_CAP
+        w = int(max(self.q / 2 + 1, reach + 2))
         span = np.arange(-w, w + 1)
         gx, gy = np.meshgrid(p0[0] + span, p0[1] + span, indexing="ij")
         p = np.column_stack([gx.ravel(), gy.ravel()]).astype(float)

@@ -113,8 +113,9 @@ class Abs(Expr):
 
 @dataclass(frozen=True)
 class Combinator(Expr):
-    """A node over one or more child expressions; equality and hashing
-    compare the class as well as the children, so Min(a, b) != Max(a, b)."""
+    """A node over one or more child expressions.  Equality compares the
+    class as well as the children, so Min(a, b) != Max(a, b); hashing
+    reads the children only, so hash(Min(a, b)) == hash(Max(a, b))."""
 
     children: tuple[Expr, ...]
 
@@ -355,8 +356,13 @@ def classify_significance(f: Expr, line: HalfLine, Rmax: float = 1e6,
     beta <= 1 + _FIT_TOL.
 
     Also reports whether w is non-increasing over the sampled range (the
-    monotonicity hypothesis of the irrational-line theorem).
+    monotonicity hypothesis of the irrational-line theorem).  Rmax must
+    exceed 1, so that the radii grow, and epsilon must be positive.
     """
+    if not Rmax > 1:
+        raise ValueError(f"Rmax must exceed 1, got {Rmax}")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     rs = np.geomspace(1.0, Rmax, _FIT_POINTS)
     wp, wm = width_profile(f, line, rs, epsilon)
     w = np.asarray(wp) + np.asarray(wm)

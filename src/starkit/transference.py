@@ -196,42 +196,35 @@ class MatrixEncoding:
 
 def build_matrices(kind: str, x: Sequence[float], params: TransferParams,
                    nu: NuVector, nu_prime: Optional[NuVector] = None) -> MatrixEncoding:
-    """The (n+1)x(n+1) encodings; primed union-jack kinds need nu_prime."""
+    """The (n+1)x(n+1) encodings; primed union-jack kinds need nu_prime.
+
+    The union-jack kinds are planar: Atilde and AtildeTilde are A and Astar
+    at n = 2."""
     xs = [float(v) for v in x]
     n = params.n
     lam, mu = params.lam, params.mu
     if len(xs) != n or len(nu.nu) != n:
         raise DimensionMismatch("x and nu must have length n")
-    if kind == "A":
+    if kind not in ("A", "Astar") and n != 2:
+        raise DimensionMismatch("union-jack encodings are planar (n = 2)")
+    if kind in ("A", "Atilde"):
         m = np.zeros((n + 1, n + 1))
         for i in range(n):
             m[i, 0] = xs[i] / lam
             m[i, i + 1] = nu.nu[i] / mu
         m[n, 0] = 1.0 / lam
         return MatrixEncoding(kind, m)
-    if kind == "Astar":
+    if kind in ("Astar", "AtildeTilde"):
         m = np.zeros((n + 1, n + 1))
         m[0, 0] = lam
         for i in range(n):
             m[0, i + 1] = -mu / nu.nu[i] * xs[i]
             m[i + 1, i + 1] = mu / nu.nu[i]
         return MatrixEncoding(kind, m)
-    if n != 2:
-        raise DimensionMismatch("union-jack encodings are planar (n = 2)")
-    xx, yy = xs
-    n1, n2 = nu.nu
-    if kind == "Atilde":
-        m = np.array([[xx / lam, n1 / mu, 0.0],
-                      [yy / lam, 0.0, n2 / mu],
-                      [1.0 / lam, 0.0, 0.0]])
-        return MatrixEncoding(kind, m)
-    if kind == "AtildeTilde":
-        m = np.array([[lam, -mu / n1 * xx, -mu / n2 * yy],
-                      [0.0, mu / n1, 0.0],
-                      [0.0, 0.0, mu / n2]])
-        return MatrixEncoding(kind, m)
     if nu_prime is None:
         raise DimensionMismatch("primed kinds need nu_prime")
+    xx, yy = xs
+    n2 = nu.nu[1]
     p1, p2 = nu_prime.nu
     c = _HALF_SQRT2
     if kind == "AtildePrime":
@@ -643,10 +636,12 @@ def _transfer(kind: str, x: Sequence[Coordinate], epsilon: float,
               branch=None) -> TransferReport:
     """The pipeline behind every harness.
 
-    x needs at least one coordinate.  rows(expo) gives the candidate rows q
-    and their sizes, from a window search (``_window_rows``) over the
-    harness's region at every n, which returns every row of the region
-    that can pass the filter.  Keeps the rows with
+    x needs at least one coordinate and epsilon must be positive.  A bound
+    of 0 leaves an empty region (``NoSolutions``); a negative one is
+    rejected, since the mult and union-jack regions square it.  rows(expo)
+    gives the candidate rows q and their sizes, from a window search
+    (``_window_rows``) over the harness's region at every n, which returns
+    every row of the region that can pass the filter.  Keeps the rows with
     |<q.x>| <= size(q)^(-k-eps), orders them by (mu, q) with
     mu = mu_of(size), sets lambda = mu^(-k-eps), and transfers each to the
     least p <= n mu lambda^((1-n)/n) whose quality is at most
@@ -664,6 +659,8 @@ def _transfer(kind: str, x: Sequence[Coordinate], epsilon: float,
         raise ValueError("x must have at least one coordinate")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not bound >= 0:
+        raise ValueError(f"bound must not be negative, got {bound}")
     n = len(x)
     expo = -float(k) - epsilon
     q, size = rows(expo)

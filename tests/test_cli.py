@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from starkit import measure, starbody
-from starkit.cli import _parse_coord, _parse_float, main
+from starkit import dsl, measure, starbody
+from starkit.cli import _parse_float, main
 
 
 def run_cli(args, tmp_path, cli_env, env_threads=None):
@@ -23,6 +23,7 @@ def run_cli(args, tmp_path, cli_env, env_threads=None):
 
 HEIGHT = "max(abs(1,0),abs(0,1))"
 CUSP = "gm(abs(-sqrt2,1),abs(1,0))"
+MULT = "gm(abs(1,0),abs(0,1))"
 UNION_JACK = ("min(gm(abs(1,0),abs(0,1)),"
               "gm(abs(invsqrt2,invsqrt2),abs(invsqrt2,-invsqrt2)))")
 
@@ -370,7 +371,7 @@ def test_coverage_stage_zero_covers_nothing(tmp_path):
     ("-golden", -(0.5 + 0.5 * math.sqrt(5))),
     ("sqrt2m1", math.sqrt(2) - 1)])
 def test_coordinates_parse_to_their_floats(tok, value):
-    assert float(_parse_coord(tok)) == value
+    assert float(dsl.parse_number(tok)) == value
 
 
 @pytest.mark.parametrize("args", [
@@ -490,11 +491,26 @@ def test_search_stops_at_a_tube_past_one_block(tmp_path, capsys,
     (["transfer", "mult", "--x", "", "--eps", "0.25", "--bound", "20"],
      "at least one coordinate"),
     (["transfer", "height", "--x", "", "--eps", "0.1", "--bound", "20"],
-     "at least one coordinate")],
+     "at least one coordinate"),
+    (["transfer", "mult", "--x", "sqrt2,sqrt3", "--eps", "0.25",
+      "--bound=-200"], "bound"),
+    (["transfer", "unionjack", "--x", "sqrt2,sqrt3", "--eps", "0.25",
+      "--bound=-40"], "bound"),
+    (["transfer", "height", "--x", "sqrt2,sqrt3", "--eps", "0.1",
+      "--bound=-40"], "bound"),
+    (["skeleton", "--f", MULT, "--classify", "--Rmax", "1"], "Rmax"),
+    (["skeleton", "--f", MULT, "--classify", "--Rmax", "0.5"], "Rmax"),
+    (["skeleton", "--f", MULT, "--classify", "--Rmax=-5"], "Rmax"),
+    (["skeleton", "--f", MULT, "--classify", "--eps0=-1"], "epsilon"),
+    (["coverage", "--f", CUSP, "--eps=-0.2", "--stages", "10", "--seed",
+      "1"], "epsilon")],
     ids=["series_qmax0", "series_below_q_start", "mult_eps", "unionjack_eps",
          "height_eps", "prop5_instances0", "prop5_instances_negative",
          "prop5_qbound3", "coverage_intervals_negative", "mult_no_x",
-         "height_no_x"])
+         "height_no_x", "mult_bound", "unionjack_bound", "height_bound",
+         "skeleton_Rmax1", "skeleton_Rmax_below_one",
+         "skeleton_Rmax_negative", "skeleton_eps0_negative",
+         "coverage_eps_negative"])
 def test_inputs_without_a_result_are_rejected(tmp_path, capsys, args, word):
     assert main(["--out", str(tmp_path)] + args) == 2
     rec = _error_record(capsys.readouterr().err)
@@ -514,15 +530,32 @@ def test_inputs_without_a_result_are_rejected(tmp_path, capsys, args, word):
      "--bound={}"],
     ["threedist", "--alpha-inv", "invgolden", "--x0={}", "--N", "5"],
     ["skeleton", "--f", CUSP, "--classify", "--Rmax={}"],
-    ["skeleton", "--f", CUSP, "--classify", "--eps0={}"]],
+    ["skeleton", "--f", CUSP, "--classify", "--eps0={}"],
+    ["tail", "--f", HEIGHT, "--psi", "pow:{}", "--N", "4", "--samples",
+     "100", "--seed", "1"],
+    ["series", "--f", HEIGHT, "--psi", "powlog:1.5,{}", "--Qmax", "5"]],
     ids=["density_eps", "density_eps_list", "coverage_eps", "coverage_y0",
          "transfer_eps", "transfer_bound", "threedist_x0", "skeleton_Rmax",
-         "skeleton_eps0"])
+         "skeleton_eps0", "tail_psi", "series_psi"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
 def test_non_finite_numeric_options_are_parse_errors(tmp_path, capsys, args,
                                                      value):
     argv = [a.format(value) for a in args]
     assert main(["--out", str(tmp_path)] + argv) == 2
+    assert _error_record(capsys.readouterr().err)["error"] == "ParseError"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["density", "--f", "abs(1_0,--1)", "--eps", "0.1"],
+    ["threedist", "--alpha-inv", "+1", "--N", "5"],
+    ["threedist", "--alpha-inv", "\u0661\u0662", "--N", "5"],
+    ["series", "--f", MULT, "--psi", "pow:inf", "--Qmax", "5"],
+    ["series", "--f", MULT, "--psi", "pow:nan", "--Qmax", "5"]],
+    ids=["underscore_and_double_minus", "plus", "non_ascii_digits",
+         "psi_inf", "psi_nan"])
+def test_numbers_outside_the_grammar_are_parse_errors(tmp_path, capsys, args):
+    assert main(["--out", str(tmp_path)] + args) == 2
     assert _error_record(capsys.readouterr().err)["error"] == "ParseError"
     assert list(tmp_path.iterdir()) == []
 

@@ -1,15 +1,17 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import starkit as sk
 from starkit.dsl import (load_distance_function, parse_distance_function,
                          parse_number, print_distance_function, tree_from_json,
                          tree_to_json)
 from starkit.errors import ArityError, ParseError
-from starkit.exact import SQRT2, Quad
+from starkit.exact import GOLDEN, INV_SQRT2, SQRT2, SQRT3, Quad
 
 
 def test_parse_height():
@@ -91,6 +93,49 @@ def test_parse_number_reads_one_number():
             parse_number(bad)
 
 
+_DIGITS = "0123456789"
+_TOKEN_VALUES = {"sqrt2": SQRT2, "sqrt3": SQRT3, "invsqrt2": INV_SQRT2,
+                 "golden": GOLDEN, "invgolden": GOLDEN - 1,
+                 "sqrt2m1": SQRT2 - 1}
+_MANTISSAS = st.one_of(
+    st.tuples(st.text(_DIGITS, min_size=1, max_size=6),
+              st.text(_DIGITS, max_size=6)).map(lambda t: f"{t[0]}.{t[1]}"),
+    st.text(_DIGITS, min_size=1, max_size=6).map(lambda s: "." + s),
+    st.text(_DIGITS, min_size=1, max_size=6))
+_EXPONENTS = st.one_of(st.just(""), st.tuples(
+    st.sampled_from("eE"), st.sampled_from(["", "+", "-"]),
+    st.integers(0, 300)).map(lambda t: "".join(map(str, t))))
+# (numeral, its value computed apart from the parser)
+_NUMERALS = st.one_of(
+    st.text(_DIGITS, min_size=1, max_size=20).map(lambda s: (s, Fraction(s))),
+    st.tuples(st.text(_DIGITS, min_size=1, max_size=12),
+              st.integers(1, 10 ** 9)).map(
+        lambda t: (f"{t[0]}/{t[1]}", Fraction(int(t[0]), t[1]))),
+    st.tuples(_MANTISSAS, _EXPONENTS).map("".join)
+    .filter(lambda s: not s.isdigit()).map(lambda s: (s, Fraction(float(s)))),
+    st.sampled_from(sorted(_TOKEN_VALUES)).map(
+        lambda s: (s, _TOKEN_VALUES[s])))
+
+
+@given(_NUMERALS, st.booleans())
+def test_parse_number_follows_the_stated_grammar(numeral, negative):
+    text, value = numeral
+    value = Quad(value) if isinstance(value, Fraction) else value
+    if negative:
+        text, value = "-" + text, -value
+    assert parse_number(text) == value
+    bad = ["+" + text, "--" + text]
+    # an underscore between two digits and a non-ASCII digit are Python's
+    # grammar, not this one
+    bad += [re.sub(pattern, repl, text, count=1)
+            for pattern, repl in ((r"(?<=[0-9])(?=[0-9])", "_"),
+                                  (r"[0-9]", lambda m: chr(0x660 + int(m[0]))))
+            if re.search(pattern, text)]
+    for tok in bad:
+        with pytest.raises(ParseError):
+            parse_number(tok)
+
+
 def test_whitespace_tolerated():
     f = parse_distance_function(" max( abs( 1 , 0 ) ,\n abs(0,1) ) ")
     assert f == sk.height()
@@ -103,8 +148,9 @@ def _random_number(rng):
     if kind == 1:
         return f"{rng.randrange(-30, 30)}/{rng.randrange(1, 12)}"
     if kind == 2:
-        return rng.choice(["sqrt2", "sqrt3", "invsqrt2",
-                           "-sqrt2", "-sqrt3", "-invsqrt2"])
+        token = rng.choice(["sqrt2", "sqrt3", "invsqrt2", "golden",
+                            "invgolden", "sqrt2m1"])
+        return rng.choice(["", "-"]) + token
     return repr(round(rng.uniform(-3, 3), 4))
 
 
@@ -112,8 +158,7 @@ def _random_dsl(rng, depth=0):
     kind = rng.randrange(5) if depth < 3 else 0
     if kind == 0:
         a, b = _random_number(rng), _random_number(rng)
-        if float(Fraction(a) if "/" in a else 0.0 if a.lstrip("-").startswith(("s", "i")) else Fraction(a)) == 0 \
-           and float(Fraction(b) if "/" in b else 0.0 if b.lstrip("-").startswith(("s", "i")) else Fraction(b)) == 0:
+        if parse_number(a) == parse_number(b) == 0:
             a = "1"
         return f"abs({a},{b})"
     if kind == 4:

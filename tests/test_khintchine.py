@@ -59,6 +59,10 @@ def test_psi_table():
 def test_parse_psi():
     assert parse_psi("pow:1.5") == sk.PsiFamily.power(1.5)
     assert parse_psi("powlog:1.5,0.8") == sk.PsiFamily.powerlog(1.5, 0.8)
+    # tau and sigma are DSL numbers
+    assert parse_psi("pow:3/2") == sk.PsiFamily.power(1.5)
+    assert parse_psi("powlog:sqrt2,-1/4") == sk.PsiFamily.powerlog(
+        float(sk.SQRT2), -0.25)
     with pytest.raises(ValueError):
         parse_psi("exp:2")
 
