@@ -40,68 +40,45 @@ class ContinuedFraction:
     terminated: bool = False
 
 
-def _cf_exact(alpha: Quad, depth: int):
-    quots = []
-    x = alpha
-    for _ in range(depth):
-        a = math.floor(x)
-        quots.append(a)
-        frac = x - a
-        if frac.sign() == 0:
-            return quots, True
-        x = 1 / frac
-    return quots, False
-
-
-def _cf_float(alpha, depth: int, prec_bits: int):
-    """Float/mpf expansion with an explicit precision budget on q_k q_{k+1}."""
-    mp_x = mpmath.mpf(alpha)
-    quots = []
-    p0, q0, p1, q1 = 0, 1, 1, 0  # (p_{k-2}, q_{k-2}), (p_{k-1}, q_{k-1})
-    budget = mpmath.mpf(2) ** (prec_bits - 8)
-    x = mp_x
-    for _ in range(depth):
-        a = int(mpmath.floor(x))
-        pk, qk = a * p1 + p0, a * q1 + q0
-        if qk * q1 > budget:
-            raise PrecisionExhausted(
-                f"{prec_bits}-bit input cannot support depth {depth}")
-        quots.append(a)
-        p0, q0, p1, q1 = p1, q1, pk, qk
-        frac = x - a
-        if frac == 0:
-            return quots, True
-        x = 1 / frac
-    return quots, False
-
-
 def continued_fraction(alpha, depth: int) -> ContinuedFraction:
     """Partial quotients and exact-integer convergents to the given depth.
 
-    Quadratic surds (Quad) and rationals expand exactly; floats carry a
-    53-bit budget and mpmath values their own precision, raising
-    PrecisionExhausted when the depth is out of reach.
+    Quadratic surds (Quad) and rationals expand exactly.  Floats expand in
+    mpmath with a 53-bit budget and mpmath values with their own
+    precision: a partial quotient a_k is kept only while q_k q_{k-1} <=
+    2^(prec-8), and PrecisionExhausted is raised when the depth is out of
+    reach.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    exact = True
-    if isinstance(alpha, Quad):
-        quots, terminated = _cf_exact(alpha, depth)
-        alpha_f = float(alpha)
-    elif isinstance(alpha, Rational):
-        quots, terminated = _cf_exact(Quad(Fraction(alpha)), depth)
-        alpha_f = float(alpha)
-    elif isinstance(alpha, mpmath.mpf):
-        quots, terminated = _cf_float(alpha, depth, mpmath.mp.prec)
-        alpha_f, exact = float(alpha), False
+    alpha_f = float(alpha)
+    if isinstance(alpha, Rational):
+        alpha = Quad(Fraction(alpha))
+    exact = isinstance(alpha, Quad)
+    if exact:
+        x, budget = alpha, math.inf
     else:
-        quots, terminated = _cf_float(float(alpha), depth, 53)
-        alpha_f, exact = float(alpha), False
-    convs = []
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    for a in quots:
-        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-        convs.append((p1, q1))
+        mp_in = isinstance(alpha, mpmath.mpf)
+        prec = mpmath.mp.prec if mp_in else 53
+        x, budget = mpmath.mpf(alpha if mp_in else alpha_f), 2 ** (prec - 8)
+    quots, convs = [], []
+    p0, q0, p1, q1 = 0, 1, 1, 0  # (p_{k-2}, q_{k-2}), (p_{k-1}, q_{k-1})
+    terminated = False
+    for _ in range(depth):
+        # math.floor of an mpf would go through a float
+        a = math.floor(x) if exact else int(mpmath.floor(x))
+        pk, qk = a * p1 + p0, a * q1 + q0
+        if qk * q1 > budget:
+            raise PrecisionExhausted(
+                f"{prec}-bit input cannot support depth {depth}")
+        quots.append(a)
+        convs.append((pk, qk))
+        p0, q0, p1, q1 = p1, q1, pk, qk
+        frac = x - a
+        if frac == 0:
+            terminated = True
+            break
+        x = 1 / frac
     return ContinuedFraction(alpha=alpha_f, partial_quotients=tuple(quots),
                              convergents=tuple(convs), exact=exact,
                              terminated=terminated)

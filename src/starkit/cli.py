@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -141,6 +142,12 @@ def cmd_skeleton(args):
 
 
 def cmd_density(args):
+    if args.q is None and args.restricted:
+        raise ValueError("--restricted applies to the resonant measure; "
+                         "give --q")
+    if args.q is not None and args.method not in ("auto", "montecarlo"):
+        raise ValueError("--q estimates the resonant measure by Monte Carlo; "
+                         f"--method {args.method} does not apply")
     f = _load_f(args.f)
     eps_list = [_parse_float(t) for t in args.eps.split(",")]
     if args.q is not None:
@@ -296,7 +303,8 @@ def cmd_transfer(args):
         rep = transference.verify_theorem_unionjack(coords[0], coords[1],
                                                     eps, bound)
     else:
-        rep = transference.verify_khintchine_transfer(coords, eps, int(bound))
+        rep = transference.verify_khintchine_transfer(coords, eps,
+                                                      math.floor(bound))
     _write_json(_out(args, f"transfer_{args.flavor}.json"), rep.to_json())
     rows = [(("(" + " ".join(str(v) for v in s.q_vec) + ")"), s.mu, s.lam,
              s.p if s.p is not None else "",

@@ -15,6 +15,7 @@ sqrt6); anything else raises ``ValueError``.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from numbers import Rational
@@ -38,6 +39,7 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return s, d * n
 
 
+@functools.total_ordering
 class Quad:
     """An element a + b*sqrt(d) of a real quadratic field."""
 
@@ -215,18 +217,6 @@ class Quad:
     def __lt__(self, other):
         c = self._cmp(other)
         return c < 0 if c is not NotImplemented else NotImplemented
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return c <= 0 if c is not NotImplemented else NotImplemented
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return c > 0 if c is not NotImplemented else NotImplemented
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return c >= 0 if c is not NotImplemented else NotImplemented
 
     def __hash__(self):
         if self.b == 0:

@@ -17,7 +17,7 @@ row, and the quality of p (GM, union-jack F', or max norm):
   candidates q -> keep |<q.x>| <= size(q)^(-k-eps) (``_q_filter``)
   -> order by (mu, q), lambda = mu^(-k-eps)
   -> least p <= n mu lambda^((1-n)/n) with quality(p) <= n lambda^(1/n)
-     (``_least_p`` over blocks of p, ``_QualityBlocks``).
+     (``_QualityBlocks.least_p`` over blocks of p).
 
 Both sides are output-sensitive.  At every n the candidates come from a
 window search over the last coordinate (``_window_rows``): each prefix
@@ -33,11 +33,13 @@ Each step also reports an admissible eps' = eps/2, which carries no
 information about p (see ``_transfer``).
 
 ``solve_system_i`` uses the same q-filter and ``solve_system_ii`` the same
-blocked least-p selector.  Both comparisons run in float64; a value within
-1e-9 of its threshold is re-evaluated in mpmath at ``_MP_PREC`` bits, with
-quadratic surds and fractions taken exactly.  The window and the blocks
-change no decision: each is the same float or mpmath expression on the
-same row or p.
+blocked least-p selector.  Both decide value <= threshold by one rule
+(``_at_most``): in float64, except for a value within
+``_BOUNDARY`` max(1, |threshold|) of its threshold, which is re-evaluated in
+mpmath at ``_MP_PREC`` bits, with quadratic surds and fractions taken
+exactly.  Every q-side threshold is at most 1, so its band is 1e-9.  The
+window and the blocks change no decision: each is the same float or mpmath
+expression on the same row or p.
 """
 
 from __future__ import annotations
@@ -125,6 +127,11 @@ class TransferParams:
     @property
     def p_bound(self) -> float:
         return self.n * self.mu * self.lam ** ((1 - self.n) / self.n)
+
+    @property
+    def p_max(self) -> int:
+        """The largest p of system (ii), floor(p_bound)."""
+        return int(math.floor(self.p_bound + 1e-12))
 
     @property
     def gm_bound(self) -> float:
@@ -385,19 +392,29 @@ def _box_prefixes(n: int, cap: float, q_bound: int):
     return prefix, prod, _entry_lim(cap, prod, q_bound)
 
 
+def _at_most(vals: np.ndarray, thresh, mp_at_most) -> np.ndarray:
+    """Mask of vals <= thresh (a scalar or one per value).
+
+    The float comparison decides outside the band _BOUNDARY max(1, |thresh|)
+    around the threshold; a value inside it is decided by mp_at_most(index)
+    at ``_MP_PREC`` bits.
+    """
+    keep = vals <= thresh
+    band = _BOUNDARY * np.maximum(1.0, np.abs(thresh))
+    for i in np.flatnonzero(np.abs(vals - thresh) <= band):
+        with mpmath.workprec(_MP_PREC):
+            keep[i] = mp_at_most(i)
+    return keep
+
+
 def _q_filter(x: Sequence[Coordinate], q: np.ndarray, thresh,
               mp_thresh) -> np.ndarray:
-    """Mask of the rows with |<q.x>| <= thresh (a scalar or one per row).
-
-    A row within the boundary band of its threshold is decided at high
-    precision against mp_thresh(row index).
-    """
+    """Mask of the rows with |<q.x>| <= thresh (a scalar or one per row),
+    by ``_at_most``; a row in the band is compared against mp_thresh(row
+    index)."""
     vals = np.abs(nearest_signed_distance(_dot(x, q)))
-    keep = vals <= thresh - _BOUNDARY
-    for i in np.flatnonzero(np.abs(vals - thresh) <= _BOUNDARY):
-        with mpmath.workprec(_MP_PREC):
-            keep[i] = _mp_signed_dot(x, q[i]) <= mp_thresh(i)
-    return keep
+    return _at_most(vals, thresh,
+                    lambda i: _mp_signed_dot(x, q[i]) <= mp_thresh(i))
 
 
 def solve_system_i(x: Sequence[Coordinate], params: TransferParams,
@@ -467,23 +484,6 @@ def _mp_gm(x: Sequence[Coordinate], p: int) -> mpmath.mpf:
     return prod ** (mpmath.mpf(1) / len(x))
 
 
-def _least_p(quality: np.ndarray, p_max: int, bound: float,
-             mp_quality) -> Optional[int]:
-    """Least p in 1..p_max with quality[p-1] <= bound, or None.
-
-    A value within the boundary band of bound is decided by mp_quality(p)
-    at high precision.
-    """
-    band = _BOUNDARY * max(1.0, abs(bound))
-    for p in np.flatnonzero(quality[:p_max] <= bound + _BOUNDARY) + 1:
-        if bound - quality[p - 1] > band:
-            return int(p)
-        with mpmath.workprec(_MP_PREC):
-            if mp_quality(int(p)) <= mpmath.mpf(bound):
-                return int(p)
-    return None
-
-
 class _QualityBlocks:
     """quality(p) for p = 1..p_top, computed by grid(start, stop) in blocks
     of ``_P_BLOCK`` p values, each block once and only when a scan reaches
@@ -495,17 +495,19 @@ class _QualityBlocks:
 
     def least_p(self, p_max: int, bound: float, mp_quality):
         """(p, quality(p)) for the least p <= p_max with quality(p) <= bound,
-        or (None, None): ``_least_p`` on each block in turn, stopping at
-        the first block that holds one."""
+        or (None, None).  Each block in turn is decided by ``_at_most``, a
+        p in the band by mp_quality(p), up to the first block that holds
+        such a p."""
         for b, start in enumerate(range(1, p_max + 1, self._size)):
             if b == len(self._blocks):
                 self._blocks.append(self._grid(
                     start, min(start + self._size - 1, self._top)))
-            block = self._blocks[b]
-            p = _least_p(block, min(len(block), p_max - start + 1), bound,
-                         lambda p: mp_quality(p + start - 1))
-            if p is not None:
-                return p + start - 1, float(block[p - 1])
+            block = self._blocks[b][:p_max - start + 1]
+            passed = np.flatnonzero(_at_most(
+                block, bound,
+                lambda i: mp_quality(start + int(i)) <= mpmath.mpf(bound)))
+            if passed.size:
+                return start + int(passed[0]), float(block[passed[0]])
         return None, None
 
 
@@ -519,9 +521,9 @@ def solve_system_ii(x: Sequence[Coordinate], params: TransferParams
     """
     if len(x) != params.n:
         raise DimensionMismatch("x must have length n")
-    p_max = int(math.floor(params.p_bound + 1e-12))
-    blocks = _QualityBlocks(lambda lo, hi: _gm_grid(x, hi, lo), p_max)
-    return blocks.least_p(p_max, params.gm_bound, lambda p: _mp_gm(x, p))[0]
+    blocks = _QualityBlocks(lambda lo, hi: _gm_grid(x, hi, lo), params.p_max)
+    return blocks.least_p(params.p_max, params.gm_bound,
+                          lambda p: _mp_gm(x, p))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -673,13 +675,13 @@ def _transfer(kind: str, x: Sequence[Coordinate], epsilon: float,
                        for i in np.flatnonzero(keep))
     params = [TransferParams(lam=mu ** expo, mu=mu, n=n)
               for mu, _ in witnesses]
-    p_maxes = [int(math.floor(pr.p_bound + 1e-12)) for pr in params]
-    quality = _QualityBlocks(grid, max(p_maxes))
+    quality = _QualityBlocks(grid, max(pr.p_max for pr in params))
     steps = []
-    for (mu, q_vec), pr, p_max in zip(witnesses, params, p_maxes):
-        p, value = quality.least_p(p_max, pr.gm_bound, mp_quality)
+    for (mu, q_vec), pr in zip(witnesses, params):
+        p, value = quality.least_p(pr.p_max, pr.gm_bound, mp_quality)
         steps.append(TransferStep(
-            q_vec, mu, pr.lam, p, value, epsilon / 2 if p_max >= 1 else None,
+            q_vec, mu, pr.lam, p, value,
+            epsilon / 2 if pr.p_max >= 1 else None,
             branch(q_vec) if branch else ""))
     return TransferReport(kind, epsilon, bound, steps)
 

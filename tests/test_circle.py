@@ -54,6 +54,27 @@ def test_cf_float_precision_exhausted():
         sk.continued_fraction(math.sqrt(2), 60)
 
 
+def test_cf_float_terminates():
+    cf = sk.continued_fraction(0.5, 10)
+    assert cf.terminated and not cf.exact
+    assert cf.partial_quotients == (0, 2)
+    assert cf.convergents == ((0, 1), (1, 2))
+    # 2.75 = [2; 1, 3], but 1/0.75 is inexact at 53 bits: the remainder
+    # after the 3 is a rounding residue, so only the depth ends this one
+    cf = sk.continued_fraction(2.75, 3)
+    assert cf.partial_quotients == (2, 1, 3)
+    assert cf.convergents == ((2, 1), (3, 1), (11, 4))
+
+
+def test_cf_mpf_partial_quotients_are_exact():
+    # math.floor of this mpf goes through a float and gives 2^60
+    with mpmath.workprec(200):
+        cf = sk.continued_fraction(
+            mpmath.mpf(2 ** 60 + 1) + mpmath.mpf(1) / 4, 5)
+    assert cf.partial_quotients == (2 ** 60 + 1, 4)
+    assert cf.terminated
+
+
 def test_cf_mpf_deeper_budget():
     with mpmath.workprec(200):
         cf = sk.continued_fraction(mpmath.sqrt(2), 60)

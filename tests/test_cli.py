@@ -229,11 +229,17 @@ def test_numeric_error_exit_code(tmp_path):
     assert rc == 3
 
 
-def test_svg_emitted(tmp_path):
-    rc = main(["--out", str(tmp_path), "--format", "svg", "series", "--f",
-               HEIGHT, "--psi", "pow:2", "--Qmax", "20"])
+@pytest.mark.parametrize("args,name", [
+    (["series", "--f", HEIGHT, "--psi", "pow:2", "--Qmax", "20"],
+     "series.svg"),
+    (["density", "--f", HEIGHT, "--eps", "0.1,0.2"], "density.svg"),
+    (["coverage", "--f", CUSP, "--eps", "0.2", "--stages", "10,100",
+      "--samples", "500", "--seed", "3"], "coverage.svg")],
+    ids=["series", "density", "coverage"])
+def test_svg_emitted(tmp_path, args, name):
+    rc = main(["--out", str(tmp_path), "--format", "svg"] + args)
     assert rc == 0
-    svg = (tmp_path / "series.svg").read_text()
+    svg = (tmp_path / name).read_text()
     assert svg.startswith("<svg") and "polyline" in svg
 
 
@@ -503,18 +509,48 @@ def test_search_stops_at_a_tube_past_one_block(tmp_path, capsys,
     (["skeleton", "--f", MULT, "--classify", "--Rmax=-5"], "Rmax"),
     (["skeleton", "--f", MULT, "--classify", "--eps0=-1"], "epsilon"),
     (["coverage", "--f", CUSP, "--eps=-0.2", "--stages", "10", "--seed",
-      "1"], "epsilon")],
+      "1"], "epsilon"),
+    (["transfer", "height", "--x", "sqrt2,sqrt3", "--eps", "0.1",
+      "--bound=-0.5"], "bound must not be negative"),
+    (["density", "--f", HEIGHT, "--eps", "0.1", "--restricted"], "--q"),
+    (["density", "--f", HEIGHT, "--eps", "0.1", "--q", "3", "--method",
+      "analytic", "--samples", "1000", "--seed", "1"], "--method analytic"),
+    (["density", "--f", HEIGHT, "--eps", "0.1", "--q", "3", "--method",
+      "quadrature", "--samples", "1000", "--seed", "1"],
+     "--method quadrature")],
     ids=["series_qmax0", "series_below_q_start", "mult_eps", "unionjack_eps",
          "height_eps", "prop5_instances0", "prop5_instances_negative",
          "prop5_qbound3", "coverage_intervals_negative", "mult_no_x",
          "height_no_x", "mult_bound", "unionjack_bound", "height_bound",
          "skeleton_Rmax1", "skeleton_Rmax_below_one",
          "skeleton_Rmax_negative", "skeleton_eps0_negative",
-         "coverage_eps_negative"])
+         "coverage_eps_negative", "height_bound_fraction",
+         "density_restricted_without_q", "density_q_analytic",
+         "density_q_quadrature"])
 def test_inputs_without_a_result_are_rejected(tmp_path, capsys, args, word):
     assert main(["--out", str(tmp_path)] + args) == 2
     rec = _error_record(capsys.readouterr().err)
     assert rec["error"] == "ValueError"
+    assert word in rec["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args,word", [
+    (["search", "--f", HEIGHT, "--x", "sqrt2", "--Qmax", "5"],
+     "two coordinates"),
+    (["transfer", "unionjack", "--x", "sqrt2,sqrt3,golden", "--eps", "0.25",
+      "--bound", "20"], "two coordinates"),
+    (["philemma", "--omega", "nope", "--N", "10"], "unknown omega"),
+    # its one irrational line has slope 1/sqrt2
+    (["coverage", "--f", "gm(abs(-invsqrt2,1),abs(1,0))", "--eps", "0.2",
+      "--stages", "10", "--seed", "1"], "slope > 1")],
+    ids=["search_one_coordinate", "unionjack_three_coordinates",
+         "philemma_omega", "coverage_no_steep_irrational_line"])
+def test_inputs_a_command_cannot_use_are_validation_errors(tmp_path, capsys,
+                                                           args, word):
+    assert main(["--out", str(tmp_path)] + args) == 2
+    rec = _error_record(capsys.readouterr().err)
+    assert rec["error"] == "ValidationError"
     assert word in rec["message"]
     assert list(tmp_path.iterdir()) == []
 

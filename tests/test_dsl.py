@@ -182,8 +182,11 @@ def test_round_trip_corpus():
         assert parse_distance_function(printed) == tree
 
 
-def test_json_round_trip():
-    f = sk.union_jack()
+@pytest.mark.parametrize("f", [
+    sk.union_jack(),
+    parse_distance_function("scale(3/2,gm(abs(-sqrt2,1),abs(1,0)))")],
+    ids=["union_jack", "scale"])
+def test_json_round_trip(f):
     blob = json.dumps(tree_to_json(f))
     assert tree_from_json(json.loads(blob)) == f
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import starkit as sk
-from starkit import sampling
+from starkit import measure, sampling
 from starkit.errors import IrrationalSkeleton, SkeletonMismatch
 from starkit.measure import _Kernel, analytic_density_info
 from starkit.starbody import Abs, GeoMean, Max, Scale
@@ -202,6 +202,40 @@ def test_minimum_enumerates_a_window_up_to_q_64(union_jack, monkeypatch):
         _Kernel(union_jack, q, 1.0).minimum((0.41, 0.73))
     assert calls == [(1, "minimize_exhaustive"), (64, "minimize_exhaustive"),
                      (65, "minimize"), (300, "minimize")]
+
+
+def _value_at(f, y, p):
+    """F(y - p) through one-element arrays, as the kernel evaluates it: a
+    scalar ** 0.5 and an array's (a sqrt) can differ in the last bit."""
+    return float(f.eval_xy(np.array([y[0] - p[0]]),
+                           np.array([y[1] - p[1]]))[0])
+
+
+def test_irrational_kernel_paths_keep_what_they_promise(irrational_cusp):
+    # the tube along the irrational line and the window reach it gives
+    # minimize_exhaustive.  Completeness is not asserted: along the line
+    # the fast search can miss a member (ROADMAP item 3)
+    f = irrational_cusp
+    rng = np.random.default_rng(41)
+    for _ in range(8):
+        q = int(rng.integers(65, 401))
+        kern = _Kernel(f, q, float(rng.uniform(0.02, 0.5)) / q)
+        xs = rng.random((40, 2))
+        for x, hit in zip(xs, kern.hits(xs)):
+            y = q * x
+            value, p = kern.minimize(x)
+            assert value == _value_at(f, y, p), (q, x)
+            assert value <= _value_at(f, y, np.round(y)), (q, x)
+            assert value < kern.eps_s or not hit, (q, x)
+    # an irrational line reaches _WINDOW_CAP, so for q <= 64 the window has
+    # half-width _WINDOW_CAP + 2 (1205 x 1205 points)
+    for _ in range(3):
+        q = int(rng.integers(1, 65))
+        eps = float(rng.uniform(0.02, 0.5)) / q
+        x = tuple(rng.random(2))
+        _, value, p = brute_membership(f, x, q, eps,
+                                       window=measure._WINDOW_CAP + 2)
+        assert _Kernel(f, q, eps).minimize_exhaustive(x) == (value, p)
 
 
 def test_nearly_flat_tube_minimizes_without_overflow():

@@ -577,25 +577,39 @@ def _recording(values):
     return mp_quality, calls
 
 
+def _blocked_least_p(quality, p_max, bound, mp_quality):
+    blocks = transference._QualityBlocks(lambda lo, hi: quality[lo - 1:hi],
+                                         len(quality))
+    return blocks.least_p(p_max, bound, mp_quality)[0]
+
+
 def test_least_p_band_is_decided_in_mpmath():
     bound = 0.5
     prec = transference._MP_PREC
     # float says just above the bound, mpmath says below: p = 2 is taken
     quality = np.array([0.9, bound + 5e-10, 0.1])
     mp_quality, calls = _recording({2: mpmath.mpf(bound) - mpmath.mpf(1e-12)})
-    assert transference._least_p(quality, 3, bound, mp_quality) == 2
+    assert _blocked_least_p(quality, 3, bound, mp_quality) == 2
     assert calls == [(2, prec)]
     # float says just below the bound, mpmath says above: p = 2 is skipped
     quality = np.array([0.9, bound - 5e-10, 0.1])
     mp_quality, calls = _recording({2: mpmath.mpf(bound) + mpmath.mpf(1e-12)})
-    assert transference._least_p(quality, 3, bound, mp_quality) == 3
+    assert _blocked_least_p(quality, 3, bound, mp_quality) == 3
     assert calls == [(2, prec)]
     # outside the band the float comparison stands; p_max cuts the range
     mp_quality, calls = _recording({})
     quality = np.array([0.9, bound - 2e-9, 0.1])
-    assert transference._least_p(quality, 3, bound, mp_quality) == 2
-    assert transference._least_p(quality, 1, bound, mp_quality) is None
+    assert _blocked_least_p(quality, 3, bound, mp_quality) == 2
+    assert _blocked_least_p(quality, 1, bound, mp_quality) is None
     assert calls == []
+    # above 1 the band is relative, 1e-9 |bound|: 3e-9 on either side goes
+    # to mpmath, 5e-9 below is decided in float
+    bound = 4.0
+    quality = np.array([5.0, bound + 3e-9, bound - 3e-9, bound - 5e-9])
+    above = mpmath.mpf(bound) + mpmath.mpf(1e-12)
+    mp_quality, calls = _recording({2: above, 3: above})
+    assert _blocked_least_p(quality, 4, bound, mp_quality) == 4
+    assert calls == [(2, prec), (3, prec)]
 
 
 def test_wide_band_rechecks_leave_reports_unchanged(monkeypatch):
