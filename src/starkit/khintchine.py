@@ -23,6 +23,7 @@ from .measure import (_Kernel, _analytic_density,
 from .starbody import Expr
 
 _MONOTONE_BLOCK = 200_000   # q per block of PsiFamily.check_monotone
+_Q_BATCH = 16               # q values per membership call of tail_measure
 
 # ---------------------------------------------------------------------------
 # Approximation functions
@@ -172,23 +173,29 @@ def tail_measure(f: Expr, psi: PsiFamily, n_block: int, samples: int = 100_000,
                  seed: int = 0) -> tuple[float, float]:
     """Monte Carlo measure of U_{q in [N, 2N]} B_q(F, psi(q)).
 
-    Per sampled x, q runs over the block with early exit on the first hit.
-    The sample stream depends only on (seed, index), so runs with the same
-    seed are coupled across different psi.  psi is not checked for
-    monotonicity here (see ``PsiFamily``).
+    One membership kernel tests each chunk's live samples against
+    _Q_BATCH values of q at a time, and a sample leaves as soon as any q of
+    a batch hits it.  The decisions are those of one q at a time: F(q*x - p)
+    < q*psi(q) with psi(q) taken as ``float(psi(q))``.  The sample stream
+    depends only on (seed, index), so runs with the same seed are coupled
+    across different psi.  psi is not checked for monotonicity here (see
+    ``PsiFamily``).
     """
     if n_block < 1:
         raise ValueError("N must be >= 1")
-    kernels = [_Kernel(f, q, float(psi(q)))
-               for q in range(max(n_block, psi.q_start), 2 * n_block + 1)]
+    qs = np.arange(max(n_block, psi.q_start), 2 * n_block + 1)
+    eps = np.array([float(psi(int(q))) for q in qs])
+    kern = _Kernel(f)
 
     def hit(pts):
         alive = np.ones(len(pts), dtype=bool)
-        for kern in kernels:
+        for lo in range(0, len(qs), _Q_BATCH):
             idx = np.flatnonzero(alive)
             if idx.size == 0:
                 break
-            alive[idx[kern.hits(pts[idx])]] = False
+            h = kern.hits(pts[idx], qs[lo:lo + _Q_BATCH],
+                          eps[lo:lo + _Q_BATCH])
+            alive[idx[h.any(axis=1)]] = False
         return ~alive
 
     return sampling.indicator_estimate(hit, samples, seed)
@@ -285,9 +292,10 @@ def best_approximations(f: Expr, x, q_max: int) -> list[BestApproximation]:
         raise ValueError("Qmax must be >= 1")
     out = []
     best = math.inf
+    kern = _Kernel(f)
     for q in range(1, q_max + 1):
         # threshold irrelevant for pure minimization
-        raw, p = _Kernel(f, q, 1.0).minimum(x)
+        raw, p = kern.minimum(x, q, 1.0)
         val = raw / q
         rec = val < best
         if rec:

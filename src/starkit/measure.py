@@ -17,12 +17,14 @@ on the registered bodies with rational skeletons only: along an
 irrational skeleton line the fast search can find a smaller value far
 out on the line, beyond the window (ROADMAP item 3).
 
-One generator (``_Kernel._blocks``) enumerates those candidates for a whole
-batch of points as flat ``(sample index, p)`` blocks of bounded size, and
-one evaluator runs each block through a single ``Expr.eval_xy`` call.  A
-vectorized hit test and a single-point minimization (a batch of one) differ
-only in the per-sample threshold that sizes the search, the step cap, and
-how they reduce the values.
+One ``_Kernel`` serves one body, restricted or not; q and eps are
+arguments of each call.  Its generator (``_Kernel._blocks``) enumerates
+those candidates for a whole batch of rows, one row per (point, q), as
+flat ``(row index, p)`` blocks of bounded size, and one evaluator runs
+each block through a single ``Expr.eval_xy`` call.  A vectorized hit test
+(a scalar q, or a batch of q values for every point) and a single-point
+minimization (one row) differ only in the per-row threshold that sizes
+the search, the step cap, and how they reduce the values.
 """
 
 from __future__ import annotations
@@ -135,29 +137,36 @@ _WINDOW_CAP = 600
 _EXHAUSTIVE_Q = 64     # q up to which minimization enumerates a full window
 _IRR_STEP = 0.5
 _BLOCK = 1 << 16       # candidates per evaluated block
+# (point, q) cells per slice of _Kernel.hits: 64 KB per float array.  A
+# temporary of 128 KB or more comes from mmap and page-faults afresh at
+# each allocation, which cost a tail chunk's 4096 x 16 batch half its time
+_HIT_CELLS = 1 << 13
 
 
 class _Kernel:
-    """Candidate generation and evaluation for one (F, q, eps) problem.
+    """Candidate generation and evaluation for one body F, restricted or not.
 
-    For raw points y = q*x, ``_blocks`` is the one candidate generator.  It
-    yields flat ``(sample index, p)`` blocks of at most _BLOCK candidates
-    from four sources: the wrapped point round(y); the central box around
-    it; for each rational skeleton line, steps along every lattice line
-    parallel to it that the fitted tube reaches; for each irrational line,
-    rounded points along it.  Each sample carries a threshold tau that
-    sizes its box and its tube reach, and k_cap bounds the tube steps.
-    ``_evaluate`` runs a block through one ``Expr.eval_xy`` call.  ``hits``
-    (tau = q*eps, k_cap = _BATCH_K_CAP) marks the samples with a value
-    below q*eps, which ends their enumeration; ``minimize`` (a batch of one,
-    tau just above min(F(wrap), q*eps), k_cap = _SCALAR_K_CAP) evaluates
-    all blocks at once and keeps the ``_pick_minimizer`` choice.
+    q and the threshold q*eps are per-call values.  A row is one problem
+    (point x, q) with raw point y = q*x; ``hits`` takes a scalar q and eps,
+    or arrays of B values of each, and decides one row per (point, q) pair.
+    ``_blocks`` is the one candidate generator.  It yields flat
+    ``(row index, p)`` blocks of at most _BLOCK candidates from four
+    sources: the wrapped point round(y); the central box around it; for
+    each rational skeleton line, steps along every lattice line parallel to
+    it that the fitted tube reaches; for each irrational line, rounded
+    points along it.  Each row carries a threshold tau that sizes its box
+    and its tube reach, and k_cap bounds the tube steps.  ``_evaluate`` runs
+    a block through one ``Expr.eval_xy`` call, and a restricted row keeps
+    its own q for the coprimality filter.  ``hits`` (tau = q*eps, k_cap =
+    _BATCH_K_CAP) marks the rows with a value below q*eps, which ends their
+    enumeration; on an unrestricted axis-monotone body it evaluates the
+    wrap alone, on (point x q) arrays.  ``minimize`` (one row, tau just
+    above min(F(wrap), q*eps), k_cap = _SCALAR_K_CAP) evaluates all blocks
+    at once and keeps the ``_pick_minimizer`` choice.
     """
 
-    def __init__(self, f: Expr, q: int, eps: float, restricted: bool = False):
+    def __init__(self, f: Expr, restricted: bool = False):
         self.f = f
-        self.q = q
-        self.eps_s = q * eps
         self.geo = body_geometry(f)
         self.restricted = restricted
         if restricted:
@@ -165,19 +174,21 @@ class _Kernel:
                 raise IrrationalSkeleton(
                     "restricted resonant sets need a rational skeleton")
             rect = fundamental_rectangle(self.geo.skeleton)
-            # gcd(p*r, q) depends on r mod q only; the reduced factors keep
-            # p*r inside int64 for a huge rectangle
-            self.r_hat, self.s_hat = rect.r_hat % q, rect.s_hat % q
+            self.r_hat, self.s_hat = rect.r_hat, rect.s_hat
 
     # -- shared helpers ----------------------------------------------------
 
-    def _allowed(self, p: np.ndarray) -> np.ndarray:
+    def _moduli(self, q):
+        """None when unrestricted; else the int64 arrays (q, r_hat mod q,
+        s_hat mod q) of q's shape.  gcd(p*r, q) depends on r mod q only, and
+        the reduced factors keep p*r inside int64 for a huge rectangle."""
         if not self.restricted:
-            return np.ones(len(p), dtype=bool)
-        pi = p.astype(np.int64)
-        g1 = np.gcd(np.abs(pi[:, 0] * self.r_hat) % self.q, self.q)
-        g2 = np.gcd(np.abs(pi[:, 1] * self.s_hat) % self.q, self.q)
-        return (g1 == 1) & (g2 == 1)
+            return None
+        q = np.asarray(q, dtype=np.int64)
+        return (q,) + tuple(
+            np.array([h % int(v) for v in q.ravel()],
+                     dtype=np.int64).reshape(q.shape)
+            for h in (self.r_hat, self.s_hat))
 
     def _box_radius(self, tau: np.ndarray) -> np.ndarray:
         c = max(self.geo.offline_min, 1e-12)
@@ -185,36 +196,39 @@ class _Kernel:
 
     # -- exact single-point minimization ------------------------------------
 
-    def minimum(self, x) -> tuple[float, tuple[int, int]]:
+    def minimum(self, x, q: int, eps: float) -> tuple[float, tuple[int, int]]:
         """Minimum of F(q*x - p) and its p: a full window enumeration for
         q <= _EXHAUSTIVE_Q, the candidate blocks above."""
-        if self.q <= _EXHAUSTIVE_Q:
-            return self.minimize_exhaustive(x)
-        return self.minimize(x)
+        if q <= _EXHAUSTIVE_Q:
+            return self.minimize_exhaustive(x, q, eps)
+        return self.minimize(x, q, eps)
 
-    def _tau(self, y) -> float:
+    def _tau(self, y, q: int, eps: float, mod) -> float:
         """Search threshold for the point y = q*x: just above
         min(F(wrapped y), q*eps), where the wrap round(y) counts only when
         it is an allowed candidate."""
         p0 = np.round(y)
         z0 = y - p0
         v0 = float(self.f.eval_xy(z0[0], z0[1]))
-        if not self._allowed(p0.reshape(1, 2))[0]:
+        if mod is not None and not _coprime(p0.reshape(1, 2), *mod)[0]:
             v0 = math.inf
-        return min(v0, self.eps_s) * (1.0 + 1e-9) + 1e-300
+        return min(v0, q * eps) * (1.0 + 1e-9) + 1e-300
 
-    def minimize(self, x) -> tuple[float, tuple[int, int]]:
+    def minimize(self, x, q: int, eps: float) -> tuple[float, tuple[int, int]]:
         """Minimum of F(q*x - p) over the candidate lattice set (raw scale)."""
-        y = self.q * np.asarray(x, dtype=float).reshape(1, 2)
-        tau = np.array([self._tau(y[0])])
+        y = q * np.asarray(x, dtype=float).reshape(1, 2)
+        mod = self._moduli(q)
+        tau = np.array([self._tau(y[0], q, eps, mod)])
         blocks = self._blocks(y, tau, _SCALAR_K_CAP, np.zeros(1, dtype=bool))
-        return self._best(y, *(np.concatenate(a) for a in zip(*blocks)))
+        return self._best(y, *(np.concatenate(a) for a in zip(*blocks)), mod)
 
-    def minimize_exhaustive(self, x) -> tuple[float, tuple[int, int]]:
+    def minimize_exhaustive(self, x, q: int,
+                            eps: float) -> tuple[float, tuple[int, int]]:
         """Same minimum through a full window enumeration (small q)."""
-        y = self.q * np.asarray(x, dtype=float).reshape(1, 2)
+        y = q * np.asarray(x, dtype=float).reshape(1, 2)
         p0 = np.round(y[0])
-        tau = self._tau(y[0])
+        mod = self._moduli(q)
+        tau = self._tau(y[0], q, eps, mod)
         reach = 0.0     # at most _WINDOW_CAP, the reach of an irrational line
         for lg in self.geo.lines:
             if lg.half.rational:
@@ -223,16 +237,16 @@ class _Kernel:
                                               _WINDOW_CAP))
             else:
                 reach = _WINDOW_CAP
-        w = int(max(self.q / 2 + 1, reach + 2))
+        w = int(max(q / 2 + 1, reach + 2))
         span = np.arange(-w, w + 1)
         gx, gy = np.meshgrid(p0[0] + span, p0[1] + span, indexing="ij")
         p = np.column_stack([gx.ravel(), gy.ravel()]).astype(float)
-        return self._best(y, np.zeros(len(p), dtype=np.intp), p)
+        return self._best(y, np.zeros(len(p), dtype=np.intp), p, mod)
 
-    def _best(self, y, idx, p) -> tuple[float, tuple[int, int]]:
+    def _best(self, y, idx, p, mod) -> tuple[float, tuple[int, int]]:
         """Least F(y[idx] - p) over the allowed candidates and its p, by the
         ``_pick_minimizer`` rule; (inf, (0, 0)) when none is allowed."""
-        _, p, z1, z2, vals = self._evaluate(y, idx, p)
+        _, p, z1, z2, vals = self._evaluate(y, idx, p, mod)
         if len(vals) == 0:
             return math.inf, (0, 0)
         i = _pick_minimizer(vals, z1, z2, p)
@@ -240,42 +254,73 @@ class _Kernel:
 
     # -- vectorized hit decisions -------------------------------------------
 
-    def hits(self, xs: np.ndarray) -> np.ndarray:
-        """Boolean hit array for points xs of shape (m, 2)."""
-        y = self.q * np.asarray(xs, dtype=float)
+    def hits(self, xs: np.ndarray, q, eps) -> np.ndarray:
+        """Whether F(q*x - p) < q*eps for some allowed p, for the points xs
+        of shape (m, 2): shape (m,) for a scalar q and eps, and (m, B) for
+        arrays of B values of each, column j for q[j] and eps[j].  The
+        points go through in slices of at most _HIT_CELLS (point, q)
+        cells."""
+        xs = np.asarray(xs, dtype=float)
+        step = _HIT_CELLS // max(1, len(q)) if np.ndim(q) else _HIT_CELLS
+        if len(xs) <= step:
+            return self._hits(xs, q, eps)
+        return np.concatenate([self._hits(xs[i:i + step], q, eps)
+                               for i in range(0, len(xs), step)])
+
+    def _hits(self, xs, q, eps) -> np.ndarray:
+        """``hits`` on one slice of points."""
+        batch = np.ndim(q) > 0
+        tau = q * eps
         if self.geo.axis_monotone and not self.restricted:
-            # coordinatewise-monotone body: the wrap is the exact minimizer
-            z = y - np.round(y)
-            return self.f.eval_xy(z[:, 0], z[:, 1]) < self.eps_s
+            # coordinatewise-monotone body: the wrap is the exact minimizer;
+            # a batch holds one (point, q) array per coordinate
+            if batch:
+                y1 = np.multiply.outer(xs[:, 0], q)
+                y2 = np.multiply.outer(xs[:, 1], q)
+                z1, z2 = y1 - np.round(y1), y2 - np.round(y2)
+            else:
+                y = q * xs
+                z1, z2 = (y - np.round(y)).T
+            return self.f.eval_xy(z1, z2) < tau
+        mod = self._moduli(q)
+        if batch:
+            # one row per (point, q): row i*B + j for point i and q[j]
+            y = (xs[:, None, :] * np.asarray(q)[:, None]).reshape(-1, 2)
+            row_tau = np.tile(tau, len(xs))
+            if mod is not None:
+                mod = tuple(np.tile(m, len(xs)) for m in mod)
+        else:
+            y, row_tau = q * xs, np.full(len(xs), tau)
         hit = np.zeros(len(y), dtype=bool)
-        tau = np.full(len(y), self.eps_s)
-        for block in self._blocks(y, tau, _BATCH_K_CAP, hit):
-            idx, _, _, _, vals = self._evaluate(y, *block)
-            hit[idx[vals < self.eps_s]] = True
-        return hit
+        for block in self._blocks(y, row_tau, _BATCH_K_CAP, hit):
+            idx, _, _, _, vals = self._evaluate(y, *block, mod)
+            hit[idx[vals < row_tau[idx]]] = True
+        return hit.reshape(len(xs), -1) if batch else hit
 
     # -- candidate blocks -----------------------------------------------------
 
-    def _evaluate(self, y, idx, p):
+    def _evaluate(self, y, idx, p, mod):
         """(idx, p, z1, z2, vals) with vals = F(y[idx] - p) in one
-        ``Expr.eval_xy`` call; restricted candidates are dropped."""
-        if self.restricted:
-            ok = self._allowed(p)
+        ``Expr.eval_xy`` call; candidates that fail the coprimality of
+        their row's q (``_moduli``: one value per row, or one for all) are
+        dropped."""
+        if mod is not None:
+            ok = _coprime(p, *(m[idx] if m.ndim else m for m in mod))
             idx, p = idx[ok], p[ok]
         z1 = y[idx, 0] - p[:, 0]
         z2 = y[idx, 1] - p[:, 1]
         return idx, p, z1, z2, self.f.eval_xy(z1, z2)
 
     def _blocks(self, y, tau, k_cap, done):
-        """Yield (idx, p) candidate blocks for the samples not yet `done`.
+        """Yield (idx, p) candidate blocks for the rows not yet `done`.
 
         `done` is read again before each block, so a consumer that sets it
-        stops the enumeration for those samples; each source enumerates its
+        stops the enumeration for those rows; each source enumerates its
         nearest candidates first.
         """
         p0 = np.rint(y)
         live = np.flatnonzero(~done)
-        yield live, p0[live]     # the wrapped point settles most samples
+        yield live, p0[live]     # the wrapped point settles most rows
         live = np.flatnonzero(~done)
         b = self._box_radius(tau[live])
         ring = _ring_offsets(int(b.max(initial=1)))
@@ -292,7 +337,7 @@ class _Kernel:
 
     def _rational_tube(self, lg, z0, p0, tau, k_cap, done):
         """Steps p = base_j + k*d along every lattice line j = cross(p, d)
-        that the tube reaches: k = kc + dk, |dk| <= kw, per (sample, j)."""
+        that the tube reaches: k = kc + dk, |dk| <= kw, per (row, j)."""
         r, s = lg.half.int_direction()
         L = math.hypot(r, s)
         d = np.array([r, s], dtype=float)
@@ -305,7 +350,7 @@ class _Kernel:
         lo = math.floor(float((c0 - reach).min()))
         hi = math.ceil(float((c0 + reach).max()))
         if hi - lo >= _BLOCK:
-            # every (sample, line) row takes a candidate, so one sample alone
+            # every (row, line) pair takes a candidate, so one row alone
             # would overflow a block
             raise StarkitError(
                 f"the tube along the skeleton line of slope {s}/{r} meets "
@@ -368,7 +413,7 @@ def _ring_offsets(b: int) -> np.ndarray:
 def _rounds(counts: np.ndarray, owner: np.ndarray, done: np.ndarray):
     """Enumerate ranks 0 .. counts[r]-1 of every row r, low ranks first, in
     blocks of at most _BLOCK candidates (one rank per row at least).  Before
-    each later block, rows whose sample owner[r] is `done` are dropped.
+    each later block, rows whose owner[r] is `done` are dropped.
     Yields (r, m): the row and the rank of each candidate."""
     if counts.sum() <= _BLOCK:
         r = np.arange(len(counts)).repeat(counts)
@@ -394,6 +439,15 @@ def _pick_minimizer(vals, z1, z2, p) -> int:
     the far one."""
     zinf = np.maximum(np.abs(z1), np.abs(z2))
     return int(np.lexsort((p[:, 1], p[:, 0], zinf, vals))[0])
+
+
+def _coprime(p, q, r, s) -> np.ndarray:
+    """gcd(p1*r, q) = gcd(p2*s, q) = 1 for each candidate row of p; q, r
+    and s are per candidate or shared (``_Kernel._moduli``)."""
+    pi = p.astype(np.int64)
+    g1 = np.gcd(np.abs(pi[:, 0] * r) % q, q)
+    g2 = np.gcd(np.abs(pi[:, 1] * s) % q, q)
+    return (g1 == 1) & (g2 == 1)
 
 
 def _xgcd(a: int, b: int):
@@ -424,9 +478,8 @@ def resonant_membership(f: Expr, x, spec: ResonantSpec) -> Optional[ResonantHit]
     then lexicographically in p, so among exactly tied values the reported
     minimizer does not depend on the search window.
     """
-    kern = _Kernel(f, spec.q, spec.epsilon, spec.restricted)
-    raw, p = kern.minimum(x)
-    if raw < kern.eps_s:
+    raw, p = _Kernel(f, spec.restricted).minimum(x, spec.q, spec.epsilon)
+    if raw < spec.q * spec.epsilon:
         return ResonantHit(x=(float(x[0]), float(x[1])), q=spec.q, p=p,
                            value=raw / spec.q)
     return None
@@ -435,23 +488,24 @@ def resonant_membership(f: Expr, x, spec: ResonantSpec) -> Optional[ResonantHit]
 def batch_hits(f: Expr, xs: np.ndarray, q: int, eps: float,
                restricted: bool = False) -> np.ndarray:
     """Vectorized membership decisions for an (m, 2) array of torus points."""
-    return _Kernel(f, q, eps, restricted).hits(np.asarray(xs, dtype=float))
+    return _Kernel(f, restricted).hits(xs, q, eps)
 
 
 def resonant_measure(f: Expr, spec: ResonantSpec, samples: int = 10_000,
                      seed: int = 0) -> tuple[float, float]:
     """Monte Carlo estimate of |B_q| (or |B*_q|) with its standard error."""
-    kern = _Kernel(f, spec.q, spec.epsilon, spec.restricted)
-    return indicator_estimate(kern.hits, samples, seed)
+    kern = _Kernel(f, spec.restricted)
+    return indicator_estimate(lambda pts: kern.hits(pts, spec.q, spec.epsilon),
+                              samples, seed)
 
 
 def overlap_estimate(f: Expr, spec_a: ResonantSpec, spec_b: ResonantSpec,
                      samples: int = 10_000, seed: int = 0) -> tuple[float, float]:
     """Monte Carlo estimate of |B*_q ∩ B*_q'| on a common sample stream."""
-    ka = _Kernel(f, spec_a.q, spec_a.epsilon, spec_a.restricted)
-    kb = _Kernel(f, spec_b.q, spec_b.epsilon, spec_b.restricted)
-    return indicator_estimate(lambda pts: ka.hits(pts) & kb.hits(pts),
-                              samples, seed)
+    ka, kb = _Kernel(f, spec_a.restricted), _Kernel(f, spec_b.restricted)
+    return indicator_estimate(
+        lambda pts: (ka.hits(pts, spec_a.q, spec_a.epsilon)
+                     & kb.hits(pts, spec_b.q, spec_b.epsilon)), samples, seed)
 
 
 def _spec_record(spec: ResonantSpec):
@@ -498,11 +552,11 @@ _SECTION_GRID = 1024   # x1 cells scanned before each section edge is bisected
 _QUAD_TOL = 1e-7       # adaptive Simpson tolerance of the periodized quadrature
 
 
-def _section_length(kern: _Kernel, x2: float) -> float:
+def _section_length(kern: _Kernel, eps: float, x2: float) -> float:
     """Measure of {x1 in [0,1] : (x1, x2) in B_1(F, eps)}."""
     x1 = np.linspace(0.0, 1.0, _SECTION_GRID + 1)
     pts = np.column_stack([x1, np.full(_SECTION_GRID + 1, x2)])
-    h = kern.hits(pts)
+    h = kern.hits(pts, 1, eps)
     if h.all():
         return 1.0
     if not h.any():
@@ -514,7 +568,7 @@ def _section_length(kern: _Kernel, x2: float) -> float:
 
     def same_as_left(mid):
         mid_pts[:, 0] = mid
-        return kern.hits(mid_pts) == h_left
+        return kern.hits(mid_pts, 1, eps) == h_left
     cross = _bisect(same_as_left, x1[edges], x1[edges + 1], 40)
     # walk runs of True cells using refined boundaries
     total = 0.0
@@ -531,14 +585,14 @@ def _section_length(kern: _Kernel, x2: float) -> float:
 
 
 def _periodized_quadrature(f: Expr, eps: float, budget: int = 20_000) -> float:
-    kern = _Kernel(f, 1, eps)
+    kern = _Kernel(f)
     evals = [0]
 
     def g(x2):
         evals[0] += 1
         if evals[0] > budget:
             raise NonConvergent("quadrature evaluation budget exhausted")
-        return _section_length(kern, x2)
+        return _section_length(kern, eps, x2)
 
     def simpson(a, fa, m, fm, b, fb):
         return (b - a) * (fa + 4.0 * fm + fb) / 6.0
@@ -603,8 +657,9 @@ def density(f: Expr, epsilon: float, method: str = "auto",
             area = (2.0 * r) ** 2
             return DensityResult(epsilon, epsilon * epsilon * p * area,
                                  "montecarlo", epsilon * epsilon * se * area)
-        kern = _Kernel(f, 1, epsilon)
-        p, se = indicator_estimate(kern.hits, samples, seed, stratified=True)
+        kern = _Kernel(f)
+        p, se = indicator_estimate(lambda pts: kern.hits(pts, 1, epsilon),
+                                   samples, seed, stratified=True)
         return DensityResult(epsilon, p, "montecarlo", se)
 
     raise ValueError(f"unknown method {method!r}")

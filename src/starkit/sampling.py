@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -18,11 +19,15 @@ CHUNK = 4096
 
 
 def thread_count() -> int:
-    raw = os.environ.get("STARKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
+    """Worker threads from ``STARKIT_THREADS``: 1 when it is unset, else a
+    positive decimal integer (ValueError for any other value)."""
+    raw = os.environ.get("STARKIT_THREADS")
+    if raw is None:
         return 1
+    if not re.fullmatch(r"[0-9]+", raw) or int(raw) < 1:
+        raise ValueError(f"STARKIT_THREADS must be a positive decimal "
+                         f"integer, not {raw!r}")
+    return int(raw)
 
 
 def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:

@@ -94,12 +94,12 @@ def test_criterion_03_membership_equivalence(registered_bodies):
         q = int(rng.integers(1, 65))
         eps = float(rng.uniform(0.05, 0.5)) / q
         x = tuple(rng.random(2))
-        kern = _Kernel(f, q, eps)
-        vf, pf = kern.minimize(x)
-        ve, pe = kern.minimize_exhaustive(x)
-        if (vf < kern.eps_s) != (ve < kern.eps_s):
+        kern = _Kernel(f)
+        vf, pf = kern.minimize(x, q, eps)
+        ve, pe = kern.minimize_exhaustive(x, q, eps)
+        if (vf < q * eps) != (ve < q * eps):
             bad += 1
-        elif ve < kern.eps_s and (vf != ve or pf != pe):
+        elif ve < q * eps and (vf != ve or pf != pe):
             bad += 1
     elapsed = time.time() - t0
     ok = bad == 0 and elapsed < 120.0

@@ -261,6 +261,19 @@ def test_determinism_across_runs_and_threads(tmp_path, cli_env):
     assert j1 == (out3 / "tail.json").read_bytes()
 
 
+@pytest.mark.parametrize("threads", ["abc", "0", "-2"])
+def test_malformed_thread_count_is_a_validation_error(tmp_path, cli_env,
+                                                      threads):
+    p = run_cli(["--out", str(tmp_path), "tail", "--f", HEIGHT, "--psi",
+                 "pow:1.5", "--N", "4", "--samples", "100", "--seed", "1"],
+                tmp_path, cli_env, env_threads=threads)
+    assert p.returncode == 2, p.stderr
+    rec = json.loads(p.stderr.strip().splitlines()[-1])
+    assert rec["error"] == "ValueError"
+    assert "STARKIT_THREADS" in rec["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_machine_readable_error_record(tmp_path, cli_env):
     p = run_cli(["--out", str(tmp_path), "density", "--f", "min()",
                  "--eps", "0.1"], tmp_path, cli_env)

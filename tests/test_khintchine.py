@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import starkit as sk
+from starkit import sampling
 from starkit.khintchine import parse_psi, totient_sieve
 
 from conftest import brute_membership
@@ -173,6 +174,37 @@ def test_tail_deterministic_given_seed(height):
     a = sk.tail_measure(height, psi, 64, samples=5_000, seed=5)
     b = sk.tail_measure(height, psi, 64, samples=5_000, seed=5)
     assert a == b
+
+
+def _tail_one_q_at_a_time(f, psi, n, samples, seed):
+    qs = range(max(n, psi.q_start), 2 * n + 1)
+
+    def hit(pts):
+        out = np.zeros(len(pts), dtype=bool)
+        for q in qs:
+            out |= sk.batch_hits(f, pts, q, float(psi(q)))
+        return out
+    return sampling.indicator_estimate(hit, samples, seed)
+
+
+@pytest.mark.parametrize("body,psi,n,samples", [
+    # 65 values of q, not a multiple of the batch; a partial last chunk
+    ("height", sk.PsiFamily.power(1.5), 64, 5_000),
+    # q_start = 2: the block [1, 2] holds one q
+    ("height", sk.PsiFamily.powerlog(3.0, 1.0), 1, 3_000),
+    ("height", sk.PsiFamily.table([2.0] * 8), 2, 500),
+    # the tube path
+    ("multiplicative", sk.PsiFamily.power(2.0), 16, 3_000),
+    ("union_jack", sk.PsiFamily.power(2.0), 16, 3_000),
+], ids=["height", "powlog_one_q", "saturated", "multiplicative",
+        "union_jack"])
+def test_tail_equals_a_loop_over_single_q(registered_bodies, body, psi, n,
+                                          samples):
+    f = registered_bodies[body]
+    got = sk.tail_measure(f, psi, n, samples=samples, seed=6)
+    want = _tail_one_q_at_a_time(f, psi, n, samples, 6)
+    assert got == want
+    assert 0 < got[0] < 1 or psi.kind == "table"
 
 
 # ---------------------------------------------------------------------------

@@ -130,8 +130,9 @@ def test_membership_height_lattice_point(height):
 
 def test_membership_example_mult(multiplicative):
     spec = sk.ResonantSpec(q=10, epsilon=0.01)
-    fast = _Kernel(multiplicative, 10, 0.01).minimize((0.3701, 0.5))
-    ex = _Kernel(multiplicative, 10, 0.01).minimize_exhaustive((0.3701, 0.5))
+    kern = _Kernel(multiplicative)
+    fast = kern.minimize((0.3701, 0.5), 10, 0.01)
+    ex = kern.minimize_exhaustive((0.3701, 0.5), 10, 0.01)
     assert fast == ex
 
 
@@ -163,12 +164,12 @@ def test_membership_fast_equals_exhaustive(registered_bodies):
                 q = int(rng.integers(1, 301))
                 eps = float(rng.uniform(0.05, 0.5)) / q
                 x = tuple(rng.random(2))
-                kern = _Kernel(f, q, eps, restricted)
-                vf, pf = kern.minimize(x)
-                ve, pe = kern.minimize_exhaustive(x)
+                kern = _Kernel(f, restricted)
+                vf, pf = kern.minimize(x, q, eps)
+                ve, pe = kern.minimize_exhaustive(x, q, eps)
                 case = (name, restricted, q, eps, x)
-                assert (vf < kern.eps_s) == (ve < kern.eps_s), case
-                if ve < kern.eps_s:
+                assert (vf < q * eps) == (ve < q * eps), case
+                if ve < q * eps:
                     assert vf == ve and pf == pe, case
 
 
@@ -182,9 +183,9 @@ def test_restricted_minimize_skips_a_forbidden_wrap(union_jack, q, eps, x,
     # round(q*x) is not coprime-admissible here, so its small value must not
     # size the search; want is the least admissible value (and its p) over
     # a window of half-width q/2 + 1500 around round(q*x)
-    kern = _Kernel(union_jack, q, eps, restricted=True)
-    assert kern.minimize(x) == want
-    assert kern.minimize_exhaustive(x) == want
+    kern = _Kernel(union_jack, restricted=True)
+    assert kern.minimize(x, q, eps) == want
+    assert kern.minimize_exhaustive(x, q, eps) == want
     hit = sk.resonant_membership(union_jack, x, sk.ResonantSpec(
         q=q, epsilon=eps, restricted=True))
     assert hit is not None and hit.p == want[1]
@@ -194,12 +195,14 @@ def test_minimum_enumerates_a_window_up_to_q_64(union_jack, monkeypatch):
     # one call per q, through the method that perfbench's trace wraps
     calls = []
     for name in ("minimize", "minimize_exhaustive"):
-        def wrapped(self, x, _orig=getattr(_Kernel, name), _name=name):
-            calls.append((self.q, _name))
-            return _orig(self, x)
+        def wrapped(self, x, q, eps, _orig=getattr(_Kernel, name),
+                    _name=name):
+            calls.append((q, _name))
+            return _orig(self, x, q, eps)
         monkeypatch.setattr(_Kernel, name, wrapped)
+    kern = _Kernel(union_jack)
     for q in (1, 64, 65, 300):
-        _Kernel(union_jack, q, 1.0).minimum((0.41, 0.73))
+        kern.minimum((0.41, 0.73), q, 1.0)
     assert calls == [(1, "minimize_exhaustive"), (64, "minimize_exhaustive"),
                      (65, "minimize"), (300, "minimize")]
 
@@ -219,14 +222,15 @@ def test_irrational_kernel_paths_keep_what_they_promise(irrational_cusp):
     rng = np.random.default_rng(41)
     for _ in range(8):
         q = int(rng.integers(65, 401))
-        kern = _Kernel(f, q, float(rng.uniform(0.02, 0.5)) / q)
+        eps = float(rng.uniform(0.02, 0.5)) / q
+        kern = _Kernel(f)
         xs = rng.random((40, 2))
-        for x, hit in zip(xs, kern.hits(xs)):
+        for x, hit in zip(xs, kern.hits(xs, q, eps)):
             y = q * x
-            value, p = kern.minimize(x)
+            value, p = kern.minimize(x, q, eps)
             assert value == _value_at(f, y, p), (q, x)
             assert value <= _value_at(f, y, np.round(y)), (q, x)
-            assert value < kern.eps_s or not hit, (q, x)
+            assert value < q * eps or not hit, (q, x)
     # an irrational line reaches _WINDOW_CAP, so for q <= 64 the window has
     # half-width _WINDOW_CAP + 2 (1205 x 1205 points)
     for _ in range(3):
@@ -235,7 +239,7 @@ def test_irrational_kernel_paths_keep_what_they_promise(irrational_cusp):
         x = tuple(rng.random(2))
         _, value, p = brute_membership(f, x, q, eps,
                                        window=measure._WINDOW_CAP + 2)
-        assert _Kernel(f, q, eps).minimize_exhaustive(x) == (value, p)
+        assert _Kernel(f).minimize_exhaustive(x, q, eps) == (value, p)
 
 
 def test_nearly_flat_tube_minimizes_without_overflow():
@@ -243,12 +247,13 @@ def test_nearly_flat_tube_minimizes_without_overflow():
     # that the reach power overflows a float: the reach is then the cap
     f = sk.load_distance_function("min(abs(-2,1),gm(abs(0,-1),abs(3,-1)))")
     x = (0.6369616873214543, 0.2697867137638703)
-    kern = _Kernel(f, 1, 0.3435)
+    kern = _Kernel(f)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        value, _ = kern.minimize(x)
-        assert value < kern.eps_s
-        assert kern.minimize_exhaustive(x) == (0.004136660878998555, (129, 257))
+        value, _ = kern.minimize(x, 1, 0.3435)
+        assert value < 0.3435
+        assert kern.minimize_exhaustive(x, 1, 0.3435) == (
+            0.004136660878998555, (129, 257))
 
 
 def test_membership_against_dumb_oracle(height, multiplicative):
@@ -313,16 +318,16 @@ def test_restricted_coprimality_matches_python_gcd():
     assert 0 < ok.sum() < len(ok)
     # hits: q*x sits 1e-3 above an allowed lattice point, where only that
     # point is within q*eps
-    kern = _Kernel(f, q, 0.002 / q, restricted=True)
+    kern = _Kernel(f, restricted=True)
     xs = (grid[ok] + np.array([0.0, 1e-3])) / q
-    assert kern.hits(xs).all()
+    assert kern.hits(xs, q, 0.002 / q).all()
     # minimize_exhaustive against the same window filtered by math.gcd
     w = 602
     span = np.arange(-w, w + 1)
     for p in np.array([(266, 5), (295, 3)], dtype=float):
         y = p + np.array([0.3, 0.05])
         assert np.array_equal(np.rint(y), p)
-        got = kern.minimize_exhaustive(y / q)
+        got = kern.minimize_exhaustive(y / q, q, 0.002 / q)
         gx, gy = np.meshgrid(p[0] + span, p[1] + span, indexing="ij")
         keep = allowed(p[0] + span, p[1] + span).ravel()
         ps = np.column_stack([gx.ravel(), gy.ravel()])[keep]
@@ -360,10 +365,34 @@ def test_batch_hits_match_exhaustive_oracle(body, restricted, seed):
     q = int(rng.integers(1, 301))
     eps = float(rng.uniform(0.02, 0.5)) / q
     xs = rng.random((3, 2))
-    kern = _Kernel(f, q, eps, restricted)
+    kern = _Kernel(f, restricted)
     fast = sk.batch_hits(f, xs, q, eps, restricted)
-    slow = [kern.minimize_exhaustive(x)[0] < kern.eps_s for x in xs]
+    slow = [kern.minimize_exhaustive(x, q, eps)[0] < q * eps for x in xs]
     assert fast.tolist() == slow, (body, restricted, q, eps, xs)
+
+
+@pytest.mark.parametrize("restricted", [False, True],
+                         ids=["unrestricted", "restricted"])
+@pytest.mark.parametrize("name", ["height", "multiplicative", "union_jack"])
+def test_hits_on_a_batch_of_q_are_the_scalar_columns(registered_bodies, name,
+                                                     restricted):
+    # one call on 16 values of q decides each (point, q) pair as the call on
+    # that q alone does; 600 x 16 rows also cross a _HIT_CELLS slice
+    f = registered_bodies[name]
+    rng = np.random.default_rng([53, len(name), restricted])
+    qs = np.sort(rng.choice(np.arange(1, 301), 16, replace=False))
+    qs[-1] = 300
+    eps = rng.uniform(0.05, 0.5, len(qs)) / qs
+    xs = rng.random((600, 2))
+    assert len(xs) * len(qs) > measure._HIT_CELLS
+    kern = _Kernel(f, restricted)
+    batched = kern.hits(xs, qs, eps)
+    columns = np.column_stack([kern.hits(xs, int(q), float(e))
+                               for q, e in zip(qs, eps)])
+    assert batched.dtype == columns.dtype == bool
+    assert batched.shape == (600, 16)
+    assert 0 < np.count_nonzero(columns) < columns.size
+    assert np.array_equal(batched, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +576,21 @@ def test_indicator_estimate_returns_floats_for_one_indicator():
     assert type(p) is float and type(se) is float
     with pytest.raises(ValueError, match="samples"):
         sampling.uniform_points(3, 0)
+
+
+def test_thread_count_reads_a_positive_decimal_integer(monkeypatch):
+    monkeypatch.delenv("STARKIT_THREADS", raising=False)
+    assert sampling.thread_count() == 1
+    for raw, want in (("1", 1), ("4", 4)):
+        monkeypatch.setenv("STARKIT_THREADS", raw)
+        assert sampling.thread_count() == want
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-2"])
+def test_thread_count_rejects_other_values(monkeypatch, raw):
+    monkeypatch.setenv("STARKIT_THREADS", raw)
+    with pytest.raises(ValueError, match="STARKIT_THREADS"):
+        sampling.thread_count()
 
 
 def test_width_outside_body_is_zero(multiplicative, union_jack):
