@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import starkit as sk
-from starkit import sampling
+from starkit import measure, sampling
 from starkit.khintchine import parse_psi, totient_sieve
 
 from conftest import brute_membership
@@ -204,7 +204,22 @@ def test_tail_equals_a_loop_over_single_q(registered_bodies, body, psi, n,
     got = sk.tail_measure(f, psi, n, samples=samples, seed=6)
     want = _tail_one_q_at_a_time(f, psi, n, samples, 6)
     assert got == want
-    assert 0 < got[0] < 1 or psi.kind == "table"
+    assert got[0] == 1.0 if psi.kind == "table" else 0 < got[0] < 1
+
+
+def test_tail_and_search_build_one_kernel_per_call(height, monkeypatch):
+    built = []
+    init = measure._Kernel.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(measure._Kernel, "__init__", counting)
+    sk.tail_measure(height, sk.PsiFamily.power(1.6), 40, samples=5_000,
+                    seed=1)
+    assert len(built) == 1
+    sk.best_approximations(height, (0.3, 0.7), 70)
+    assert len(built) == 2
 
 
 # ---------------------------------------------------------------------------
