@@ -472,7 +472,6 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        sampling.thread_count()     # a malformed STARKIT_THREADS fails first
         return args.func(args)
     except (ValidationError, ValueError, ParseError, ArityError,
             FileNotFoundError) as e:

@@ -180,15 +180,14 @@ class _Kernel:
 
     def _moduli(self, q):
         """None when unrestricted; else the int64 arrays (q, r_hat mod q,
-        s_hat mod q) of q's shape.  gcd(p*r, q) depends on r mod q only, and
-        the reduced factors keep p*r inside int64 for a huge rectangle."""
+        s_hat mod q), one entry per row of the 1-D q.  gcd(p*r, q) depends
+        on r mod q only, and the reduced factors keep p*r inside int64 for a
+        huge rectangle."""
         if not self.restricted:
             return None
         q = np.asarray(q, dtype=np.int64)
-        return (q,) + tuple(
-            np.array([h % int(v) for v in q.ravel()],
-                     dtype=np.int64).reshape(q.shape)
-            for h in (self.r_hat, self.s_hat))
+        return (q,) + tuple(np.array([h % int(v) for v in q], dtype=np.int64)
+                            for h in (self.r_hat, self.s_hat))
 
     def _box_radius(self, tau: np.ndarray) -> np.ndarray:
         c = max(self.geo.offline_min, 1e-12)
@@ -217,7 +216,7 @@ class _Kernel:
     def minimize(self, x, q: int, eps: float) -> tuple[float, tuple[int, int]]:
         """Minimum of F(q*x - p) over the candidate lattice set (raw scale)."""
         y = q * np.asarray(x, dtype=float).reshape(1, 2)
-        mod = self._moduli(q)
+        mod = self._moduli([q])
         tau = np.array([self._tau(y[0], q, eps, mod)])
         blocks = self._blocks(y, tau, _SCALAR_K_CAP, np.zeros(1, dtype=bool))
         return self._best(y, *(np.concatenate(a) for a in zip(*blocks)), mod)
@@ -227,7 +226,7 @@ class _Kernel:
         """Same minimum through a full window enumeration (small q)."""
         y = q * np.asarray(x, dtype=float).reshape(1, 2)
         p0 = np.round(y[0])
-        mod = self._moduli(q)
+        mod = self._moduli([q])
         tau = self._tau(y[0], q, eps, mod)
         reach = 0.0     # at most _WINDOW_CAP, the reach of an irrational line
         for lg in self.geo.lines:
@@ -256,56 +255,50 @@ class _Kernel:
 
     def hits(self, xs: np.ndarray, q, eps) -> np.ndarray:
         """Whether F(q*x - p) < q*eps for some allowed p, for the points xs
-        of shape (m, 2): shape (m,) for a scalar q and eps, and (m, B) for
-        arrays of B values of each, column j for q[j] and eps[j].  The
-        points go through in slices of at most _HIT_CELLS (point, q)
-        cells."""
+        of shape (m, 2): shape (m, B) for arrays of B values of q and eps,
+        column j for q[j] and eps[j], and shape (m,) for a scalar q and eps
+        (a batch of one).  The points go through in slices of at most
+        _HIT_CELLS (point, q) cells."""
         xs = np.asarray(xs, dtype=float)
-        step = _HIT_CELLS // max(1, len(q)) if np.ndim(q) else _HIT_CELLS
+        qs = np.atleast_1d(q)
+        tau = qs * eps
+        step = max(1, _HIT_CELLS // len(qs))
         if len(xs) <= step:
-            return self._hits(xs, q, eps)
-        return np.concatenate([self._hits(xs[i:i + step], q, eps)
-                               for i in range(0, len(xs), step)])
-
-    def _hits(self, xs, q, eps) -> np.ndarray:
-        """``hits`` on one slice of points."""
-        batch = np.ndim(q) > 0
-        tau = q * eps
-        if self.geo.axis_monotone and not self.restricted:
-            # coordinatewise-monotone body: the wrap is the exact minimizer;
-            # a batch holds one (point, q) array per coordinate
-            if batch:
-                y1 = np.multiply.outer(xs[:, 0], q)
-                y2 = np.multiply.outer(xs[:, 1], q)
-                z1, z2 = y1 - np.round(y1), y2 - np.round(y2)
-            else:
-                y = q * xs
-                z1, z2 = (y - np.round(y)).T
-            return self.f.eval_xy(z1, z2) < tau
-        mod = self._moduli(q)
-        if batch:
-            # one row per (point, q): row i*B + j for point i and q[j]
-            y = (xs[:, None, :] * np.asarray(q)[:, None]).reshape(-1, 2)
-            row_tau = np.tile(tau, len(xs))
-            if mod is not None:
-                mod = tuple(np.tile(m, len(xs)) for m in mod)
+            out = self._hits(xs, qs, tau)
         else:
-            y, row_tau = q * xs, np.full(len(xs), tau)
+            out = np.concatenate([self._hits(xs[i:i + step], qs, tau)
+                                  for i in range(0, len(xs), step)])
+        return out if np.ndim(q) else out[:, 0]
+
+    def _hits(self, xs, q, tau) -> np.ndarray:
+        """``hits`` on one slice of points, for 1-D q and tau = q*eps."""
+        if self.geo.axis_monotone and not self.restricted:
+            # coordinatewise-monotone body: the wrap is the exact minimizer,
+            # decided on one (point, q) array per coordinate
+            y1 = np.multiply.outer(xs[:, 0], q)
+            y2 = np.multiply.outer(xs[:, 1], q)
+            return self.f.eval_xy(y1 - np.round(y1), y2 - np.round(y2)) < tau
+        # one row per (q, point): row j*m + i for q[j] and point i
+        m = len(xs)
+        y = (q[:, None, None] * xs).reshape(-1, 2)
+        row_tau = tau.repeat(m)
+        mod = self._moduli(q)
+        if mod is not None:
+            mod = tuple(v.repeat(m) for v in mod)
         hit = np.zeros(len(y), dtype=bool)
         for block in self._blocks(y, row_tau, _BATCH_K_CAP, hit):
             idx, _, _, _, vals = self._evaluate(y, *block, mod)
             hit[idx[vals < row_tau[idx]]] = True
-        return hit.reshape(len(xs), -1) if batch else hit
+        return hit.reshape(len(q), m).T
 
     # -- candidate blocks -----------------------------------------------------
 
     def _evaluate(self, y, idx, p, mod):
         """(idx, p, z1, z2, vals) with vals = F(y[idx] - p) in one
         ``Expr.eval_xy`` call; candidates that fail the coprimality of
-        their row's q (``_moduli``: one value per row, or one for all) are
-        dropped."""
+        their row's q (``_moduli``, one entry per row) are dropped."""
         if mod is not None:
-            ok = _coprime(p, *(m[idx] if m.ndim else m for m in mod))
+            ok = _coprime(p, *(m[idx] for m in mod))
             idx, p = idx[ok], p[ok]
         z1 = y[idx, 0] - p[:, 0]
         z2 = y[idx, 1] - p[:, 1]
@@ -442,8 +435,8 @@ def _pick_minimizer(vals, z1, z2, p) -> int:
 
 
 def _coprime(p, q, r, s) -> np.ndarray:
-    """gcd(p1*r, q) = gcd(p2*s, q) = 1 for each candidate row of p; q, r
-    and s are per candidate or shared (``_Kernel._moduli``)."""
+    """gcd(p1*r, q) = gcd(p2*s, q) = 1 for each candidate row of p, with q,
+    r and s given per candidate (``_Kernel._moduli``)."""
     pi = p.astype(np.int64)
     g1 = np.gcd(np.abs(pi[:, 0] * r) % q, q)
     g2 = np.gcd(np.abs(pi[:, 1] * s) % q, q)
