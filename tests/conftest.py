@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import starkit as sk
+from starkit.dsl import parse_number
 
 
 @pytest.fixture
@@ -74,3 +75,35 @@ def brute_membership(f, x, q, eps, window=None, extra_reach=8):
     best_val, best_p = float(vals[i]), (int(ps[i, 0]), int(ps[i, 1]))
     hit = best_val < q * eps
     return hit, best_val, best_p
+
+
+def _random_number(rng, rational=False):
+    # rational: integers and small fractions only, whose skeleton lines keep
+    # small integer directions
+    kind = rng.randrange(2 if rational else 4)
+    if kind == 0:
+        return str(rng.randrange(-20, 21)) or "1"
+    if kind == 1:
+        return f"{rng.randrange(-30, 30)}/{rng.randrange(1, 12)}"
+    if kind == 2:
+        token = rng.choice(["sqrt2", "sqrt3", "invsqrt2", "golden",
+                            "invgolden", "sqrt2m1"])
+        return rng.choice(["", "-"]) + token
+    return repr(round(rng.uniform(-3, 3), 4))
+
+
+def random_dsl(rng, depth=0, rational=False):
+    """A random DSL body of depth at most 3 from the stream rng."""
+    kind = rng.randrange(5) if depth < 3 else 0
+    if kind == 0:
+        a, b = _random_number(rng, rational), _random_number(rng, rational)
+        if parse_number(a) == parse_number(b) == 0:
+            a = "1"
+        return f"abs({a},{b})"
+    if kind == 4:
+        c = rng.choice(["2", "1/3", "0.5", "7/2"])
+        return f"scale({c},{random_dsl(rng, depth + 1, rational)})"
+    head = ["min", "max", "gm"][kind - 1]
+    children = ",".join(random_dsl(rng, depth + 1, rational)
+                        for _ in range(rng.randrange(1, 4)))
+    return f"{head}({children})"

@@ -45,11 +45,14 @@ def test_density_quadrature_value_is_a_plain_number(tmp_path):
                "gm(abs(1,-1),abs(0,1))", "--eps", repr(eps),
                "--method", "quadrature"])
     assert rc == 0
-    row = (tmp_path / "density.csv").read_text().splitlines()[1].split(",")
+    line = (tmp_path / "density.csv").read_text().splitlines()[1]
+    row = line.split(",")
     c = eps * eps
     assert float(row[1]) == pytest.approx(4 * c * (1 + math.log(1 / (4 * c))),
                                           abs=1e-7)
     assert row[3] == "quadrature"
+    # the adaptive Simpson value of 65 sections, pinned to the last bit
+    assert line == "0.375,0.8861423317263515,0,quadrature"
 
 
 def test_density_file_input(tmp_path):

@@ -13,6 +13,8 @@ from starkit.dsl import (load_distance_function, parse_distance_function,
 from starkit.errors import ArityError, ParseError
 from starkit.exact import GOLDEN, INV_SQRT2, SQRT2, SQRT3, Quad
 
+from conftest import random_dsl
+
 
 def test_parse_height():
     f = parse_distance_function("max(abs(1,0),abs(0,1))")
@@ -141,39 +143,10 @@ def test_whitespace_tolerated():
     assert f == sk.height()
 
 
-def _random_number(rng):
-    kind = rng.randrange(4)
-    if kind == 0:
-        return str(rng.randrange(-20, 21)) or "1"
-    if kind == 1:
-        return f"{rng.randrange(-30, 30)}/{rng.randrange(1, 12)}"
-    if kind == 2:
-        token = rng.choice(["sqrt2", "sqrt3", "invsqrt2", "golden",
-                            "invgolden", "sqrt2m1"])
-        return rng.choice(["", "-"]) + token
-    return repr(round(rng.uniform(-3, 3), 4))
-
-
-def _random_dsl(rng, depth=0):
-    kind = rng.randrange(5) if depth < 3 else 0
-    if kind == 0:
-        a, b = _random_number(rng), _random_number(rng)
-        if parse_number(a) == parse_number(b) == 0:
-            a = "1"
-        return f"abs({a},{b})"
-    if kind == 4:
-        c = rng.choice(["2", "1/3", "0.5", "7/2"])
-        return f"scale({c},{_random_dsl(rng, depth + 1)})"
-    head = ["min", "max", "gm"][kind - 1]
-    children = ",".join(_random_dsl(rng, depth + 1)
-                        for _ in range(rng.randrange(1, 4)))
-    return f"{head}({children})"
-
-
 def test_round_trip_corpus():
     rng = random.Random(1234)
     for _ in range(500):
-        text = _random_dsl(rng)
+        text = random_dsl(rng)
         try:
             tree = parse_distance_function(text)
         except sk.DegenerateExpr:

@@ -1,4 +1,5 @@
 import math
+import random
 import subprocess
 import sys
 import warnings
@@ -15,7 +16,7 @@ from starkit.errors import IrrationalSkeleton, SkeletonMismatch
 from starkit.measure import _Kernel, analytic_density_info
 from starkit.starbody import Abs, GeoMean, Max, Scale
 
-from conftest import brute_membership
+from conftest import brute_membership, random_dsl
 
 # ---------------------------------------------------------------------------
 # Density: frozen oracles
@@ -633,8 +634,122 @@ def test_import_leaves_scipy_unloaded(tmp_path, cli_env):
     assert proc.stdout.strip() == "[]"
 
 
+# ---------------------------------------------------------------------------
+# Periodized quadrature
+# ---------------------------------------------------------------------------
+
+SHEARED = "gm(abs(1,-1),abs(0,1))"
+_SECTION_X2 = [0.0, 1.0, 0.5, 0.0625, 0.3, 0.6180339887498949, 0.95]
+
+
+def _sections_batch_as_ones(f, eps, x2):
+    """The section lengths of one batched call, after checking them bit for
+    bit against one call per section."""
+    kern = _Kernel(f)
+    batch = measure._section_length(kern, eps, x2)
+    ones = np.concatenate([measure._section_length(kern, eps, [v])
+                           for v in x2])
+    assert batch.tobytes() == ones.tobytes(), (eps, x2, batch, ones)
+    return batch
+
+
+@pytest.mark.parametrize("body, eps, pinned", [
+    # on the horizontal skeleton line every cell hits
+    ("gm(abs(1,0),abs(0,1))", 0.1, {0.0: 1.0, 1.0: 1.0}),
+    (_STOCK_BODIES[2], 0.15, {0.0: 1.0}),
+    (SHEARED, 0.375, {}),
+    (SHEARED, 0.15, {}),
+    # |x2 - p2| >= 1/2 > eps: no cell hits
+    ("max(abs(1,0),abs(0,1))", 0.25, {0.5: 0.0}),
+], ids=["multiplicative", "union_jack", "sheared-0.375", "sheared-0.15",
+        "height"])
+def test_section_lengths_of_a_batch_are_the_batches_of_one(body, eps, pinned):
+    # one lockstep bisection over the edges of every section of a batch
+    # decides each edge as the section's own bisection does, although the
+    # rows of a call share _rational_tube's range of lattice lines
+    lengths = _sections_batch_as_ones(sk.parse_distance_function(body), eps,
+                                      _SECTION_X2)
+    assert {v: lengths[_SECTION_X2.index(v)] for v in pinned} == pinned
+    assert np.count_nonzero((0.0 < lengths) & (lengths < 1.0)) >= 2
+
+
+def test_section_lengths_of_random_rational_bodies_batch_as_ones():
+    # counted are the bodies whose bisection runs over several sections
+    rng = random.Random(16)
+    checked = 0
+    while checked < 6:
+        text = random_dsl(rng, rational=True)
+        try:
+            f = sk.parse_distance_function(text)
+        except sk.DegenerateExpr:
+            continue
+        x2 = [0.0, 1.0] + [rng.random() for _ in range(3)]
+        lengths = _sections_batch_as_ones(f, rng.uniform(0.05, 0.5), x2)
+        checked += np.count_nonzero((0.0 < lengths) & (lengths < 1.0)) >= 2
+
+
+def _depth_first_quadrature(f, eps):
+    """The adaptive Simpson recursion over x2, one section per call, as
+    _periodized_quadrature computed it before it walked level by level:
+    (value, the x2 evaluated)."""
+    kern = _Kernel(f)
+    evaluated = []
+
+    def g(x2):
+        evaluated.append(x2)
+        return float(measure._section_length(kern, eps, [x2])[0])
+
+    def simpson(a, fa, m, fm, b, fb):
+        return (b - a) * (fa + 4.0 * fm + fb) / 6.0
+
+    def adapt(a, fa, m, fm, b, fb, whole, tol, depth):
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        flm, frm = g(lm), g(rm)
+        left = simpson(a, fa, lm, flm, m, fm)
+        right = simpson(m, fm, rm, frm, b, fb)
+        if depth <= 0:
+            return left + right
+        if abs(left + right - whole) < 15.0 * tol:
+            return left + right + (left + right - whole) / 15.0
+        return (adapt(a, fa, lm, flm, m, fm, left, tol / 2.0, depth - 1)
+                + adapt(m, fm, rm, frm, b, fb, right, tol / 2.0, depth - 1))
+
+    fa, fm, fb = g(0.0), g(0.5), g(1.0)
+    whole = simpson(0.0, fa, 0.5, fm, 1.0, fb)
+    return adapt(0.0, fa, 0.5, fm, 1.0, fb, whole, measure._QUAD_TOL,
+                 48), evaluated
+
+
+@pytest.mark.parametrize("body, eps", [
+    (SHEARED, 0.375), (SHEARED, 0.15),
+    # axis-monotone: the kernel decides the wrap alone
+    ("gm(abs(1,0),abs(0,1))", 0.1),
+], ids=["sheared-0.375", "sheared-0.15", "multiplicative"])
+def test_level_walk_is_the_depth_first_recursion(body, eps, monkeypatch):
+    f = sk.parse_distance_function(body)
+    want, want_x2 = _depth_first_quadrature(f, eps)
+    evaluated = []
+    section_length = measure._section_length
+
+    def counted(kern, eps, x2):
+        evaluated.extend(x2)
+        return section_length(kern, eps, x2)
+    monkeypatch.setattr(measure, "_section_length", counted)
+    got = measure._periodized_quadrature(f, eps)
+    assert type(got) is float
+    assert got.hex() == want.hex()
+    assert sorted(evaluated) == sorted(want_x2)
+    assert len(evaluated) == len(want_x2)
+
+
 def test_quadrature_budget_exhaustion(multiplicative):
     from starkit.errors import NonConvergent
     from starkit.measure import _periodized_quadrature
     with pytest.raises(NonConvergent):
         _periodized_quadrature(multiplicative, 0.1, budget=3)
+    # the depth-first recursion's count of sections is the least budget
+    want, evaluated = _depth_first_quadrature(multiplicative, 0.1)
+    n = len(evaluated)
+    assert _periodized_quadrature(multiplicative, 0.1, budget=n) == want
+    with pytest.raises(NonConvergent):
+        _periodized_quadrature(multiplicative, 0.1, budget=n - 1)
