@@ -739,7 +739,6 @@ def test_level_walk_is_the_depth_first_recursion(body, eps, monkeypatch):
     assert type(got) is float
     assert got.hex() == want.hex()
     assert sorted(evaluated) == sorted(want_x2)
-    assert len(evaluated) == len(want_x2)
 
 
 def test_quadrature_budget_exhaustion(multiplicative):
