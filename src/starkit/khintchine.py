@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import sampling
+from . import measure, sampling
 from .dsl import parse_number
 from .measure import (_Kernel, _analytic_density,
                       analytic_density_info, density)
@@ -287,15 +287,23 @@ class BestApproximation:
 
 
 def best_approximations(f: Expr, x, q_max: int) -> list[BestApproximation]:
-    """Per q <= Qmax the minimizing p, with record-breaking minima flagged."""
+    """Per q <= Qmax the minimizing p, with record-breaking minima flagged.
+
+    The q up to ``measure._EXHAUSTIVE_Q`` take the full window one at a
+    time; all larger q go through one batched ``_Kernel.minimize``."""
     if q_max < 1:
         raise ValueError("Qmax must be >= 1")
+    kern = _Kernel(f)
+    # threshold irrelevant for pure minimization
+    small = min(q_max, measure._EXHAUSTIVE_Q)
+    found = [kern.minimum(x, q, 1.0) for q in range(1, small + 1)]
+    if q_max > small:
+        raws, ps = kern.minimize(x, np.arange(small + 1, q_max + 1), 1.0)
+        found += [(raw, (int(p1), int(p2)))
+                  for raw, (p1, p2) in zip(raws.tolist(), ps.tolist())]
     out = []
     best = math.inf
-    kern = _Kernel(f)
-    for q in range(1, q_max + 1):
-        # threshold irrelevant for pure minimization
-        raw, p = kern.minimum(x, q, 1.0)
+    for q, (raw, p) in enumerate(found, start=1):
         val = raw / q
         rec = val < best
         if rec:

@@ -25,10 +25,13 @@ One ``_Kernel`` serves one body, restricted or not; q and eps are
 arguments of each call.  Its generator (``_Kernel._blocks``) enumerates
 those candidates for a whole batch of rows, one row per (point, q), as
 flat ``(row index, p)`` blocks of bounded size, and one evaluator runs
-each block through a single ``Expr.eval_xy`` call.  A vectorized hit test
-(a scalar q, or a batch of q values for every point) and a single-point
-minimization (one row) differ only in the per-row threshold that sizes
-the search, the step cap, and how they reduce the values.
+each block through a single ``Expr.eval_xy`` call.  Every row has its own
+candidates, so a row's result does not depend on the rows beside it.  The
+hit test (``hits``, a batch of q values for every point) and the
+minimization (``minimize``, one q per row, as ``best_approximations``
+sweeps q) differ only in the per-row threshold that sizes the search, the
+step cap, and how they reduce the values: a hit ends a row's search, a
+minimum folds each block into per-row running bests.
 """
 
 from __future__ import annotations
@@ -145,28 +148,33 @@ _BLOCK = 1 << 16       # candidates per evaluated block
 # temporary of 128 KB or more comes from mmap and page-faults afresh at
 # each allocation, which cost a tail chunk's 4096 x 16 batch half its time
 _HIT_CELLS = 1 << 13
+# rows per slice of _Kernel.minimize: about 7,300 union-jack candidates, so
+# every temporary of a slice stays below that threshold too
+_MIN_ROWS = 128
 
 
 class _Kernel:
     """Candidate generation and evaluation for one body F, restricted or not.
 
     q and the threshold q*eps are per-call values.  A row is one problem
-    (point x, q) with raw point y = q*x; ``hits`` takes a scalar q and eps,
-    or arrays of B values of each, and decides one row per (point, q) pair.
-    ``_blocks`` is the one candidate generator.  It yields flat
-    ``(row index, p)`` blocks of at most _BLOCK candidates from four
-    sources: the wrapped point round(y); the central box around it; for
-    each rational skeleton line, steps along every lattice line parallel to
-    it that the fitted tube reaches; for each irrational line, rounded
-    points along it.  Each row carries a threshold tau that sizes its box
-    and its tube reach, and k_cap bounds the tube steps.  ``_evaluate`` runs
-    a block through one ``Expr.eval_xy`` call, and a restricted row keeps
-    its own q for the coprimality filter.  ``hits`` (tau = q*eps, k_cap =
-    _BATCH_K_CAP) marks the rows with a value below q*eps, which ends their
-    enumeration; on an unrestricted axis-monotone body it evaluates the
-    wrap alone, on (point x q) arrays.  ``minimize`` (one row, tau just
-    above min(F(wrap), q*eps), k_cap = _SCALAR_K_CAP) evaluates all blocks
-    at once and keeps the ``_pick_minimizer`` choice.
+    (point x, q) with raw point y = q*x; ``hits`` and ``minimize`` take a
+    scalar q (a batch of one) or an array of them.  ``_blocks`` is the one
+    candidate generator.  It yields flat ``(row index, p)`` blocks of at
+    most _BLOCK candidates from four sources: the wrapped point round(y);
+    the central box around it; for each rational skeleton line, steps along
+    the lattice lines parallel to it that the row's own fitted tube
+    reaches; for each irrational line, rounded points along it.  Each row
+    carries a threshold tau that sizes its box and its tube reach, and
+    k_cap bounds the tube steps, so a row's candidates are the same in any
+    batch.  ``_evaluate`` runs a block through one ``Expr.eval_xy`` call,
+    and a restricted row keeps its own q for the coprimality filter.
+    ``hits`` (tau = q*eps, k_cap = _BATCH_K_CAP) marks the rows with a
+    value below q*eps, which ends their enumeration; on an unrestricted
+    axis-monotone body it evaluates the wrap alone, on (point x q) arrays.
+    ``minimize`` (tau just above min(F(wrap), q*eps), k_cap =
+    _SCALAR_K_CAP) runs _MIN_ROWS rows at a time, and ``_least`` folds each
+    block into the rows' running bests with a segmented
+    ``_pick_minimizer``, so memory stays at one block.
     """
 
     def __init__(self, f: Expr, restricted: bool = False):
@@ -197,7 +205,7 @@ class _Kernel:
         c = max(self.geo.offline_min, 1e-12)
         return np.clip(np.ceil(tau / c) + 1, 1, 64).astype(np.int64)
 
-    # -- exact single-point minimization ------------------------------------
+    # -- exact minimization ---------------------------------------------------
 
     def minimum(self, x, q: int, eps: float) -> tuple[float, tuple[int, int]]:
         """Minimum of F(q*x - p) and its p: a full window enumeration for
@@ -206,24 +214,38 @@ class _Kernel:
             return self.minimize_exhaustive(x, q, eps)
         return self.minimize(x, q, eps)
 
-    def _tau(self, y, q: int, eps: float, mod) -> float:
-        """Search threshold for the point y = q*x: just above
-        min(F(wrapped y), q*eps), where the wrap round(y) counts only when
-        it is an allowed candidate."""
+    def _tau(self, y, cap, mod) -> np.ndarray:
+        """Search thresholds of the rows y = q*x: just above
+        min(F(wrapped y), cap) with cap = q*eps, where the wrap round(y)
+        counts only when it is an allowed candidate."""
         p0 = np.round(y)
         z0 = y - p0
-        v0 = float(self.f.eval_xy(z0[0], z0[1]))
-        if mod is not None and not _coprime(p0.reshape(1, 2), *mod)[0]:
-            v0 = math.inf
-        return min(v0, q * eps) * (1.0 + 1e-9) + 1e-300
+        v0 = self.f.eval_xy(z0[:, 0], z0[:, 1])
+        if mod is not None:
+            v0 = np.where(_coprime(p0, *mod), v0, np.inf)
+        return np.minimum(v0, cap) * (1.0 + 1e-9) + 1e-300
 
-    def minimize(self, x, q: int, eps: float) -> tuple[float, tuple[int, int]]:
-        """Minimum of F(q*x - p) over the candidate lattice set (raw scale)."""
-        y = q * np.asarray(x, dtype=float).reshape(1, 2)
-        mod = self._moduli([q])
-        tau = np.array([self._tau(y[0], q, eps, mod)])
-        blocks = self._blocks(y, tau, _SCALAR_K_CAP, np.zeros(1, dtype=bool))
-        return self._best(y, *(np.concatenate(a) for a in zip(*blocks)), mod)
+    def minimize(self, x, q, eps):
+        """Minimum of F(q*x - p) over the candidate lattice set (raw scale)
+        and its p, one row per (x, q, eps).
+
+        For a 1-D q of m values, x is one point or m points and eps a scalar
+        or m values: arrays of the m minima and of their (m, 2) p.  A scalar
+        q is a batch of one, returned as (value, (p1, p2)).  A row with no
+        allowed candidate gets (inf, (0, 0)).  The rows go through in
+        slices of _MIN_ROWS."""
+        qs = np.atleast_1d(q)
+        y = qs[:, None] * np.asarray(x, dtype=float).reshape(-1, 2)
+        cap = qs * np.asarray(eps, dtype=float)
+        vals, p = np.empty(len(qs)), np.empty((len(qs), 2))
+        for i in range(0, len(qs), _MIN_ROWS):
+            rows = slice(i, i + _MIN_ROWS)
+            mod = self._moduli(qs[rows])
+            tau = self._tau(y[rows], cap[rows], mod)
+            vals[rows], p[rows] = self._least(y[rows], self._blocks(
+                y[rows], tau, _SCALAR_K_CAP, np.zeros(len(tau), dtype=bool)),
+                mod)
+        return _as_pair(vals, p) if np.ndim(q) == 0 else (vals, p)
 
     def minimize_exhaustive(self, x, q: int,
                             eps: float) -> tuple[float, tuple[int, int]]:
@@ -231,7 +253,7 @@ class _Kernel:
         y = q * np.asarray(x, dtype=float).reshape(1, 2)
         p0 = np.round(y[0])
         mod = self._moduli([q])
-        tau = self._tau(y[0], q, eps, mod)
+        tau = self._tau(y, np.array([q * eps]), mod)[0]
         reach = 0.0     # at most _WINDOW_CAP, the reach of an irrational line
         for lg in self.geo.lines:
             if lg.half.rational:
@@ -244,16 +266,33 @@ class _Kernel:
         span = np.arange(-w, w + 1)
         gx, gy = np.meshgrid(p0[0] + span, p0[1] + span, indexing="ij")
         p = np.column_stack([gx.ravel(), gy.ravel()]).astype(float)
-        return self._best(y, np.zeros(len(p), dtype=np.intp), p, mod)
+        blocks = ((np.zeros(len(c), dtype=np.intp), c)
+                  for c in np.split(p, range(_BLOCK, len(p), _BLOCK)))
+        return _as_pair(*self._least(y, blocks, mod))
 
-    def _best(self, y, idx, p, mod) -> tuple[float, tuple[int, int]]:
-        """Least F(y[idx] - p) over the allowed candidates and its p, by the
-        ``_pick_minimizer`` rule; (inf, (0, 0)) when none is allowed."""
-        _, p, z1, z2, vals = self._evaluate(y, idx, p, mod)
-        if len(vals) == 0:
-            return math.inf, (0, 0)
-        i = _pick_minimizer(vals, z1, z2, p)
-        return float(vals[i]), (int(p[i, 0]), int(p[i, 1]))
+    def _least(self, y, blocks, mod):
+        """Per row of y, the least F(y - p) over the allowed candidates of
+        the (row index, p) blocks and its p, by the ``_pick_minimizer``
+        rule: (values, p) arrays, inf and (0, 0) for a row that has none.
+        Each block is folded into the rows' running bests, so only one
+        block is held at a time; the rule's order is total, so the choice
+        does not depend on where the blocks split."""
+        best = np.full(len(y), np.inf)
+        best_z = np.full(len(y), np.inf)     # |y - p|_inf of each best
+        best_p = np.zeros((len(y), 2))
+        seen = np.zeros(len(y), dtype=bool)
+        for block in blocks:
+            idx, p, z1, z2, vals = self._evaluate(y, *block, mod)
+            old = np.flatnonzero(seen)
+            idx = np.concatenate([idx, old])
+            vals = np.concatenate([vals, best[old]])
+            zinf = np.concatenate([np.maximum(np.abs(z1), np.abs(z2)),
+                                   best_z[old]])
+            p = np.concatenate([p, best_p[old]])
+            rows, i = _pick_minimizer(idx, vals, zinf, p)
+            best[rows], best_z[rows], best_p[rows] = vals[i], zinf[i], p[i]
+            seen[rows] = True
+        return best, best_p
 
     # -- vectorized hit decisions -------------------------------------------
 
@@ -333,36 +372,42 @@ class _Kernel:
                 yield from self._irrational_tube(lg, y, tau, k_cap, done)
 
     def _rational_tube(self, lg, z0, p0, tau, k_cap, done):
-        """Steps p = base_j + k*d along every lattice line j = cross(p, d)
-        that the tube reaches: k = kc + dk, |dk| <= kw, per (row, j)."""
+        """Steps p = base_j + k*d along the lattice lines j = cross(p, d)
+        that each row's tube reaches: k = kc + dk, |dk| <= kw, per (row, j).
+        Row i takes its own lines floor(c0_i - reach_i) .. ceil(c0_i +
+        reach_i), so its candidates do not depend on the rows beside it."""
         r, s = lg.half.int_direction()
         L = math.hypot(r, s)
         d = np.array([r, s], dtype=float)
         # Bezout vector v with v1*s - v2*r = 1 steps across lattice lines
         _, v1, v2 = _xgcd(s, -r)
         v = np.array([v1, v2], dtype=float)
+        live = np.flatnonzero(~done)
+        z0 = z0[live]
         c0 = z0[:, 0] * s - z0[:, 1] * r    # cross(z0, d): offset index units
         a0 = z0[:, 0] * r + z0[:, 1] * s    # dot(z0, d)
-        reach = L * np.minimum(1.0, 2.0 * lg.width(1.0, tau))
-        lo = math.floor(float((c0 - reach).min()))
-        hi = math.ceil(float((c0 + reach).max()))
-        if hi - lo >= _BLOCK:
-            # every (row, line) pair takes a candidate, so one row alone
+        reach = L * np.minimum(1.0, 2.0 * lg.width(1.0, tau[live]))
+        lo = np.floor(c0 - reach)
+        n = np.ceil(c0 + reach) - lo + 1    # lattice lines of each row
+        over = np.flatnonzero(n > _BLOCK)
+        if over.size:
+            # every (row, line) pair takes a candidate, so the row alone
             # would overflow a block
             raise StarkitError(
                 f"the tube along the skeleton line of slope {s}/{r} meets "
-                f"{hi - lo + 1} lattice lines, more than a block of {_BLOCK} "
-                "candidates holds")
-        j = np.arange(lo, hi + 1)
-        live = np.flatnonzero(~done)
-        steps = _arc_steps(lg, tau[live, None], np.abs(c0[live, None] - j) / L,
+                f"{int(n[over[0]])} lattice lines, more than a block of "
+                f"{_BLOCK} candidates holds")
+        col = np.arange(int(n.max(initial=0)))
+        j = lo[:, None] + col               # (row, line), padded to the widest
+        steps = _arc_steps(lg, tau[live, None], np.abs(c0[:, None] - j) / L,
                            L, k_cap)
-        kw = np.maximum(np.ceil(steps), 1).astype(np.int64).ravel()
+        kw = np.maximum(np.ceil(steps), 1).astype(np.int64)
+        counts = np.where(col < n[:, None], 2 * kw + 1, 0).ravel()
         vd = v[0] * r + v[1] * s
-        kc = np.rint((a0[live, None] - j * vd) / L / L).ravel()
-        base = (p0[live, None] + j[:, None] * v).reshape(-1, 2)
-        owner = live.repeat(len(j))
-        for t, m in _rounds(2 * kw + 1, owner, done):
+        kc = np.rint((a0[:, None] - j * vd) / L / L).ravel()
+        base = (p0[live, None] + j[:, :, None] * v).reshape(-1, 2)
+        owner = live.repeat(len(col))
+        for t, m in _rounds(counts, owner, done):
             dk = (m + 1) // 2 * (2 * (m % 2) - 1)     # 0, 1, -1, 2, -2, ...
             yield owner[t], base[t] + (kc[t] + dk)[:, None] * d
 
@@ -427,15 +472,30 @@ def _rounds(counts: np.ndarray, owner: np.ndarray, done: np.ndarray):
         rows = rows[(counts[rows] > lo) & ~done[owner[rows]]]
 
 
-def _pick_minimizer(vals, z1, z2, p) -> int:
-    """Deterministic argmin: break value ties by the nearest z, then
-    lexicographically by p.  The order is total, so the candidates may come
-    in any order.  The choice is window-independent only among exact float
-    ties: along a nearly flat tube a far candidate can undercut a near one
-    by rounding (about 1e-12 of the value), and then a wider window picks
-    the far one."""
-    zinf = np.maximum(np.abs(z1), np.abs(z2))
-    return int(np.lexsort((p[:, 1], p[:, 0], zinf, vals))[0])
+def _pick_minimizer(idx, vals, zinf, p):
+    """Deterministic argmin per row: for each distinct row index of idx, the
+    least value, value ties broken by the nearest z (zinf = |z|_inf), then
+    lexicographically by p.  Returns (rows, i): the rows, ascending, and
+    the position of each row's pick.  The order is total, so the candidates
+    may come in any order.  The choice is window-independent only among
+    exact float ties: along a nearly flat tube a far candidate can undercut
+    a near one by rounding (about 1e-12 of the value), and then a wider
+    window picks the far one."""
+    # only a row's least values (all of them if it has only NaN) can come
+    # first, so the lexsort runs over those alone
+    low = np.full(int(idx.max(initial=-1)) + 1, np.nan)
+    np.fmin.at(low, idx, vals)
+    low = low[idx]
+    tied = np.flatnonzero((vals == low) | np.isnan(low))
+    order = tied[np.lexsort((p[tied, 1], p[tied, 0], zinf[tied], vals[tied],
+                             idx[tied]))]
+    first = order[np.flatnonzero(np.diff(idx[order], prepend=-1))]
+    return idx[first], first
+
+
+def _as_pair(vals, p) -> tuple[float, tuple[int, int]]:
+    """The first row of ``_Kernel._least``'s arrays as (value, (p1, p2))."""
+    return float(vals[0]), (int(p[0, 0]), int(p[0, 1]))
 
 
 def _coprime(p, q, r, s) -> np.ndarray:
@@ -559,10 +619,9 @@ def _section_length(kern: _Kernel, eps: float, x2) -> np.ndarray:
     quadrature`` on the sheared body from 40.6 to 46.9 MB.  Then one
     lockstep ``_bisect`` refines every hit/miss edge of every section, 40
     ``hits`` calls for the whole batch, each edge's row carrying the x2 of
-    its section.  The rows of a call share the lattice lines that
-    ``_rational_tube`` enumerates, and a row's decision does not change
-    with the rows beside it: a batch's lengths equal those of batches of
-    one, bit for bit, on the bodies of the tests.
+    its section.  A row's candidates, its own lattice lines in
+    ``_rational_tube`` included, do not depend on the rows beside it, so a
+    batch's lengths equal those of batches of one, bit for bit.
     """
     x2 = np.asarray(x2, dtype=float)
     x1 = np.linspace(0.0, 1.0, _SECTION_GRID + 1)

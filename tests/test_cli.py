@@ -9,6 +9,7 @@ import pytest
 
 from starkit import dsl, measure, starbody
 from starkit.cli import _parse_float, main
+from starkit.errors import StarkitError
 
 
 def run_cli(args, tmp_path, cli_env, env_threads=None):
@@ -491,6 +492,27 @@ def test_search_stops_at_a_tube_past_one_block(tmp_path, capsys,
     rec = _error_record(capsys.readouterr().err)
     assert rec["error"] == "StarkitError"
     assert "slope 3602879701896397/36028797018963968" in rec["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_batched_search_names_the_first_q_past_one_block(tmp_path, capsys,
+                                                          monkeypatch):
+    # the tube of slope 1/40000 meets 80,002 lattice lines at q = 1 already.
+    # Each q of a batch takes its own range of lines, so the batch raises
+    # as the loop over q does, with that count, not with the count of the
+    # union of the ranges of q = 1..128
+    monkeypatch.setattr(measure, "_EXHAUSTIVE_Q", 0)
+    body = "gm(abs(1,-40000),abs(0,1))"
+    assert main(["--out", str(tmp_path), "search", "--f", body, "--x",
+                 "0.3,0.7", "--Qmax", "200"]) == 3
+    rec = _error_record(capsys.readouterr().err)
+    assert rec["error"] == "StarkitError"
+    assert "slope 1/40000 meets 80002 lattice lines" in rec["message"]
+    kern = measure._Kernel(dsl.parse_distance_function(body))
+    with pytest.raises(StarkitError) as loop:
+        for q in range(1, 201):
+            kern.minimum((0.3, 0.7), q, 1.0)
+    assert rec["message"] == str(loop.value)
     assert list(tmp_path.iterdir()) == []
 
 

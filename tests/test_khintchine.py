@@ -287,6 +287,23 @@ def test_best_approx_records_monotone(multiplicative):
     assert out[0].record
 
 
+@pytest.mark.parametrize("body", ["union_jack", "height", "multiplicative"])
+def test_best_approximations_are_a_loop_over_minimum(registered_bodies,
+                                                     body):
+    # q <= 64 on the window, the 236 larger q in one batched minimize,
+    # against one minimum per q: values, p and record flags
+    f = registered_bodies[body]
+    for x in ((math.sqrt(2), math.sqrt(3)), (0.41, 0.73)):
+        kern = measure._Kernel(f)
+        want, best = [], math.inf
+        for q in range(1, 301):
+            raw, p = kern.minimum(x, q, 1.0)
+            want.append((q, p, raw / q, raw / q < best))
+            best = min(best, raw / q)
+        got = sk.best_approximations(f, x, 300)
+        assert [(r.q, r.p, r.value, r.record) for r in got] == want
+
+
 def test_density_terms_nonincreasing_for_theorem_psi(height, multiplicative):
     # the zero-one law hypothesis: D_F(q psi(q)) decreasing for these psi
     for f, psi in ((height, sk.PsiFamily.power(1.6)),

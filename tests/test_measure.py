@@ -208,6 +208,121 @@ def test_minimum_enumerates_a_window_up_to_q_64(union_jack, monkeypatch):
                      (65, "minimize"), (300, "minimize")]
 
 
+def _one_row_minimize(kern, x, q, eps):
+    """``_Kernel.minimize`` as it ran before it took batches: one row, its
+    threshold from the wrap evaluated as numpy scalars, every candidate
+    block evaluated at once and one lexsort over them all."""
+    y = q * np.asarray(x, dtype=float).reshape(1, 2)
+    mod = kern._moduli([q])
+    p0 = np.round(y[0])
+    z0 = y[0] - p0
+    v0 = float(kern.f.eval_xy(z0[0], z0[1]))
+    if mod is not None and not measure._coprime(p0.reshape(1, 2), *mod)[0]:
+        v0 = math.inf
+    tau = np.array([min(v0, q * eps) * (1.0 + 1e-9) + 1e-300])
+    blocks = kern._blocks(y, tau, measure._SCALAR_K_CAP,
+                          np.zeros(1, dtype=bool))
+    idx, p = (np.concatenate(a) for a in zip(*blocks))
+    _, p, z1, z2, vals = kern._evaluate(y, idx, p, mod)
+    if len(vals) == 0:
+        return math.inf, (0, 0)
+    zinf = np.maximum(np.abs(z1), np.abs(z2))
+    i = int(np.lexsort((p[:, 1], p[:, 0], zinf, vals))[0])
+    return float(vals[i]), (int(p[i, 0]), int(p[i, 1]))
+
+
+def _batch_is_one_row_at_a_time(kern, xs, qs, eps):
+    """One batched ``minimize`` over the rows (xs[i], qs[i], eps[i]),
+    checked bit for bit, value and p, against one-row calls; returns how
+    many rows found their minimizer outside the central box, on a tube."""
+    vals, ps = kern.minimize(xs, qs, eps)
+    assert vals.shape == (len(qs),) and ps.shape == (len(qs), 2)
+    for x, q, e, v, p in zip(xs, qs.tolist(), eps, vals, ps):
+        want = _one_row_minimize(kern, x, q, e)
+        got = (float(v), (int(p[0]), int(p[1])))
+        assert got[0].hex() == want[0].hex() and got[1] == want[1], (
+            x, q, e, got, want)
+    y = qs[:, None] * xs
+    wrap = np.round(y)
+    box = kern._box_radius(kern._tau(y, qs * eps, kern._moduli(qs)))
+    return int(np.count_nonzero(np.abs(ps - wrap).max(axis=1) > box))
+
+
+_SEARCH_Q = np.arange(65, 1001)
+
+
+@pytest.mark.parametrize("restricted", [False, True],
+                         ids=["unrestricted", "restricted"])
+@pytest.mark.parametrize("body", [
+    "height", "multiplicative", "union_jack", "gm(abs(1,-1),abs(0,1))",
+    "gm(abs(2,-1),abs(1,1))"], ids=["height", "multiplicative", "union_jack",
+                                    "sheared", "index_3"])
+def test_batched_minimize_is_the_one_row_minimize(registered_bodies, body,
+                                                  restricted):
+    # one minimize over q = 65..1000 at (sqrt2, sqrt3), as search runs it
+    # (eps = 1; q*eps/2 for a restricted row, whose wrap may be forbidden),
+    # then over rows of random points and q; each row's candidates and
+    # pick are its own, so a batch equals its rows one at a time
+    f = registered_bodies.get(body) or sk.parse_distance_function(body)
+    kern = _Kernel(f, restricted)
+    rng = np.random.default_rng([71, len(body), restricted])
+    x = np.array([math.sqrt(2), math.sqrt(3)])
+    sweep_eps = 0.5 / _SEARCH_Q if restricted else np.ones(len(_SEARCH_Q))
+    on_tubes = _batch_is_one_row_at_a_time(
+        kern, np.broadcast_to(x, (len(_SEARCH_Q), 2)), _SEARCH_Q, sweep_eps)
+    qs = rng.choice(_SEARCH_Q, 150)
+    on_tubes += _batch_is_one_row_at_a_time(
+        kern, rng.random((150, 2)), qs, rng.uniform(0.02, 0.5, 150) / qs)
+    # a restricted row whose wrap is forbidden may find its minimizer far
+    # along a skeleton line
+    assert on_tubes > 0 or not restricted
+
+
+def test_batched_minimize_keeps_a_forbidden_wrap_out_of_its_row(union_jack):
+    # the two rows of test_restricted_minimize_skips_a_forbidden_wrap, whose
+    # threshold falls back to q*eps, among rows whose wraps are allowed
+    kern = _Kernel(union_jack, restricted=True)
+    rng = np.random.default_rng(72)
+    xs = np.vstack([rng.random((5, 2)),
+                    [(0.04370094297778038, 0.23178098788932566),
+                     (0.7609004959251774, 0.38515085757742007)],
+                    rng.random((5, 2))])
+    qs = np.concatenate([rng.choice(_SEARCH_Q, 5), [225, 192],
+                         rng.choice(_SEARCH_Q, 5)])
+    eps = np.concatenate([rng.uniform(0.02, 0.5, 5) / qs[:5],
+                          [0.001068746768269329, 0.00252194582874272],
+                          rng.uniform(0.02, 0.5, 5) / qs[7:]])
+    forbidden = ~measure._coprime(np.round(qs[:, None] * xs),
+                                  *kern._moduli(qs))
+    assert forbidden[5:7].all()
+    _batch_is_one_row_at_a_time(kern, xs, qs, eps)
+    vals, ps = kern.minimize(xs, qs, eps)
+    assert (vals[5], tuple(ps[5])) == (0.22875898153073013, (13, 49))
+    assert (vals[6], tuple(ps[6])) == (0.35009592970078635, (149, 71))
+
+
+def test_batched_minimize_on_random_rational_bodies():
+    # restricted on every second body
+    rng = random.Random(17)
+    nrng = np.random.default_rng(17)
+    checked = 0
+    while checked < 12:
+        text = random_dsl(rng, rational=True)
+        try:
+            f = sk.parse_distance_function(text)
+        except sk.DegenerateExpr:
+            continue
+        kern = _Kernel(f, restricted=bool(checked % 2))
+        # a body made of strips alone reaches k_cap on every lattice line,
+        # about 1e5 candidates per row
+        qs = np.sort(nrng.choice(_SEARCH_Q, 16))
+        xs = np.vstack([np.broadcast_to([math.sqrt(2), math.sqrt(3)],
+                                        (8, 2)), nrng.random((8, 2))])
+        _batch_is_one_row_at_a_time(kern, xs, qs,
+                                    nrng.uniform(0.02, 0.5, 16) / qs)
+        checked += 1
+
+
 def _value_at(f, y, p):
     """F(y - p) through one-element arrays, as the kernel evaluates it: a
     scalar ** 0.5 and an array's (a sqrt) can differ in the last bit."""
@@ -394,6 +509,16 @@ def test_hits_on_a_batch_of_q_are_the_scalar_columns(registered_bodies, name,
     assert batched.shape == (600, 16)
     assert 0 < np.count_nonzero(columns) < columns.size
     assert np.array_equal(batched, columns)
+    # every (point, q) row has its own candidates, lattice lines included,
+    # so a row decides alone as it does among the 9,600
+    assert np.array_equal(batched[::15], _hits_one_at_a_time(kern, xs[::15],
+                                                             qs, eps))
+
+
+def _hits_one_at_a_time(kern, xs, qs, eps):
+    """``hits`` of each (point, q) row in a call of its own, shape (m, B)."""
+    return np.array([[kern.hits(x[None], int(q), float(e))[0]
+                      for q, e in zip(qs, eps)] for x in xs])
 
 
 # ---------------------------------------------------------------------------
@@ -644,12 +769,16 @@ _SECTION_X2 = [0.0, 1.0, 0.5, 0.0625, 0.3, 0.6180339887498949, 0.95]
 
 def _sections_batch_as_ones(f, eps, x2):
     """The section lengths of one batched call, after checking them bit for
-    bit against one call per section."""
+    bit against one call per section, and the hit decisions of a grid over
+    the sections against one call per point."""
     kern = _Kernel(f)
     batch = measure._section_length(kern, eps, x2)
     ones = np.concatenate([measure._section_length(kern, eps, [v])
                            for v in x2])
     assert batch.tobytes() == ones.tobytes(), (eps, x2, batch, ones)
+    grid = np.array([(a, b) for a in np.linspace(0.0, 1.0, 33) for b in x2])
+    assert np.array_equal(kern.hits(grid, 1, eps),
+                          _hits_one_at_a_time(kern, grid, [1], [eps])[:, 0])
     return batch
 
 
@@ -665,8 +794,9 @@ def _sections_batch_as_ones(f, eps, x2):
         "height"])
 def test_section_lengths_of_a_batch_are_the_batches_of_one(body, eps, pinned):
     # one lockstep bisection over the edges of every section of a batch
-    # decides each edge as the section's own bisection does, although the
-    # rows of a call share _rational_tube's range of lattice lines
+    # decides each edge as the section's own bisection does: each row runs
+    # on its own lattice lines in _rational_tube, so this holds by
+    # construction
     lengths = _sections_batch_as_ones(sk.parse_distance_function(body), eps,
                                       _SECTION_X2)
     assert {v: lengths[_SECTION_X2.index(v)] for v in pinned} == pinned
