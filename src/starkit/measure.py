@@ -277,21 +277,17 @@ class _Kernel:
         Each block is folded into the rows' running bests, so only one
         block is held at a time; the rule's order is total, so the choice
         does not depend on where the blocks split."""
-        best = np.full(len(y), np.inf)
-        best_z = np.full(len(y), np.inf)     # |y - p|_inf of each best
-        best_p = np.zeros((len(y), 2))
-        seen = np.zeros(len(y), dtype=bool)
+        # the bests so far: (row index, value, |y - p|_inf, p), one per row
+        kept = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0),
+                np.empty((0, 2)))
         for block in blocks:
             idx, p, z1, z2, vals = self._evaluate(y, *block, mod)
-            old = np.flatnonzero(seen)
-            idx = np.concatenate([idx, old])
-            vals = np.concatenate([vals, best[old]])
-            zinf = np.concatenate([np.maximum(np.abs(z1), np.abs(z2)),
-                                   best_z[old]])
-            p = np.concatenate([p, best_p[old]])
-            rows, i = _pick_minimizer(idx, vals, zinf, p)
-            best[rows], best_z[rows], best_p[rows] = vals[i], zinf[i], p[i]
-            seen[rows] = True
+            new = (idx, vals, np.maximum(np.abs(z1), np.abs(z2)), p)
+            both = [np.concatenate(a) for a in zip(new, kept)]
+            pick = _pick_minimizer(*both)
+            kept = [a[pick] for a in both]
+        best, best_p = np.full(len(y), np.inf), np.zeros((len(y), 2))
+        best[kept[0]], best_p[kept[0]] = kept[1], kept[3]
         return best, best_p
 
     # -- vectorized hit decisions -------------------------------------------
@@ -475,8 +471,8 @@ def _rounds(counts: np.ndarray, owner: np.ndarray, done: np.ndarray):
 def _pick_minimizer(idx, vals, zinf, p):
     """Deterministic argmin per row: for each distinct row index of idx, the
     least value, value ties broken by the nearest z (zinf = |z|_inf), then
-    lexicographically by p.  Returns (rows, i): the rows, ascending, and
-    the position of each row's pick.  The order is total, so the candidates
+    lexicographically by p.  Returns the position of each row's pick, in
+    ascending order of the rows.  The order is total, so the candidates
     may come in any order.  The choice is window-independent only among
     exact float ties: along a nearly flat tube a far candidate can undercut
     a near one by rounding (about 1e-12 of the value), and then a wider
@@ -489,8 +485,7 @@ def _pick_minimizer(idx, vals, zinf, p):
     tied = np.flatnonzero((vals == low) | np.isnan(low))
     order = tied[np.lexsort((p[tied, 1], p[tied, 0], zinf[tied], vals[tied],
                              idx[tied]))]
-    first = order[np.flatnonzero(np.diff(idx[order], prepend=-1))]
-    return idx[first], first
+    return order[np.flatnonzero(np.diff(idx[order], prepend=-1))]
 
 
 def _as_pair(vals, p) -> tuple[float, tuple[int, int]]:
