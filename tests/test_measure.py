@@ -260,9 +260,10 @@ _SEARCH_Q = np.arange(65, 1001)
 def test_batched_minimize_is_the_one_row_minimize(registered_bodies, body,
                                                   restricted):
     # one minimize over q = 65..1000 at (sqrt2, sqrt3), as search runs it
-    # (eps = 1; q*eps/2 for a restricted row, whose wrap may be forbidden),
-    # then over rows of random points and q; each row's candidates and
-    # pick are its own, so a batch equals its rows one at a time
+    # (eps = 1; q*eps = 1/2 for a restricted row, whose wrap may be
+    # forbidden), then over rows of random points and q; each row's
+    # candidates and pick are its own, so a batch equals its rows one at a
+    # time
     f = registered_bodies.get(body) or sk.parse_distance_function(body)
     kern = _Kernel(f, restricted)
     rng = np.random.default_rng([71, len(body), restricted])
