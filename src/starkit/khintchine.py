@@ -296,7 +296,7 @@ def best_approximations(f: Expr, x, q_max: int) -> list[BestApproximation]:
     kern = _Kernel(f)
     # threshold irrelevant for pure minimization
     small = min(q_max, measure._EXHAUSTIVE_Q)
-    found = [kern.minimum(x, q, 1.0) for q in range(1, small + 1)]
+    found = [kern.minimize_exhaustive(x, q, 1.0) for q in range(1, small + 1)]
     if q_max > small:
         raws, ps = kern.minimize(x, np.arange(small + 1, q_max + 1), 1.0)
         found += [(raw, (int(p1), int(p2)))
