@@ -339,9 +339,8 @@ def coverage_experiment(system: IntervalSystem, stages: Sequence[int],
         keep = segs_lo < segs_hi
         ia = np.searchsorted(xs_sorted, segs_lo[keep], side="left")
         ib = np.searchsorted(xs_sorted, segs_hi[keep], side="right")
-        bump = np.zeros(m + 1, dtype=np.int32)
-        np.add.at(bump, ia, 1)
-        np.add.at(bump, ib, -1)
+        bump = (np.bincount(ia, minlength=m + 1)
+                - np.bincount(ib, minlength=m + 1))
         counts += np.cumsum(bump[:-1]).astype(np.int32)
         frac1 = float(np.count_nonzero(counts >= 1)) / m
         frack = float(np.count_nonzero(counts >= k_hits)) / m

@@ -47,8 +47,8 @@ from .errors import (IrrationalSkeleton, NonConvergent, SkeletonMismatch,
                      StarkitError)
 from .sampling import indicator_estimate
 from .starbody import (Abs, Expr, GeoMean, HalfLine, Max, Scale,
-                       LineGeometry, _bisect, body_geometry, extract_skeleton,
-                       fundamental_rectangle)
+                       LineGeometry, _SLICE_POINTS, _bisect, body_geometry,
+                       extract_skeleton, fundamental_rectangle)
 
 # ---------------------------------------------------------------------------
 # Data types
@@ -144,10 +144,9 @@ _WINDOW_CAP = 600
 _EXHAUSTIVE_Q = 64     # q up to which minimization enumerates a full window
 _IRR_STEP = 0.5
 _BLOCK = 1 << 16       # candidates per evaluated block
-# (point, q) cells per slice of _Kernel.hits: 64 KB per float array.  A
-# temporary of 128 KB or more comes from mmap and page-faults afresh at
-# each allocation, which cost a tail chunk's 4096 x 16 batch half its time
-_HIT_CELLS = 1 << 13
+# (point, q) cells per slice of _Kernel.hits, under starbody's mmap rule;
+# unsliced, a tail chunk's 4096 x 16 batch spent half its time in page faults
+_HIT_CELLS = _SLICE_POINTS
 # rows per slice of _Kernel.minimize: about 7,300 union-jack candidates, so
 # every temporary of a slice stays below that threshold too
 _MIN_ROWS = 128

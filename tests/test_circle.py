@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import starkit as sk
+from starkit import starbody
 from starkit.circle import _max_gap_profile, covering_check
 from starkit.errors import NotSignificant, PrecisionExhausted
 from starkit.exact import GOLDEN, SQRT2, Quad
@@ -248,6 +249,25 @@ def test_interval_system_harmonic_sums(cusp_line):
     assert sums[1000] > sums[100]
     growth = (sums[10_000] - sums[1000]) / (sums[1000] - sums[100])
     assert growth == pytest.approx(1.0, rel=0.2)  # equal decade increments
+
+
+def test_interval_system_crossings_go_through_the_module_name(cusp_line,
+                                                             monkeypatch):
+    # perfbench counts starbody.crossing_points with a wrapper on the module
+    # attribute: the fit's two crossings of 33 radii, then w+, w-, right and
+    # left over all n, each seen once, whatever the slices inside
+    f, line = cusp_line
+    seen = []
+    inner = starbody._bisect_crossing
+
+    def counting(f, base, step, eps):
+        seen.append(base.size // 2)
+        return inner(f, base, step, eps)
+
+    monkeypatch.setattr(starbody, "_bisect_crossing", counting)
+    sk.interval_system(f, line, 0.2, 0.5, 20_000)
+    assert len(seen) == 6
+    assert sum(seen) == 2 * starbody._FIT_POINTS + 4 * 20_000
 
 
 def test_interval_system_rejects_insignificant_line():

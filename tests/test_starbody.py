@@ -7,9 +7,10 @@ import pytest
 import starkit as sk
 from starkit.errors import DegenerateExpr, FitFailure, IrrationalSkeleton
 from starkit.exact import Quad
-from starkit.starbody import (_WIDTH_CAP, Abs, GeoMean, LinearForm,
-                              LineGeometry, Max, Min, Scale, _bisect_crossing,
-                              body_geometry, is_axis_monotone)
+from starkit.starbody import (_SLICE_POINTS, _WIDTH_CAP, Abs, GeoMean,
+                              LinearForm, LineGeometry, Max, Min, Scale,
+                              _bisect_crossing, body_geometry,
+                              is_axis_monotone)
 from starkit.measure import _arc_steps
 
 # ---------------------------------------------------------------------------
@@ -287,17 +288,24 @@ def test_bisect_crossing_matches_the_where_loop(registered_bodies, eps):
     special = [[0.3, 0.0], [0.0, 0.7], [0.5, 0.5 * math.sqrt(2)],
                [math.nan, 0.1], [-2.0, 0.0], [0.0, -1e-3]]
     base = np.vstack([pts, special]).reshape(-1, 3, 2)
+    # more than two slices of _SLICE_POINTS, as a 3-D base, with NaN rows
+    # on either side of each slice edge
+    m = 2 * _SLICE_POINTS + 17
+    big = rng.uniform(-1, 1, (m, 2)) * 10.0 ** rng.uniform(-3, 1, (m, 1))
+    for i in (0, 5, _SLICE_POINTS - 1, _SLICE_POINTS, m - 1):
+        big[i, i % 2] = math.nan
     steps = [np.array([1.0, 0.0]), np.array([0.0, -1.0]),
              np.array([-0.6, 0.8])]
     kinds = set()
     for name, f in registered_bodies.items():
         for step in steps:
-            got = _bisect_crossing(f, base, step, eps)
-            want = _where_loop_crossing(f, base, step, eps)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), (name, step, eps)
-            kinds |= {("outside" if t == 0 else "unbracketed"
-                       if t == math.inf else "crossed") for t in got.flat}
+            for b in (base, big.reshape(213, 77, 2)):
+                got = _bisect_crossing(f, b, step, eps)
+                want = _where_loop_crossing(f, b, step, eps)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (name, step, eps)
+                kinds |= {("outside" if t == 0 else "unbracketed"
+                           if t == math.inf else "crossed") for t in got.flat}
             # one base point, as width_profile passes a scalar radius
             one = _bisect_crossing(f, base[0, 0], step, eps)
             assert np.ndim(one) == 0
