@@ -33,8 +33,8 @@ _WIDTH_CAP = 1e12  # beyond this the sublevel set is treated as unbounded sidewa
 # points per slice of a ray crossing, and (point, q) cells per slice of
 # measure._Kernel.hits: 64 KB per float array.  A temporary of 128 KB or more
 # comes from mmap (glibc's default threshold) and page-faults afresh at each
-# allocation: four unsliced 1e5-point crossings took 147,000 minor faults
-# and 1.5x the CPU of the sliced ones, which take 700
+# allocation: unsliced, four 1e5-point crossings took 147,000 minor faults
+# instead of 700, and 1.5x the CPU (2-vCPU Xeon)
 _SLICE_POINTS = 1 << 13
 
 
@@ -305,6 +305,8 @@ def _bisect_crossing(f: Expr, base: np.ndarray, step: np.ndarray,
     is elementwise, so the slicing does not change a bit.
     """
     flat = base.reshape(-1, 2)
+    if len(flat) <= _SLICE_POINTS:
+        return _crossing_slice(f, flat, step, eps).reshape(base.shape[:-1])
     out = np.empty(len(flat))
     for i in range(0, len(flat), _SLICE_POINTS):
         out[i:i + _SLICE_POINTS] = _crossing_slice(
