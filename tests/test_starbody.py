@@ -289,10 +289,11 @@ def test_bisect_crossing_matches_the_where_loop(registered_bodies, eps):
                [math.nan, 0.1], [-2.0, 0.0], [0.0, -1e-3]]
     base = np.vstack([pts, special]).reshape(-1, 3, 2)
     # more than two slices of _SLICE_POINTS, as a 3-D base, with NaN rows
-    # on either side of each slice edge
+    # on both sides of each slice edge
     m = 2 * _SLICE_POINTS + 17
     big = rng.uniform(-1, 1, (m, 2)) * 10.0 ** rng.uniform(-3, 1, (m, 1))
-    for i in (0, 5, _SLICE_POINTS - 1, _SLICE_POINTS, m - 1):
+    for i in (0, 5, _SLICE_POINTS - 1, _SLICE_POINTS, 2 * _SLICE_POINTS - 1,
+              2 * _SLICE_POINTS, m - 1):
         big[i, i % 2] = math.nan
     steps = [np.array([1.0, 0.0]), np.array([0.0, -1.0]),
              np.array([-0.6, 0.8])]
@@ -303,7 +304,8 @@ def test_bisect_crossing_matches_the_where_loop(registered_bodies, eps):
                 got = _bisect_crossing(f, b, step, eps)
                 want = _where_loop_crossing(f, b, step, eps)
                 assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes(), (name, step, eps)
+                assert got.tobytes() == want.tobytes(), (name, step, eps,
+                                                         b.shape)
                 kinds |= {("outside" if t == 0 else "unbracketed"
                            if t == math.inf else "crossed") for t in got.flat}
             # one base point, as width_profile passes a scalar radius
