@@ -24,14 +24,15 @@ out on the line, beyond the window (ROADMAP item 3).
 One ``_Kernel`` serves one body, restricted or not; q and eps are
 arguments of each call.  Its generator (``_Kernel._blocks``) enumerates
 those candidates for a whole batch of rows, one row per (point, q), as
-flat ``(row index, p)`` blocks of bounded size, and one evaluator runs
-each block through a single ``Expr.eval_xy`` call.  Every row has its own
+dense rectangles (rows by ranks) of integer offsets from each row's
+wrap, at most _HIT_CELLS cells each, and one evaluator runs each
+rectangle through a single ``Expr.eval_xy`` call.  Every row has its own
 candidates, so a row's result does not depend on the rows beside it.  The
 hit test (``hits``, a batch of q values for every point) and the
 minimization (``minimize``, one q per row, as ``best_approximations``
 sweeps q) differ only in the per-row threshold that sizes the search, the
 step cap, and how they reduce the values: a hit ends a row's search, a
-minimum folds each block into per-row running bests.
+minimum folds each rectangle into per-row running bests.
 """
 
 from __future__ import annotations
@@ -143,37 +144,58 @@ _SCALAR_K_CAP = 4096   # tube steps in exact single-point minimization
 _WINDOW_CAP = 600
 _EXHAUSTIVE_Q = 64     # q up to which minimization enumerates a full window
 _IRR_STEP = 0.5
-_BLOCK = 1 << 16       # candidates per evaluated block
-# (point, q) cells per slice of _Kernel.hits, under starbody's mmap rule;
-# unsliced, a tail chunk's 4096 x 16 batch spent half its time in page faults
+# window points per block of minimize_exhaustive, and the most lattice lines
+# that the tube of one row may meet
+_BLOCK = 1 << 16
+# cells per candidate rectangle and (point, q) cells per slice of
+# _Kernel.hits, under starbody's mmap rule; unsliced, a tail chunk's
+# 4096 x 16 batch spent half its time in page faults
 _HIT_CELLS = _SLICE_POINTS
-# rows per slice of _Kernel.minimize: about 7,300 union-jack candidates, so
-# every temporary of a slice stays below that threshold too
+# rows per slice of _Kernel.minimize: the rectangles keep to _HIT_CELLS
+# cells, and this bounds the per-row tables behind them (a tube's lines)
 _MIN_ROWS = 128
+
+
+def _points(x) -> np.ndarray:
+    """x as an (m, 2) float array; ValueError for a NaN or infinite
+    coordinate, on every kernel path alike."""
+    xs = np.asarray(x, dtype=float).reshape(-1, 2)
+    if not np.isfinite(xs).all():
+        raise ValueError("points must be finite")
+    return xs
 
 
 class _Kernel:
     """Candidate generation and evaluation for one body F, restricted or not.
 
     q and the threshold q*eps are per-call values.  A row is one problem
-    (point x, q) with raw point y = q*x; ``hits`` and ``minimize`` take a
-    scalar q (a batch of one) or an array of them.  ``_blocks`` is the one
-    candidate generator.  It yields flat ``(row index, p)`` blocks of at
-    most _BLOCK candidates from four sources: the wrapped point round(y);
-    the central box around it; for each rational skeleton line, steps along
-    the lattice lines parallel to it that the row's own fitted tube
-    reaches; for each irrational line, rounded points along it.  Each row
-    carries a threshold tau that sizes its box and its tube reach, and
-    k_cap bounds the tube steps, so a row's candidates are the same in any
-    batch.  ``_evaluate`` runs a block through one ``Expr.eval_xy`` call,
-    and a restricted row keeps its own q for the coprimality filter.
-    ``hits`` (tau = q*eps, k_cap = _BATCH_K_CAP) marks the rows with a
-    value below q*eps, which ends their enumeration; on an unrestricted
-    axis-monotone body it evaluates the wrap alone, on (point x q) arrays.
-    ``minimize`` (tau just above min(F(wrap), q*eps), k_cap =
-    _SCALAR_K_CAP) runs _MIN_ROWS rows at a time, and ``_least`` folds each
-    block into the rows' running bests with a segmented
-    ``_pick_minimizer``, so memory stays at one block.
+    (point x, q) with raw point y = q*x, its wrap p0 = rint(y) and the
+    remainder z0 = y - p0; ``hits`` and ``minimize`` take a scalar q (a
+    batch of one) or an array of them.  ``_blocks`` is the one candidate
+    generator.  It yields each source's candidates as dense rectangles of
+    integer offsets o from the wrap, rows by ranks, with a mask of the
+    ranks each rectangle row really has: candidate p = p0 + o is evaluated
+    at z = z0 - o.  Each row carries a threshold tau that sizes its box and
+    its tube reach, and k_cap bounds the tube steps, so a row's candidates
+    are the same in any batch.  ``_evaluate`` runs a rectangle through one
+    ``Expr.eval_xy`` call, and a restricted row keeps its own q for the
+    coprimality filter on p (``_select``).
+    ``hits`` (tau = q*eps, k_cap = _BATCH_K_CAP) marks the rows with an
+    allowed value below q*eps, which ends their enumeration; on an
+    unrestricted axis-monotone body it evaluates the wrap alone, on
+    (point x q) arrays.  ``minimize`` (tau just above min(F(wrap), q*eps),
+    k_cap = _SCALAR_K_CAP) runs _MIN_ROWS rows at a time, and ``_least``
+    folds each rectangle into the rows' running bests with a segmented
+    ``_pick_minimizer``, so memory stays at one rectangle.
+
+    Exactness.  For a finite y, z0 = y - p0 is exact: either p0 = 0, or p0
+    has the sign of y and |y - p0| <= 1/2 <= |p0|/2, so y lies between
+    p0/2 and 2*p0 and Sterbenz's lemma applies.  For an integer o with
+    |p0 + o| < 2^53, p = p0 + o is an exact float, so z0 - o and y - p are
+    both the correctly rounded value of the one real number y - p0 - o:
+    the same float, except that a zero may differ in sign (y = -0.0 gives
+    y - p = -0.0 and z0 - o = +0.0).  F and |z|_inf read z only through
+    absolute values, so every value, tie-break and p is that of y - p.
     """
 
     def __init__(self, f: Expr, restricted: bool = False):
@@ -215,9 +237,9 @@ class _Kernel:
 
     def _tau(self, y, cap, mod) -> np.ndarray:
         """Search thresholds of the rows y = q*x: just above
-        min(F(wrapped y), cap) with cap = q*eps, where the wrap round(y)
+        min(F(wrapped y), cap) with cap = q*eps, where the wrap rint(y)
         counts only when it is an allowed candidate."""
-        p0 = np.round(y)
+        p0 = np.rint(y)
         z0 = y - p0
         v0 = self.f.eval_xy(z0[:, 0], z0[:, 1])
         if mod is not None:
@@ -234,23 +256,25 @@ class _Kernel:
         allowed candidate gets (inf, (0, 0)).  The rows go through in
         slices of _MIN_ROWS."""
         qs = np.atleast_1d(q)
-        y = qs[:, None] * np.asarray(x, dtype=float).reshape(-1, 2)
+        y = qs[:, None] * _points(x)
         cap = qs * np.asarray(eps, dtype=float)
         vals, p = np.empty(len(qs)), np.empty((len(qs), 2))
         for i in range(0, len(qs), _MIN_ROWS):
             rows = slice(i, i + _MIN_ROWS)
             mod = self._moduli(qs[rows])
             tau = self._tau(y[rows], cap[rows], mod)
-            vals[rows], p[rows] = self._least(y[rows], self._blocks(
-                y[rows], tau, _SCALAR_K_CAP, np.zeros(len(tau), dtype=bool)),
-                mod)
+            p0 = np.rint(y[rows])
+            vals[rows], p[rows] = self._least(y[rows], p0, self._blocks(
+                y[rows], p0, tau, _SCALAR_K_CAP,
+                np.zeros(len(tau), dtype=bool)), mod)
         return _as_pair(vals, p) if np.ndim(q) == 0 else (vals, p)
 
     def minimize_exhaustive(self, x, q: int,
                             eps: float) -> tuple[float, tuple[int, int]]:
-        """Same minimum through a full window enumeration (small q)."""
-        y = q * np.asarray(x, dtype=float).reshape(1, 2)
-        p0 = np.round(y[0])
+        """Same minimum through a full window enumeration (small q), in
+        one-row rectangles of _BLOCK window points."""
+        y = q * _points(x).reshape(1, 2)
+        p0 = np.rint(y)
         mod = self._moduli([q])
         tau = self._tau(y, np.array([q * eps]), mod)[0]
         reach = 0.0     # at most _WINDOW_CAP, the reach of an irrational line
@@ -262,31 +286,37 @@ class _Kernel:
             else:
                 reach = _WINDOW_CAP
         w = int(max(q / 2 + 1, reach + 2))
-        span = np.arange(-w, w + 1)
-        gx, gy = np.meshgrid(p0[0] + span, p0[1] + span, indexing="ij")
-        p = np.column_stack([gx.ravel(), gy.ravel()]).astype(float)
-        blocks = ((np.zeros(len(c), dtype=np.intp), c)
-                  for c in np.split(p, range(_BLOCK, len(p), _BLOCK)))
-        return _as_pair(*self._least(y, blocks, mod))
+        span = np.arange(-w, w + 1, dtype=float)
+        o1, o2 = (g.reshape(1, -1) for g in np.meshgrid(span, span,
+                                                          indexing="ij"))
+        row = np.zeros(1, dtype=np.intp)
+        blocks = ((row, o1[:, i:i + _BLOCK], o2[:, i:i + _BLOCK],
+                   np.ones((1, min(_BLOCK, o1.size - i)), dtype=bool))
+                  for i in range(0, o1.size, _BLOCK))
+        return _as_pair(*self._least(y, p0, blocks, mod))
 
-    def _least(self, y, blocks, mod):
+    def _least(self, y, p0, blocks, mod):
         """Per row of y, the least F(y - p) over the allowed candidates of
-        the (row index, p) blocks and its p, by the ``_pick_minimizer``
-        rule: (values, p) arrays, inf and (0, 0) for a row that has none.
-        Each block is folded into the rows' running bests, so only one
-        block is held at a time; the rule's order is total, so the choice
-        does not depend on where the blocks split."""
-        # the bests so far: (row index, value, |y - p|_inf, p), one per row
+        the rectangles and its p, by the ``_pick_minimizer`` rule: (values,
+        p) arrays, inf and (0, 0) for a row that has none.  Each rectangle
+        is folded into the rows' running bests, so only one is held at a
+        time; the rule's order is total, so the choice does not depend on
+        where the rectangles split."""
+        z0 = (y - p0).T.copy()
+        # the bests so far: (row index, value, |y - p|_inf, o = p - p0), one
+        # per row; within a row o orders as p does, so the rule can read o
         kept = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0),
                 np.empty((0, 2)))
-        for block in blocks:
-            idx, p, z1, z2, vals = self._evaluate(y, *block, mod)
-            new = (idx, vals, np.maximum(np.abs(z1), np.abs(z2)), p)
+        for rows, o1, o2, valid in blocks:
+            z1, z2, vals = self._evaluate(z0, rows, o1, o2)
+            flat, idx, o = self._select(p0, rows, o1, o2, valid, mod)
+            new = (idx, vals.ravel()[flat],
+                   np.maximum(np.abs(z1), np.abs(z2)).ravel()[flat], o)
             both = [np.concatenate(a) for a in zip(new, kept)]
             pick = _pick_minimizer(*both)
             kept = [a[pick] for a in both]
         best, best_p = np.full(len(y), np.inf), np.zeros((len(y), 2))
-        best[kept[0]], best_p[kept[0]] = kept[1], kept[3]
+        best[kept[0]], best_p[kept[0]] = kept[1], p0[kept[0]] + kept[3]
         return best, best_p
 
     # -- vectorized hit decisions -------------------------------------------
@@ -297,7 +327,7 @@ class _Kernel:
         column j for q[j] and eps[j], and shape (m,) for a scalar q and eps
         (a batch of one).  The points go through in slices of at most
         _HIT_CELLS (point, q) cells."""
-        xs = np.asarray(xs, dtype=float)
+        xs = _points(xs)
         qs = np.atleast_1d(q)
         tau = qs * eps
         step = max(1, _HIT_CELLS // len(qs))
@@ -315,107 +345,140 @@ class _Kernel:
             # decided on one (point, q) array per coordinate
             y1 = np.multiply.outer(xs[:, 0], q)
             y2 = np.multiply.outer(xs[:, 1], q)
-            return self.f.eval_xy(y1 - np.round(y1), y2 - np.round(y2)) < tau
+            return self.f.eval_xy(y1 - np.rint(y1), y2 - np.rint(y2)) < tau
         # one row per (q, point): row j*m + i for q[j] and point i
         m = len(xs)
         y = (q[:, None, None] * xs).reshape(-1, 2)
+        p0 = np.rint(y)
+        z0 = (y - p0).T.copy()
         row_tau = tau.repeat(m)
         mod = self._moduli(q)
         if mod is not None:
             mod = tuple(v.repeat(m) for v in mod)
         hit = np.zeros(len(y), dtype=bool)
-        for block in self._blocks(y, row_tau, _BATCH_K_CAP, hit):
-            idx, _, _, _, vals = self._evaluate(y, *block, mod)
-            hit[idx[vals < row_tau[idx]]] = True
+        for rows, o1, o2, valid in self._blocks(y, p0, row_tau,
+                                                _BATCH_K_CAP, hit):
+            below = (self._evaluate(z0, rows, o1, o2)[2]
+                     < row_tau[rows][:, None]) & valid
+            if mod is None:
+                # a tube's rectangle holds several rows of one owner
+                hit[rows[below.any(axis=1)]] = True
+            else:
+                hit[self._select(p0, rows, o1, o2, below, mod)[1]] = True
         return hit.reshape(len(q), m).T
 
-    # -- candidate blocks -----------------------------------------------------
+    # -- candidate rectangles -------------------------------------------------
 
-    def _evaluate(self, y, idx, p, mod):
-        """(idx, p, z1, z2, vals) with vals = F(y[idx] - p) in one
-        ``Expr.eval_xy`` call; candidates that fail the coprimality of
-        their row's q (``_moduli``, one entry per row) are dropped."""
+    def _evaluate(self, z0, rows, o1, o2):
+        """(z1, z2, F(z)) on a rectangle, z = z0[:, rows] - o, in one
+        ``Expr.eval_xy`` call; z0 holds the rows' remainders y - p0 as two
+        coordinate rows, whose gathers cost less than a column's."""
+        z1 = z0[0][rows][:, None] - o1
+        z2 = z0[1][rows][:, None] - o2
+        return z1, z2, self.f.eval_xy(z1, z2)
+
+    def _select(self, p0, rows, o1, o2, mask, mod):
+        """The cells of a rectangle's `mask` whose p = p0 + o is allowed:
+        their flat positions, row indices and (n, 2) offsets o.  A
+        restricted kernel drops the p that fail the coprimality of their
+        row's q (``_moduli``, one entry per row)."""
+        flat = np.flatnonzero(mask)
+        idx = rows[flat // mask.shape[1]]
+        o = np.column_stack([np.broadcast_to(a, mask.shape).ravel()[flat]
+                             for a in (o1, o2)])
         if mod is not None:
-            ok = _coprime(p, *(m[idx] for m in mod))
-            idx, p = idx[ok], p[ok]
-        z1 = y[idx, 0] - p[:, 0]
-        z2 = y[idx, 1] - p[:, 1]
-        return idx, p, z1, z2, self.f.eval_xy(z1, z2)
+            ok = _coprime(p0[idx] + o, *(m[idx] for m in mod))
+            flat, idx, o = flat[ok], idx[ok], o[ok]
+        return flat, idx, o
 
-    def _blocks(self, y, tau, k_cap, done):
-        """Yield (idx, p) candidate blocks for the rows not yet `done`.
+    def _blocks(self, y, p0, tau, k_cap, done):
+        """Yield (rows, o1, o2, valid) candidate rectangles for the rows not
+        yet `done`.  rows indexes y; the offsets o1 and o2 broadcast to
+        valid's shape (len(rows), ranks), and valid marks the ranks that a
+        rectangle row really has.  Cell (i, k) is p = p0[rows[i]] + o[i, k].
 
-        `done` is read again before each block, so a consumer that sets it
-        stops the enumeration for those rows; each source enumerates its
-        nearest candidates first.
+        `done` is read again before each rectangle, so a consumer that sets
+        it stops the enumeration for those rows; each source enumerates its
+        nearest candidates first.  The sources: the wrap (o = 0); the
+        central box, whose rows share the Chebyshev rings of offsets (rank
+        0, the wrap again, is skipped); per rational line, the lattice
+        lines its tube reaches; per irrational line, rounded points along it.
         """
-        p0 = np.rint(y)
         live = np.flatnonzero(~done)
-        yield live, p0[live]     # the wrapped point settles most rows
+        zero = np.zeros((1, 1))
+        # the wrap settles most rows; callers slice their rows to at most
+        # _HIT_CELLS, so it is one rectangle
+        yield live, zero, zero, np.ones((live.size, 1), dtype=bool)
         live = np.flatnonzero(~done)
         b = self._box_radius(tau[live])
         ring = _ring_offsets(int(b.max(initial=1)))
-        for t, m in _rounds((2 * b + 1) ** 2, live, done):
-            yield live[t], p0[live[t]] + ring[m]
+        for r, lo, hi, valid in _rounds((2 * b + 1) ** 2 - 1, live, done):
+            o = ring[:, lo + 1:hi + 1]      # ranks 1.. of the rings
+            yield live[r], o[:1], o[1:], valid
+        z0 = (y - p0).T
         for lg in self.geo.lines:
             if done.all():
                 return
             if lg.half.rational:
-                yield from self._rational_tube(lg, y - p0, p0, tau, k_cap,
-                                               done)
+                yield from self._rational_tube(lg, z0, tau, k_cap, done)
             else:
-                yield from self._irrational_tube(lg, y, tau, k_cap, done)
+                yield from self._irrational_tube(lg, y, p0, tau, k_cap, done)
 
-    def _rational_tube(self, lg, z0, p0, tau, k_cap, done):
-        """Steps p = base_j + k*d along the lattice lines j = cross(p, d)
-        that each row's tube reaches: k = kc + dk, |dk| <= kw, per (row, j).
-        Row i takes its own lines floor(c0_i - reach_i) .. ceil(c0_i +
-        reach_i), so its candidates do not depend on the rows beside it."""
+    def _rational_tube(self, lg, z0, tau, k_cap, done):
+        """Steps p = p0 + j*v + k*d along the lattice lines j = cross(p, d)
+        that each row's tube reaches: k = kc + dk, |dk| <= kw, per (row, j),
+        one rectangle row per (row, j).  Row i takes its own lines
+        floor(c0_i - reach_i) .. ceil(c0_i + reach_i), so its candidates do
+        not depend on the rows beside it."""
         r, s = lg.half.int_direction()
         L = math.hypot(r, s)
-        d = np.array([r, s], dtype=float)
         # Bezout vector v with v1*s - v2*r = 1 steps across lattice lines
         _, v1, v2 = _xgcd(s, -r)
-        v = np.array([v1, v2], dtype=float)
         live = np.flatnonzero(~done)
-        z0 = z0[live]
-        c0 = z0[:, 0] * s - z0[:, 1] * r    # cross(z0, d): offset index units
-        a0 = z0[:, 0] * r + z0[:, 1] * s    # dot(z0, d)
+        z1, z2 = z0[0][live], z0[1][live]
+        c0 = z1 * s - z2 * r    # cross(z0, d): offset index units
+        a0 = z1 * r + z2 * s    # dot(z0, d)
         reach = L * np.minimum(1.0, 2.0 * lg.width(1.0, tau[live]))
-        lo = np.floor(c0 - reach)
-        n = np.ceil(c0 + reach) - lo + 1    # lattice lines of each row
+        j0 = np.floor(c0 - reach)
+        n = np.ceil(c0 + reach) - j0 + 1    # lattice lines of each row
         over = np.flatnonzero(n > _BLOCK)
         if over.size:
-            # every (row, line) pair takes a candidate, so the row alone
-            # would overflow a block
+            # every (row, line) pair is a rectangle row, and the (row, line)
+            # tables below are as wide as the most lines of a row
             raise StarkitError(
                 f"the tube along the skeleton line of slope {s}/{r} meets "
-                f"{int(n[over[0]])} lattice lines, more than a block of "
-                f"{_BLOCK} candidates holds")
+                f"{int(n[over[0]])} lattice lines, more than the {_BLOCK} "
+                f"that one row may take")
         col = np.arange(int(n.max(initial=0)))
-        j = lo[:, None] + col               # (row, line), padded to the widest
+        j = j0[:, None] + col               # (row, line), padded to the widest
         steps = _arc_steps(lg, tau[live, None], np.abs(c0[:, None] - j) / L,
                            L, k_cap)
         kw = np.maximum(np.ceil(steps), 1).astype(np.int64)
         counts = np.where(col < n[:, None], 2 * kw + 1, 0).ravel()
-        vd = v[0] * r + v[1] * s
-        kc = np.rint((a0[:, None] - j * vd) / L / L).ravel()
-        base = (p0[live, None] + j[:, :, None] * v).reshape(-1, 2)
+        kc = np.rint((a0[:, None] - j * (v1 * r + v2 * s)) / L / L)
+        # offset of each (row, line)'s step kc: j*v + kc*d, an exact integer
+        base1 = (j * v1 + kc * r).ravel()
+        base2 = (j * v2 + kc * s).ravel()
         owner = live.repeat(len(col))
-        for t, m in _rounds(counts, owner, done):
+        for t, lo, hi, valid in _rounds(counts, owner, done):
+            m = np.arange(lo, hi)
             dk = (m + 1) // 2 * (2 * (m % 2) - 1)     # 0, 1, -1, 2, -2, ...
-            yield owner[t], base[t] + (kc[t] + dk)[:, None] * d
+            yield (owner[t], base1[t, None] + dk * r, base2[t, None] + dk * s,
+                   valid)
 
-    def _irrational_tube(self, lg, y, tau, k_cap, done):
-        """Rounded points y -/+ k*_IRR_STEP*u along the line, k = 1..kmax_i."""
+    def _irrational_tube(self, lg, y, p0, tau, k_cap, done):
+        """Rounded points y -/+ k*_IRR_STEP*u along the line, k = 1..kmax_i,
+        as offsets rint(y - arc*u) - p0."""
         u = lg.half.unit_direction()
         live = np.flatnonzero(~done)
         kmax = np.floor(_arc_steps(lg, tau[live], 1e-6, _IRR_STEP, k_cap))
-        for t, m in _rounds(2 * kmax.astype(np.int64), live, done):
+        for t, lo, hi, valid in _rounds(2 * kmax.astype(np.int64), live,
+                                        done):
             i = live[t]
+            m = np.arange(lo, hi)
             arc = (m // 2 + 1) * (1 - 2 * (m % 2)) * _IRR_STEP
-            yield i, np.round(np.column_stack([y[i, 0] - arc * u[0],
-                                               y[i, 1] - arc * u[1]]))
+            yield (i, np.rint(y[i, 0, None] - arc * u[0]) - p0[i, 0, None],
+                   np.rint(y[i, 1, None] - arc * u[1]) - p0[i, 1, None], valid)
 
 
 def _arc_steps(lg: LineGeometry, tau, u, step: float, cap: int) -> np.ndarray:
@@ -437,40 +500,44 @@ def _arc_steps(lg: LineGeometry, tau, u, step: float, cap: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)    # box radii are 1..64
 def _ring_offsets(b: int) -> np.ndarray:
-    """Integer offsets of [-b, b]^2 by Chebyshev norm: the first (2c+1)^2
-    rows are the box of radius c."""
+    """Integer offsets of [-b, b]^2 by Chebyshev norm, as a (2, n) float
+    array of coordinates: the first (2c+1)^2 columns are the box of radius
+    c."""
     span = np.arange(-b, b + 1)
     gx, gy = np.meshgrid(span, span, indexing="ij")
     off = np.column_stack([gx.ravel(), gy.ravel()])
     off = off[np.argsort(np.abs(off).max(axis=1), kind="stable")]
+    off = np.ascontiguousarray(off.T, dtype=float)
     off.flags.writeable = False     # shared by every caller
     return off
 
 
 def _rounds(counts: np.ndarray, owner: np.ndarray, done: np.ndarray):
-    """Enumerate ranks 0 .. counts[r]-1 of every row r, low ranks first, in
-    blocks of at most _BLOCK candidates (one rank per row at least).  Before
-    each later block, rows whose owner[r] is `done` are dropped.
-    Yields (r, m): the row and the rank of each candidate."""
-    if counts.sum() <= _BLOCK:
-        r = np.arange(len(counts)).repeat(counts)
-        yield r, np.arange(r.size) - (counts.cumsum() - counts)[r]
-        return
+    """Enumerate ranks 0 .. counts[r]-1 of every row r, low ranks first, as
+    rectangles of at most _HIT_CELLS cells: rows r by ranks lo .. hi-1,
+    one rank at least, so a row wider than the cap is split along its
+    ranks, and more rows than the cap go in several rectangles of one rank.
+    Before each later rank range, rows whose owner[r] is `done` are
+    dropped, and so are rows whose ranks are used up.
+    Yields (r, lo, hi, valid), where valid marks the ranks below counts[r]."""
     rows = np.flatnonzero(counts)
     lo = 0
     while rows.size:
-        hi = lo + max(1, _BLOCK // rows.size)
-        c = np.minimum(counts[rows], hi) - lo
-        r = rows.repeat(c)
-        yield r, np.arange(r.size) - (c.cumsum() - c).repeat(c) + lo
+        c = counts[rows]
+        hi = min(lo + max(1, _HIT_CELLS // rows.size), int(c.max()))
+        ranks = np.arange(lo, hi)
+        for i in range(0, rows.size, _HIT_CELLS):
+            yield (rows[i:i + _HIT_CELLS], lo, hi,
+                   ranks < c[i:i + _HIT_CELLS, None])
         lo = hi
-        rows = rows[(counts[rows] > lo) & ~done[owner[rows]]]
+        rows = rows[(c > lo) & ~done[owner[rows]]]
 
 
 def _pick_minimizer(idx, vals, zinf, p):
     """Deterministic argmin per row: for each distinct row index of idx, the
     least value, value ties broken by the nearest z (zinf = |z|_inf), then
-    lexicographically by p.  Returns the position of each row's pick, in
+    lexicographically by p (or by o = p - p0, which orders the candidates
+    of a row as p does).  Returns the position of each row's pick, in
     ascending order of the rows.  The order is total, so the candidates
     may come in any order.  The choice is window-independent only among
     exact float ties: along a nearly flat tube a far candidate can undercut
@@ -608,9 +675,10 @@ def _section_length(kern: _Kernel, eps: float, x2) -> np.ndarray:
     one for each value of the 1-D x2.
 
     Each section scans its own grid of _SECTION_GRID cells in one ``hits``
-    call.  One call for the grids of a whole batch would fill the 2^16
-    candidate blocks: it raised the peak RSS of ``density --method
-    quadrature`` on the sheared body from 40.6 to 46.9 MB.  Then one
+    call.  One call for the grids of a whole batch, with the flat
+    candidate blocks of 2^16 that the kernel had then, raised the peak RSS
+    of ``density --method quadrature`` on the sheared body from 40.6 to
+    46.9 MB.  Then one
     lockstep ``_bisect`` refines every hit/miss edge of every section, 40
     ``hits`` calls for the whole batch, each edge's row carrying the x2 of
     its section.  A row's candidates, its own lattice lines in

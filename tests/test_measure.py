@@ -18,6 +18,10 @@ from starkit.starbody import Abs, GeoMean, Max, Scale
 
 from conftest import brute_membership, random_dsl
 
+# gm(|x1 - x2|, |x2|): the multiplicative body under a unimodular shear
+SHEARED = "gm(abs(1,-1),abs(0,1))"
+
+
 # ---------------------------------------------------------------------------
 # Density: frozen oracles
 # ---------------------------------------------------------------------------
@@ -210,8 +214,9 @@ def test_minimum_enumerates_a_window_up_to_q_64(union_jack, monkeypatch):
 
 def _one_row_minimize(kern, x, q, eps):
     """``_Kernel.minimize`` as it ran before it took batches: one row, its
-    threshold from the wrap evaluated as numpy scalars, every candidate
-    block evaluated at once and one lexsort over them all."""
+    threshold from the wrap evaluated as numpy scalars, every valid cell
+    of every candidate rectangle turned into its lattice point p, all of
+    them evaluated at once as F(y - p) and one lexsort over them all."""
     y = q * np.asarray(x, dtype=float).reshape(1, 2)
     mod = kern._moduli([q])
     p0 = np.round(y[0])
@@ -220,12 +225,21 @@ def _one_row_minimize(kern, x, q, eps):
     if mod is not None and not measure._coprime(p0.reshape(1, 2), *mod)[0]:
         v0 = math.inf
     tau = np.array([min(v0, q * eps) * (1.0 + 1e-9) + 1e-300])
-    blocks = kern._blocks(y, tau, measure._SCALAR_K_CAP,
-                          np.zeros(1, dtype=bool))
-    idx, p = (np.concatenate(a) for a in zip(*blocks))
-    _, p, z1, z2, vals = kern._evaluate(y, idx, p, mod)
-    if len(vals) == 0:
+    p = []
+    for rows, o1, o2, valid in kern._blocks(y, p0.reshape(1, 2), tau,
+                                            measure._SCALAR_K_CAP,
+                                            np.zeros(1, dtype=bool)):
+        assert not rows.any() and valid.shape[0] == len(rows)
+        p.append(p0 + np.column_stack([np.broadcast_to(o, valid.shape)[valid]
+                                       for o in (o1, o2)]))
+    p = np.concatenate(p)
+    if mod is not None:
+        p = p[measure._coprime(p, *mod)]
+    if len(p) == 0:
         return math.inf, (0, 0)
+    z1 = y[0, 0] - p[:, 0]
+    z2 = y[0, 1] - p[:, 1]
+    vals = kern.f.eval_xy(z1, z2)
     zinf = np.maximum(np.abs(z1), np.abs(z2))
     i = int(np.lexsort((p[:, 1], p[:, 0], zinf, vals))[0])
     return float(vals[i]), (int(p[i, 0]), int(p[i, 1]))
@@ -522,6 +536,106 @@ def _hits_one_at_a_time(kern, xs, qs, eps):
                       for q, e in zip(qs, eps)] for x in xs])
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(y=st.lists(st.floats(-2.0**52, 2.0**52, exclude_min=True,
+                            exclude_max=True), min_size=1, max_size=40),
+       o=st.lists(st.integers(-2**20, 2**20), min_size=1, max_size=40))
+def test_offsets_from_the_wrap_round_as_the_lattice_point(y, o):
+    # the fact the kernel's rectangles rest on: z0 = y - rint(y) is exact,
+    # so z0 - o is y - (rint(y) + o) rounded once, the same float bit for
+    # bit, except that a zero may differ in sign
+    n = min(len(y), len(o))
+    y = np.array(y[:n])
+    o = np.array(o[:n], dtype=float)
+    p0 = np.rint(y)
+    got, want = (y - p0) - o, y - (p0 + o)
+    nonzero = want != 0
+    assert np.array_equal(got[nonzero].view(np.int64),
+                          want[nonzero].view(np.int64)), (y, o)
+    assert not got[~nonzero].any()
+
+
+def test_hits_evaluate_at_most_a_slice_of_cells_per_call(monkeypatch):
+    # every Expr.eval_xy call inside hits, the wrap, the box and the tube
+    # rectangles alike, stays within _HIT_CELLS cells; 600 x 16 rows make
+    # a full slice of 8,192 (point, q) rows and a partial one
+    kern = _Kernel(sk.parse_distance_function(SHEARED))
+    sizes = []
+    eval_xy = sk.Expr.eval_xy
+
+    def recorded(self, x1, x2):
+        sizes.append(np.broadcast(x1, x2).size)
+        return eval_xy(self, x1, x2)
+    monkeypatch.setattr(sk.Expr, "eval_xy", recorded)
+    rng = np.random.default_rng(19)
+    qs = np.arange(100, 116)
+    eps = rng.uniform(0.05, 0.5, len(qs)) / qs
+    kern.hits(rng.random((600, 2)), qs, eps)
+    assert len(sizes) > 4
+    assert max(sizes) == measure._HIT_CELLS
+
+
+@pytest.mark.parametrize("body", ["height", "multiplicative", "union_jack",
+                                  "irrational_cusp", SHEARED])
+def test_kernel_rejects_a_non_finite_point(registered_bodies, body):
+    # one ValueError on every kernel path, before any rounding or
+    # evaluation: the axis-monotone wrap, the tubes, the window, restricted
+    # or not, for a scalar q and a q-batch
+    f = registered_bodies.get(body) or sk.parse_distance_function(body)
+    kerns = [_Kernel(f)]
+    if kerns[0].geo.skeleton.rational_only:
+        kerns.append(_Kernel(f, restricted=True))
+    qs = np.array([5, 7])
+    for bad in [(math.nan, 0.3), (math.inf, 0.3), (0.3, -math.inf)]:
+        xs = np.array([(0.2, 0.4), bad])
+        for kern in kerns:
+            calls = [
+                lambda: kern.hits(xs, 5, 0.1),
+                lambda: kern.hits(xs, qs, np.array([0.1, 0.05])),
+                lambda: kern.minimize(bad, 100, 0.01),
+                lambda: kern.minimize(xs, qs + 100, 0.01),
+                lambda: kern.minimize_exhaustive(bad, 5, 0.1),
+                lambda: sk.batch_hits(f, xs, 5, 0.1, kern.restricted),
+                lambda: sk.resonant_membership(f, bad, sk.ResonantSpec(
+                    q=5, epsilon=0.1, restricted=kern.restricted)),
+            ]
+            for call in calls:
+                with pytest.raises(ValueError, match="points must be finite"):
+                    call()
+
+
+@pytest.mark.parametrize("estimate, want", [
+    (lambda b: (lambda r: (r.value, r.stderr))(sk.density(
+        b[SHEARED], 0.1, "montecarlo", samples=200_000, seed=104)),
+     (0.16948, 0.0008389175454119433)),
+    (lambda b: measure.resonant_measure(b["union_jack"], sk.ResonantSpec(
+        q=7, epsilon=0.03, restricted=True), samples=20_000, seed=3),
+     (0.64315, 0.003387536549618321)),
+    (lambda b: measure.resonant_measure(b["union_jack"], sk.ResonantSpec(
+        q=7, epsilon=0.03), samples=20_000, seed=3),
+     (0.7603, 0.0030186413334478807)),
+    (lambda b: measure.resonant_measure(b["irrational_cusp"], sk.ResonantSpec(
+        q=7, epsilon=0.005), samples=20_000, seed=3),
+     (0.04895, 0.0015256784966040519)),
+    (lambda b: measure.resonant_measure(b["irrational_cusp"], sk.ResonantSpec(
+        q=100, epsilon=0.0005), samples=20_000, seed=3),
+     (0.09125, 0.002036215085642968)),
+    (lambda b: sk.tail_measure(b[SHEARED], sk.PsiFamily.power(2.5), 64,
+                               samples=8192, seed=5),
+     (0.004150390625, 0.0007103074889372357)),
+], ids=["density_mc", "union_jack-restricted", "union_jack", "cusp-q7",
+        "cusp-q100", "tail-sheared"])
+def test_kernel_estimates_keep_their_pinned_bits(registered_bodies, estimate,
+                                                 want):
+    # values and standard errors of the kernel's Monte Carlo estimates, bit
+    # for bit: the tube path and its q-batches, the restricted coprimality
+    # filter and the irrational tube
+    bodies = dict(registered_bodies)
+    bodies[SHEARED] = sk.parse_distance_function(SHEARED)
+    got = estimate(bodies)
+    assert [float(v).hex() for v in got] == [v.hex() for v in want]
+
+
 # ---------------------------------------------------------------------------
 # Resonant measures
 # ---------------------------------------------------------------------------
@@ -764,7 +878,6 @@ def test_import_leaves_scipy_unloaded(tmp_path, cli_env):
 # Periodized quadrature
 # ---------------------------------------------------------------------------
 
-SHEARED = "gm(abs(1,-1),abs(0,1))"
 _SECTION_X2 = [0.0, 1.0, 0.5, 0.0625, 0.3, 0.6180339887498949, 0.95]
 
 
