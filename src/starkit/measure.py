@@ -32,7 +32,7 @@ hit test (``hits``, a batch of q values for every point) and the
 minimization (``minimize``, one q per row, as ``best_approximations``
 sweeps q) differ only in the per-row threshold that sizes the search, the
 step cap, and how they reduce the values: a hit ends a row's search, a
-minimum folds each rectangle into per-row running bests.
+minimum keeps the least values of each rectangle row and picks among them.
 """
 
 from __future__ import annotations
@@ -179,14 +179,14 @@ class _Kernel:
     its tube reach, and k_cap bounds the tube steps, so a row's candidates
     are the same in any batch.  ``_evaluate`` runs a rectangle through one
     ``Expr.eval_xy`` call, and a restricted row keeps its own q for the
-    coprimality filter on p (``_select``).
+    coprimality filter on p (``_allowed``).
     ``hits`` (tau = q*eps, k_cap = _BATCH_K_CAP) marks the rows with an
     allowed value below q*eps, which ends their enumeration; on an
     unrestricted axis-monotone body it evaluates the wrap alone, on
     (point x q) arrays.  ``minimize`` (tau just above min(F(wrap), q*eps),
     k_cap = _SCALAR_K_CAP) runs _MIN_ROWS rows at a time, and ``_least``
-    folds each rectangle into the rows' running bests with a segmented
-    ``_pick_minimizer``, so memory stays at one rectangle.
+    keeps the least values of each rectangle row and picks among them
+    with a segmented ``_pick_minimizer``.
 
     Exactness.  For a finite y, z0 = y - p0 is exact: either p0 = 0, or p0
     has the sign of y and |y - p0| <= 1/2 <= |p0|/2, so y lies between
@@ -298,25 +298,31 @@ class _Kernel:
     def _least(self, y, p0, blocks, mod):
         """Per row of y, the least F(y - p) over the allowed candidates of
         the rectangles and its p, by the ``_pick_minimizer`` rule: (values,
-        p) arrays, inf and (0, 0) for a row that has none.  Each rectangle
-        is folded into the rows' running bests, so only one is held at a
-        time; the rule's order is total, so the choice does not depend on
-        where the rectangles split."""
+        p) arrays, inf and (0, 0) for a row that has none.  Of each
+        rectangle only the least values of each of its rows are kept, the
+        only cells that can be their row's pick, so what is held is about
+        one candidate per rectangle row; the rule's order is total, so the
+        choice does not depend on where the rectangles split."""
         z0 = (y - p0).T.copy()
-        # the bests so far: (row index, value, |y - p|_inf, o = p - p0), one
-        # per row; within a row o orders as p does, so the rule can read o
-        kept = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0),
-                np.empty((0, 2)))
+        # (row index, value, |y - p|_inf, o = p - p0) of the kept cells;
+        # within a row o orders as p does, so the rule can read o
+        kept = [(np.empty(0, dtype=np.intp), np.empty(0), np.empty(0),
+                 np.empty((0, 2)))]
         for rows, o1, o2, valid in blocks:
             z1, z2, vals = self._evaluate(z0, rows, o1, o2)
-            flat, idx, o = self._select(p0, rows, o1, o2, valid, mod)
-            new = (idx, vals.ravel()[flat],
-                   np.maximum(np.abs(z1), np.abs(z2)).ravel()[flat], o)
-            both = [np.concatenate(a) for a in zip(new, kept)]
-            pick = _pick_minimizer(*both)
-            kept = [a[pick] for a in both]
+            if mod is not None:
+                valid = self._allowed(p0, rows, o1, o2, valid, mod)
+            low = np.fmin.reduce(np.where(valid, vals, np.nan), axis=1,
+                                 keepdims=True)
+            flat, idx, o = _cells(rows, o1, o2,
+                                  valid & ((vals == low) | np.isnan(low)))
+            kept.append((idx, vals.ravel()[flat], np.maximum(
+                np.abs(z1.ravel()[flat]), np.abs(z2.ravel()[flat])), o))
+        idx, vals, zinf, o = (np.concatenate(a) for a in zip(*kept))
+        pick = _pick_minimizer(idx, vals, zinf, o)
         best, best_p = np.full(len(y), np.inf), np.zeros((len(y), 2))
-        best[kept[0]], best_p[kept[0]] = kept[1], p0[kept[0]] + kept[3]
+        rows = idx[pick]
+        best[rows], best_p[rows] = vals[pick], p0[rows] + o[pick]
         return best, best_p
 
     # -- vectorized hit decisions -------------------------------------------
@@ -360,11 +366,10 @@ class _Kernel:
                                                 _BATCH_K_CAP, hit):
             below = (self._evaluate(z0, rows, o1, o2)[2]
                      < row_tau[rows][:, None]) & valid
-            if mod is None:
-                # a tube's rectangle holds several rows of one owner
-                hit[rows[below.any(axis=1)]] = True
-            else:
-                hit[self._select(p0, rows, o1, o2, below, mod)[1]] = True
+            if mod is not None:
+                below = self._allowed(p0, rows, o1, o2, below, mod)
+            # a tube's rectangle holds several rows of one owner
+            hit[rows[below.any(axis=1)]] = True
         return hit.reshape(len(q), m).T
 
     # -- candidate rectangles -------------------------------------------------
@@ -377,19 +382,13 @@ class _Kernel:
         z2 = z0[1][rows][:, None] - o2
         return z1, z2, self.f.eval_xy(z1, z2)
 
-    def _select(self, p0, rows, o1, o2, mask, mod):
-        """The cells of a rectangle's `mask` whose p = p0 + o is allowed:
-        their flat positions, row indices and (n, 2) offsets o.  A
-        restricted kernel drops the p that fail the coprimality of their
-        row's q (``_moduli``, one entry per row)."""
-        flat = np.flatnonzero(mask)
-        idx = rows[flat // mask.shape[1]]
-        o = np.column_stack([np.broadcast_to(a, mask.shape).ravel()[flat]
-                             for a in (o1, o2)])
-        if mod is not None:
-            ok = _coprime(p0[idx] + o, *(m[idx] for m in mod))
-            flat, idx, o = flat[ok], idx[ok], o[ok]
-        return flat, idx, o
+    def _allowed(self, p0, rows, o1, o2, mask, mod):
+        """The cells of a rectangle's `mask` whose p = p0 + o passes the
+        coprimality of its row's q (``_moduli``, one entry per row)."""
+        flat, idx, o = _cells(rows, o1, o2, mask)
+        out = np.zeros(mask.size, dtype=bool)
+        out[flat] = _coprime(p0[idx] + o, *(m[idx] for m in mod))
+        return out.reshape(mask.shape)
 
     def _blocks(self, y, p0, tau, k_cap, done):
         """Yield (rows, o1, o2, valid) candidate rectangles for the rows not
@@ -531,6 +530,15 @@ def _rounds(counts: np.ndarray, owner: np.ndarray, done: np.ndarray):
                    ranks < c[i:i + _HIT_CELLS, None])
         lo = hi
         rows = rows[(c > lo) & ~done[owner[rows]]]
+
+
+def _cells(rows, o1, o2, mask):
+    """The cells of a rectangle's `mask`: their flat positions, row indices
+    and (n, 2) offsets o."""
+    flat = np.flatnonzero(mask)
+    o = np.column_stack([np.broadcast_to(a, mask.shape).ravel()[flat]
+                         for a in (o1, o2)])
+    return flat, rows[flat // mask.shape[1]], o
 
 
 def _pick_minimizer(idx, vals, zinf, p):
