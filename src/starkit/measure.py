@@ -25,14 +25,16 @@ One ``_Kernel`` serves one body, restricted or not; q and eps are
 arguments of each call.  Its generator (``_Kernel._blocks``) enumerates
 those candidates for a whole batch of rows, one row per (point, q), as
 dense rectangles (rows by ranks) of integer offsets from each row's
-wrap, at most _HIT_CELLS cells each, and one evaluator runs each
+wrap, at most _HIT_CELLS cells each (``minimize_exhaustive``'s window
+goes in one-row rectangles of _WINDOW_CELLS), and one evaluator runs each
 rectangle through a single ``Expr.eval_xy`` call.  Every row has its own
 candidates, so a row's result does not depend on the rows beside it.  The
 hit test (``hits``, a batch of q values for every point) and the
 minimization (``minimize``, one q per row, as ``best_approximations``
 sweeps q) differ only in the per-row threshold that sizes the search, the
 step cap, and how they reduce the values: a hit ends a row's search, a
-minimum keeps the least values of each rectangle row and picks among them.
+minimum keeps the least values of each rectangle row and folds them to
+one pick per row whenever more than _HIT_CELLS are held.
 """
 
 from __future__ import annotations
@@ -144,9 +146,13 @@ _SCALAR_K_CAP = 4096   # tube steps in exact single-point minimization
 _WINDOW_CAP = 600
 _EXHAUSTIVE_Q = 64     # q up to which minimization enumerates a full window
 _IRR_STEP = 0.5
-# window points per block of minimize_exhaustive, and the most lattice lines
-# that the tube of one row may meet
-_BLOCK = 1 << 16
+# the most lattice lines that the tube of one row may meet
+_MAX_LINES = 1 << 16
+# window points per rectangle of minimize_exhaustive, one row of up to
+# 1,205^2 points: here a rectangle's fixed cost outweighs the page faults
+# of arrays above the mmap rule (on a 2-vCPU VM, windows in 8,192-point
+# rectangles took 1.07x as long on union_jack, 1.2x on irrational_cusp)
+_WINDOW_CELLS = 1 << 16
 # cells per candidate rectangle and (point, q) cells per slice of
 # _Kernel.hits, under starbody's mmap rule; unsliced, a tail chunk's
 # 4096 x 16 batch spent half its time in page faults
@@ -186,7 +192,8 @@ class _Kernel:
     (point x q) arrays.  ``minimize`` (tau just above min(F(wrap), q*eps),
     k_cap = _SCALAR_K_CAP) runs _MIN_ROWS rows at a time, and ``_least``
     keeps the least values of each rectangle row and picks among them
-    with a segmented ``_pick_minimizer``.
+    with a segmented ``_pick_minimizer``, folding what it holds to one
+    pick per row whenever that passes _HIT_CELLS cells.
 
     Exactness.  For a finite y, z0 = y - p0 is exact: either p0 = 0, or p0
     has the sign of y and |y - p0| <= 1/2 <= |p0|/2, so y lies between
@@ -272,7 +279,7 @@ class _Kernel:
     def minimize_exhaustive(self, x, q: int,
                             eps: float) -> tuple[float, tuple[int, int]]:
         """Same minimum through a full window enumeration (small q), in
-        one-row rectangles of _BLOCK window points."""
+        one-row rectangles of _WINDOW_CELLS window points."""
         y = q * _points(x).reshape(1, 2)
         p0 = np.rint(y)
         mod = self._moduli([q])
@@ -290,9 +297,9 @@ class _Kernel:
         o1, o2 = (g.reshape(1, -1) for g in np.meshgrid(span, span,
                                                           indexing="ij"))
         row = np.zeros(1, dtype=np.intp)
-        blocks = ((row, o1[:, i:i + _BLOCK], o2[:, i:i + _BLOCK],
-                   np.ones((1, min(_BLOCK, o1.size - i)), dtype=bool))
-                  for i in range(0, o1.size, _BLOCK))
+        blocks = ((row, o1[:, i:i + _WINDOW_CELLS], o2[:, i:i + _WINDOW_CELLS],
+                   np.ones((1, min(_WINDOW_CELLS, o1.size - i)), dtype=bool))
+                  for i in range(0, o1.size, _WINDOW_CELLS))
         return _as_pair(*self._least(y, p0, blocks, mod))
 
     def _least(self, y, p0, blocks, mod):
@@ -300,14 +307,17 @@ class _Kernel:
         the rectangles and its p, by the ``_pick_minimizer`` rule: (values,
         p) arrays, inf and (0, 0) for a row that has none.  Of each
         rectangle only the least values of each of its rows are kept, the
-        only cells that can be their row's pick, so what is held is about
-        one candidate per rectangle row; the rule's order is total, so the
-        choice does not depend on where the rectangles split."""
+        only cells that can be their row's pick, and once more than
+        _HIT_CELLS are held they are folded to one pick per row (a thin
+        tube's rectangles can be one rank wide, every cell its row's
+        least); the rule's order is total, so the choice does not depend
+        on where the rectangles split or when the folds come."""
         z0 = (y - p0).T.copy()
         # (row index, value, |y - p|_inf, o = p - p0) of the kept cells;
         # within a row o orders as p does, so the rule can read o
         kept = [(np.empty(0, dtype=np.intp), np.empty(0), np.empty(0),
                  np.empty((0, 2)))]
+        held = 0
         for rows, o1, o2, valid in blocks:
             z1, z2, vals = self._evaluate(z0, rows, o1, o2)
             if mod is not None:
@@ -318,11 +328,13 @@ class _Kernel:
                                   valid & ((vals == low) | np.isnan(low)))
             kept.append((idx, vals.ravel()[flat], np.maximum(
                 np.abs(z1.ravel()[flat]), np.abs(z2.ravel()[flat])), o))
-        idx, vals, zinf, o = (np.concatenate(a) for a in zip(*kept))
-        pick = _pick_minimizer(idx, vals, zinf, o)
+            held += flat.size
+            if held > _HIT_CELLS:
+                kept = [_fold(kept)]
+                held = kept[0][0].size
+        idx, vals, _, o = _fold(kept)
         best, best_p = np.full(len(y), np.inf), np.zeros((len(y), 2))
-        rows = idx[pick]
-        best[rows], best_p[rows] = vals[pick], p0[rows] + o[pick]
+        best[idx], best_p[idx] = vals, p0[idx] + o
         return best, best_p
 
     # -- vectorized hit decisions -------------------------------------------
@@ -332,7 +344,8 @@ class _Kernel:
         of shape (m, 2): shape (m, B) for arrays of B values of q and eps,
         column j for q[j] and eps[j], and shape (m,) for a scalar q and eps
         (a batch of one).  The points go through in slices of at most
-        _HIT_CELLS (point, q) cells."""
+        _HIT_CELLS (point, q) cells, one point at a time when there are
+        more q values than that."""
         xs = _points(xs)
         qs = np.atleast_1d(q)
         tau = qs * eps
@@ -405,9 +418,10 @@ class _Kernel:
         """
         live = np.flatnonzero(~done)
         zero = np.zeros((1, 1))
-        # the wrap settles most rows; callers slice their rows to at most
-        # _HIT_CELLS, so it is one rectangle
-        yield live, zero, zero, np.ones((live.size, 1), dtype=bool)
+        # the wrap settles most rows, _HIT_CELLS of them per rectangle
+        for i in range(0, live.size, _HIT_CELLS):
+            rows = live[i:i + _HIT_CELLS]
+            yield rows, zero, zero, np.ones((rows.size, 1), dtype=bool)
         live = np.flatnonzero(~done)
         b = self._box_radius(tau[live])
         ring = _ring_offsets(int(b.max(initial=1)))
@@ -440,14 +454,14 @@ class _Kernel:
         reach = L * np.minimum(1.0, 2.0 * lg.width(1.0, tau[live]))
         j0 = np.floor(c0 - reach)
         n = np.ceil(c0 + reach) - j0 + 1    # lattice lines of each row
-        over = np.flatnonzero(n > _BLOCK)
+        over = np.flatnonzero(n > _MAX_LINES)
         if over.size:
             # every (row, line) pair is a rectangle row, and the (row, line)
             # tables below are as wide as the most lines of a row
             raise StarkitError(
                 f"the tube along the skeleton line of slope {s}/{r} meets "
-                f"{int(n[over[0]])} lattice lines, more than the {_BLOCK} "
-                f"that one row may take")
+                f"{int(n[over[0]])} lattice lines, more than the "
+                f"{_MAX_LINES} that one row may take")
         col = np.arange(int(n.max(initial=0)))
         j = j0[:, None] + col               # (row, line), padded to the widest
         steps = _arc_steps(lg, tau[live, None], np.abs(c0[:, None] - j) / L,
@@ -539,6 +553,14 @@ def _cells(rows, o1, o2, mask):
     o = np.column_stack([np.broadcast_to(a, mask.shape).ravel()[flat]
                          for a in (o1, o2)])
     return flat, rows[flat // mask.shape[1]], o
+
+
+def _fold(kept):
+    """The kept (row index, value, zinf, o) cells of ``_Kernel._least``,
+    concatenated and cut to each row's ``_pick_minimizer`` pick."""
+    both = [np.concatenate(a) for a in zip(*kept)]
+    pick = _pick_minimizer(*both)
+    return [a[pick] for a in both]
 
 
 def _pick_minimizer(idx, vals, zinf, p):

@@ -14,7 +14,7 @@ import starkit as sk
 from starkit import measure, sampling
 from starkit.errors import IrrationalSkeleton, SkeletonMismatch
 from starkit.measure import _Kernel, analytic_density_info
-from starkit.starbody import Abs, GeoMean, Max, Scale
+from starkit.starbody import Abs, GeoMean, Max, Scale, body_geometry
 
 from conftest import brute_membership, random_dsl
 
@@ -291,6 +291,29 @@ def test_batched_minimize_is_the_one_row_minimize(registered_bodies, body,
     # a restricted row whose wrap is forbidden may find its minimizer far
     # along a skeleton line
     assert on_tubes > 0 or not restricted
+
+
+def test_minimize_holds_a_bounded_set_along_a_flat_tube(monkeypatch):
+    # the skeleton line of this strip has a fitted width exponent of about
+    # 0, so every row's tube takes the full step cap on about 45 lattice
+    # lines and most rectangle rows hold their own least value; what _least
+    # holds is folded before it passes two rectangles' worth
+    f = sk.parse_distance_function("abs(-18/10,-4)")
+    assert body_geometry(f).lines[0].width_exp < 1e-9
+    sizes = []
+    pick = measure._pick_minimizer
+
+    def recorded(idx, vals, zinf, o):
+        sizes.append(idx.size)
+        return pick(idx, vals, zinf, o)
+    monkeypatch.setattr(measure, "_pick_minimizer", recorded)
+    qs = np.arange(65, 73)
+    x = np.array([math.sqrt(2), math.sqrt(3)])
+    on_tubes = _batch_is_one_row_at_a_time(
+        _Kernel(f), np.broadcast_to(x, (len(qs), 2)), qs, np.ones(len(qs)))
+    assert on_tubes > 0
+    assert len(sizes) > 1
+    assert max(sizes) <= 2 * measure._HIT_CELLS + len(qs)
 
 
 def test_batched_minimize_keeps_a_forbidden_wrap_out_of_its_row(union_jack):
@@ -572,6 +595,12 @@ def test_hits_evaluate_at_most_a_slice_of_cells_per_call(monkeypatch):
     eps = rng.uniform(0.05, 0.5, len(qs)) / qs
     kern.hits(rng.random((600, 2)), qs, eps)
     assert len(sizes) > 4
+    assert max(sizes) == measure._HIT_CELLS
+    # more q values than a slice holds: one point per slice, and its wrap
+    # goes in rectangles of _HIT_CELLS rows too
+    sizes.clear()
+    qs = np.arange(1, measure._HIT_CELLS + 10)
+    kern.hits(rng.random((2, 2)), qs, 0.3 / qs)
     assert max(sizes) == measure._HIT_CELLS
 
 
