@@ -343,28 +343,32 @@ class _Kernel:
         """Whether F(q*x - p) < q*eps for some allowed p, for the points xs
         of shape (m, 2): shape (m, B) for arrays of B values of q and eps,
         column j for q[j] and eps[j], and shape (m,) for a scalar q and eps
-        (a batch of one).  The points go through in slices of at most
-        _HIT_CELLS (point, q) cells, one point at a time when there are
-        more q values than that."""
+        (a batch of one).  The decisions fill one q-major (B, m) array, a
+        slice of at most _HIT_CELLS (q, point) cells at a time (one point
+        per slice when there are more q values than that), and come back
+        as its transpose."""
         xs = _points(xs)
         qs = np.atleast_1d(q)
         tau = qs * eps
+        out = np.empty((len(qs), len(xs)), dtype=bool)
         step = max(1, _HIT_CELLS // len(qs))
-        if len(xs) <= step:
-            out = self._hits(xs, qs, tau)
-        else:
-            out = np.concatenate([self._hits(xs[i:i + step], qs, tau)
-                                  for i in range(0, len(xs), step)])
-        return out if np.ndim(q) else out[:, 0]
+        for i in range(0, len(xs), step):
+            self._hits(xs[i:i + step], qs, tau, out[:, i:i + step])
+        return out.T if np.ndim(q) else out[0]
 
-    def _hits(self, xs, q, tau) -> np.ndarray:
-        """``hits`` on one slice of points, for 1-D q and tau = q*eps."""
+    def _hits(self, xs, q, tau, out):
+        """``hits`` on one slice of points, for 1-D q and tau = q*eps,
+        written into the (len(q), len(xs)) view `out`."""
         if self.geo.axis_monotone and not self.restricted:
             # coordinatewise-monotone body: the wrap is the exact minimizer,
-            # decided on one (point, q) array per coordinate
-            y1 = np.multiply.outer(xs[:, 0], q)
-            y2 = np.multiply.outer(xs[:, 1], q)
-            return self.f.eval_xy(y1 - np.rint(y1), y2 - np.rint(y2)) < tau
+            # decided on one (q, point) array per coordinate.  q*x is the
+            # float x*q (int64 q < 2^53 casts exactly; products commute)
+            qf = q.astype(float)[:, None]
+            y1, y2 = qf * xs[:, 0], qf * xs[:, 1]
+            y1 -= np.rint(y1)
+            y2 -= np.rint(y2)
+            np.less(self.f.eval_xy(y1, y2), tau[:, None], out=out)
+            return
         # one row per (q, point): row j*m + i for q[j] and point i
         m = len(xs)
         y = (q[:, None, None] * xs).reshape(-1, 2)
@@ -383,7 +387,7 @@ class _Kernel:
                 below = self._allowed(p0, rows, o1, o2, below, mod)
             # a tube's rectangle holds several rows of one owner
             hit[rows[below.any(axis=1)]] = True
-        return hit.reshape(len(q), m).T
+        out[...] = hit.reshape(len(q), m)
 
     # -- candidate rectangles -------------------------------------------------
 

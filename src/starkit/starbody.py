@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
@@ -85,7 +86,11 @@ class Expr:
         return float(v) if np.ndim(v) == 0 else v
 
     def eval_xy(self, x1, x2):
-        """Raw evaluation on pre-validated coordinate arrays (hot path)."""
+        """Raw evaluation on pre-validated coordinate arrays of one shape
+        (hot path).  The coordinates must be finite: an atom that drops a
+        zero coefficient's term (``Abs``) does not read the other
+        coordinate, so an infinity or NaN there need not reach the
+        value."""
         return self._eval(x1, x2)
 
     def _eval(self, x1, x2):
@@ -103,13 +108,43 @@ class Abs(Expr):
     def __init__(self, a, b=None):
         form = a if isinstance(a, LinearForm) and b is None else LinearForm(a, b)
         object.__setattr__(self, "form", form)
-        # float coefficients for the hot path; not a dataclass field, so
-        # equality and hashing still use the exact form only
-        object.__setattr__(self, "_floats", form.floats())
+        # the evaluation plan for the hot path (``_eval``); not a dataclass
+        # field, so equality and hashing still use the exact form only
+        fa, fb = form.floats()
+        if fa < 0:
+            fa, fb = -fa, -fb
+        terms = [(k, None if abs(v) == 1.0 else abs(v))
+                 for k, v in enumerate((fa, fb)) if v != 0]
+        second = None if len(terms) == 1 else (
+            *terms[1], operator.sub if fb < 0 else operator.add)
+        object.__setattr__(self, "_plan", (terms[0], second))
 
     def _eval(self, x1, x2):
-        fa, fb = self._floats
-        return np.abs(fa * x1 + fb * x2)
+        """|fa*x1 + fb*x2| on the float coefficients, without the arithmetic
+        that cannot change it: the form is negated when fa < 0, a zero
+        coefficient drops its term, a term of its own is |c|*x (or x for
+        c = +-1), and of two terms the second is added or, for fb < 0,
+        |fb|*x2 (or x2) is subtracted.
+
+        On finite coordinates the value is bit for bit that of
+        ``np.abs(fa*x1 + fb*x2)``.  Rounding to nearest is symmetric, so
+        (-c)*x = -(c*x) and (-a) + (-b) = -(a + b): the absolute value of
+        the negated form is that of the form, and |c*x| = ||c|*x|.
+        1.0*x = x.  a - b is by
+        definition a + (-b), and -(|fb|*x2) = fb*x2.  For a zero fb, fb*x2
+        is +-0 (x2 finite), and v + (+-0) = v for v != 0; when v is itself
+        +-0 the sum is a zero of some sign, which the absolute value makes
+        +0.  The same holds with the roles of the coordinates swapped.
+        Only non-finite coordinates differ: 0*inf = NaN, so the full form
+        turns an infinite other coordinate into NaN, where the plan does not
+        read that coordinate (``eval_xy`` takes finite coordinates)."""
+        x = (x1, x2)
+        (i, c), second = self._plan
+        t = x[i] if c is None else c * x[i]
+        if second is not None:
+            j, d, op = second
+            t = op(t, x[j] if d is None else d * x[j])
+        return np.abs(t)
 
     def zero_lines(self):
         # a*x1 + b*x2 = 0  <=>  x2 = (-a/b) x1, vertical when b == 0

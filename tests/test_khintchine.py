@@ -207,6 +207,21 @@ def test_tail_equals_a_loop_over_single_q(registered_bodies, body, psi, n,
     assert got[0] == 1.0 if psi.kind == "table" else 0 < got[0] < 1
 
 
+@pytest.mark.parametrize("text,tau,n,value,stderr", [
+    ("max(abs(1,0),abs(0,1))", 1.6, 256, 0.59375, "0x1.639e2653e421bp-8"),
+    ("gm(abs(1,0),abs(0,1))", 2.5, 64, 0.00390625, "0x1.6954b41cd4293p-11"),
+    ("max(abs(2,0),abs(0,sqrt2))", 1.6, 256, 0.2628173828125,
+     "0x1.3eb67bf15275fp-8"),
+], ids=["height", "multiplicative", "scaled_box"])
+def test_tail_values_are_pinned(text, tau, n, value, stderr):
+    # the tail's hit decisions, q-major wrap and lean atoms included, are
+    # those of the plain float formula: these floats predate both
+    got, se = sk.tail_measure(sk.parse_distance_function(text),
+                              sk.PsiFamily.power(tau), n, samples=8192,
+                              seed=104)
+    assert (got.hex(), se.hex()) == (value.hex(), stderr)
+
+
 def test_tail_and_search_build_one_kernel_per_call(height, monkeypatch):
     built = []
     init = measure._Kernel.__init__

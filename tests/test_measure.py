@@ -553,6 +553,45 @@ def test_hits_on_a_batch_of_q_are_the_scalar_columns(registered_bodies, name,
                                                              qs, eps))
 
 
+@pytest.mark.parametrize("batch", [1, 16, 8201])
+def test_q_major_hits_are_the_literal_wrap_decisions(height, batch):
+    # 1,000 points fill no whole number of slices (512 points at B = 16);
+    # at B = 8,201 each slice is one point.  Every (point, q) decision is
+    # F(q*x - rint(q*x)) < q*eps with F = max(|z1|, |z2|) written out
+    rng = np.random.default_rng([20, batch])
+    xs = rng.random((1000, 2))
+    qs = rng.integers(1, 10**6, batch)
+    eps = rng.uniform(0.05, 0.5, batch) / qs
+    got = _Kernel(height).hits(xs, qs, eps)
+    assert got.shape == (1000, batch) and got.dtype == bool
+    for j in range(0, batch, 512):
+        q = qs[j:j + 512]
+        y1, y2 = xs[:, :1] * q, xs[:, 1:] * q
+        z = np.maximum(np.abs(y1 - np.rint(y1)), np.abs(y2 - np.rint(y2)))
+        assert np.array_equal(got[:, j:j + 512], z < q * eps[j:j + 512])
+    assert 0 < np.count_nonzero(got) < got.size
+    one = _Kernel(height).hits(xs, int(qs[0]), float(eps[0]))
+    assert one.shape == (1000,)
+    assert np.array_equal(one, got[:, 0])
+
+
+@pytest.mark.parametrize("batch", [1, 16])
+def test_q_major_hits_on_the_tube_path_are_the_scalar_columns(batch):
+    # the sheared body is not axis-monotone: its (q, point) rows go through
+    # the candidate rectangles, and each column is that q's own call
+    kern = _Kernel(sk.parse_distance_function(SHEARED))
+    rng = np.random.default_rng([21, batch])
+    xs = rng.random((1000, 2))
+    qs = rng.integers(1, 400, batch)
+    eps = rng.uniform(0.05, 0.5, batch) / qs
+    got = kern.hits(xs, qs, eps)
+    assert got.shape == (1000, batch)
+    want = np.column_stack([kern.hits(xs, int(q), float(e))
+                            for q, e in zip(qs, eps)])
+    assert 0 < np.count_nonzero(want) < want.size
+    assert np.array_equal(got, want)
+
+
 def _hits_one_at_a_time(kern, xs, qs, eps):
     """``hits`` of each (point, q) row in a call of its own, shape (m, B)."""
     return np.array([[kern.hits(x[None], int(q), float(e))[0]

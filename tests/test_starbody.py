@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import starkit as sk
 from starkit.errors import DegenerateExpr, FitFailure, IrrationalSkeleton
@@ -30,6 +31,43 @@ def test_evaluate_multiplicative(multiplicative):
 def test_evaluate_union_jack_diagonal(union_jack):
     # the diagonal lies in the skeleton
     assert union_jack.evaluate((1.0, 1.0)) == 0.0
+
+
+_COEFS = [0, 1, -1, 2, -2, Fraction(1, 3), Quad.sqrt(2), -Quad.sqrt(3),
+          1 / Quad.sqrt(2)]
+_FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310,
+                     1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(a=st.sampled_from(_COEFS), b=st.sampled_from(_COEFS),
+       pts=st.lists(st.tuples(_FINITE, _FINITE), min_size=1, max_size=30))
+def test_lean_atom_is_the_full_form_bit_for_bit(a, b, pts):
+    # Abs._eval drops zero terms and unit multiplies and fixes the form's
+    # sign; on finite points, signed zeros, subnormals and overflow to inf
+    # included, its values are those of |fa*x1 + fb*x2|, byte for byte
+    assume(a != 0 or b != 0)
+    atom = Abs(a, b)
+    fa, fb = atom.form.floats()
+    x1, x2 = np.array(pts).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = atom._eval(x1, x2)
+        want = np.abs(fa * x1 + fb * x2)
+    assert got.tobytes() == want.tobytes(), (a, b, pts)
+
+
+def test_every_registered_body_is_nan_where_a_coordinate_is(
+        registered_bodies):
+    # an atom that drops a zero coefficient's term does not read that
+    # coordinate, but each body reads both through some atom
+    bodies = dict(registered_bodies,
+                  sheared=sk.parse_distance_function("gm(abs(1,-1),abs(0,1))"))
+    x1 = np.array([math.nan, 0.3, math.nan])
+    x2 = np.array([0.3, math.nan, math.nan])
+    for name, f in bodies.items():
+        assert np.isnan(f.eval_xy(x1, x2)).all(), name
 
 
 def test_zero_form_rejected():
