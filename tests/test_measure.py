@@ -527,12 +527,14 @@ def test_batch_hits_match_exhaustive_oracle(body, restricted, seed):
 
 @pytest.mark.parametrize("restricted", [False, True],
                          ids=["unrestricted", "restricted"])
-@pytest.mark.parametrize("name", ["height", "multiplicative", "union_jack"])
+@pytest.mark.parametrize("name", ["height", "multiplicative", "union_jack",
+                                  SHEARED])
 def test_hits_on_a_batch_of_q_are_the_scalar_columns(registered_bodies, name,
                                                      restricted):
     # one call on 16 values of q decides each (point, q) pair as the call on
-    # that q alone does; 600 x 16 rows also cross a _HIT_CELLS slice
-    f = registered_bodies[name]
+    # that q alone does; 600 x 16 rows also cross a _HIT_CELLS slice, and
+    # the sheared body's q-major rows go through the candidate rectangles
+    f = registered_bodies.get(name) or sk.parse_distance_function(name)
     rng = np.random.default_rng([53, len(name), restricted])
     qs = np.sort(rng.choice(np.arange(1, 301), 16, replace=False))
     qs[-1] = 300
@@ -573,23 +575,6 @@ def test_q_major_hits_are_the_literal_wrap_decisions(height, batch):
     one = _Kernel(height).hits(xs, int(qs[0]), float(eps[0]))
     assert one.shape == (1000,)
     assert np.array_equal(one, got[:, 0])
-
-
-@pytest.mark.parametrize("batch", [1, 16])
-def test_q_major_hits_on_the_tube_path_are_the_scalar_columns(batch):
-    # the sheared body is not axis-monotone: its (q, point) rows go through
-    # the candidate rectangles, and each column is that q's own call
-    kern = _Kernel(sk.parse_distance_function(SHEARED))
-    rng = np.random.default_rng([21, batch])
-    xs = rng.random((1000, 2))
-    qs = rng.integers(1, 400, batch)
-    eps = rng.uniform(0.05, 0.5, batch) / qs
-    got = kern.hits(xs, qs, eps)
-    assert got.shape == (1000, batch)
-    want = np.column_stack([kern.hits(xs, int(q), float(e))
-                            for q, e in zip(qs, eps)])
-    assert 0 < np.count_nonzero(want) < want.size
-    assert np.array_equal(got, want)
 
 
 def _hits_one_at_a_time(kern, xs, qs, eps):
