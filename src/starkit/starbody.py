@@ -129,12 +129,12 @@ class Abs(Expr):
         On finite coordinates the value is bit for bit that of
         ``np.abs(fa*x1 + fb*x2)``.  Rounding to nearest is symmetric, so
         (-c)*x = -(c*x) and (-a) + (-b) = -(a + b): the absolute value of
-        the negated form is that of the form, and |c*x| = ||c|*x|.
-        1.0*x = x.  a - b is by
-        definition a + (-b), and -(|fb|*x2) = fb*x2.  For a zero fb, fb*x2
-        is +-0 (x2 finite), and v + (+-0) = v for v != 0; when v is itself
-        +-0 the sum is a zero of some sign, which the absolute value makes
-        +0.  The same holds with the roles of the coordinates swapped.
+        the negated form is that of the form, and |c*x| = ||c|*x|.  1.0*x
+        = x.  a - b is by definition a + (-b), and -(|fb|*x2) = fb*x2.  For
+        a zero fb, fb*x2 is +-0 (x2 finite), and v + (+-0) = v for v != 0;
+        when v is itself +-0 the sum is a zero of some sign, which the
+        absolute value makes +0.  The same holds with the roles of the
+        coordinates swapped.
         Only non-finite coordinates differ: 0*inf = NaN, so the full form
         turns an infinite other coordinate into NaN, where the plan does not
         read that coordinate (``eval_xy`` takes finite coordinates)."""
