@@ -212,7 +212,17 @@ def test_tail_equals_a_loop_over_single_q(registered_bodies, body, psi, n,
     ("gm(abs(1,0),abs(0,1))", 2.5, 64, 0.00390625, "0x1.6954b41cd4293p-11"),
     ("max(abs(2,0),abs(0,sqrt2))", 1.6, 256, 0.2628173828125,
      "0x1.3eb67bf15275fp-8"),
-], ids=["height", "multiplicative", "scaled_box"])
+    # sizes at which the certified bodies enumerate their candidate q
+    ("max(abs(1,0),abs(0,1))", 1.6, 1024, 0.5028076171875,
+     "0x1.6a087057f7f04p-8"),
+    ("max(abs(1,0),abs(0,1))", 1.4, 1024, 0.9881591796875,
+     "0x1.394ac04673ac5p-10"),
+    ("max(abs(1,0),abs(0,1))", 1.6, 4096, 0.3978271484375,
+     "0x1.6266330e3386ap-8"),
+    ("max(abs(2,0),abs(0,sqrt2))", 1.6, 1024, 0.2078857421875,
+     "0x1.25d3a139284c5p-8"),
+], ids=["height", "multiplicative", "scaled_box", "height_conv_1024",
+        "height_div_1024", "height_conv_4096", "scaled_box_1024"])
 def test_tail_values_are_pinned(text, tau, n, value, stderr):
     # the tail's hit decisions, q-major wrap and lean atoms included, are
     # those of the plain float formula: these floats predate both
