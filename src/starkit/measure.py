@@ -49,7 +49,7 @@ import numpy as np
 from .errors import (IrrationalSkeleton, NonConvergent, SkeletonMismatch,
                      StarkitError)
 from .sampling import indicator_estimate
-from .starbody import (Abs, Expr, GeoMean, HalfLine, Max, Scale,
+from .starbody import (Abs, Expr, GeoMean, HalfLine, Max, Min, Scale,
                        LineGeometry, _SLICE_POINTS, _bisect, body_geometry,
                        extract_skeleton, fundamental_rectangle)
 
@@ -209,6 +209,9 @@ class _Kernel:
         self.f = f
         self.geo = body_geometry(f)
         self.restricted = restricted
+        # where the wrap decides every hit, F's bound on one axis, if any
+        self.axis_bound = (_axis_bound(f) if self.geo.axis_monotone
+                           and not restricted else None)
         if restricted:
             if not self.geo.skeleton.rational_only:
                 raise IrrationalSkeleton(
@@ -361,13 +364,9 @@ class _Kernel:
         written into the (len(q), len(xs)) view `out`."""
         if self.geo.axis_monotone and not self.restricted:
             # coordinatewise-monotone body: the wrap is the exact minimizer,
-            # decided on one (q, point) array per coordinate.  q*x is the
-            # float x*q (int64 q < 2^53 casts exactly; products commute)
-            qf = q.astype(float)[:, None]
-            y1, y2 = qf * xs[:, 0], qf * xs[:, 1]
-            y1 -= np.rint(y1)
-            y2 -= np.rint(y2)
-            np.less(self.f.eval_xy(y1, y2), tau[:, None], out=out)
+            # decided on one (q, point) array.  int64 q < 2^53 casts exactly
+            _wrap_below(self.f, q.astype(float)[:, None], xs[:, 0], xs[:, 1],
+                        tau[:, None], out)
             return
         # one row per (q, point): row j*m + i for q[j] and point i
         m = len(xs)
@@ -612,6 +611,228 @@ def _xgcd(a: int, b: int):
     if a < 0:
         return -a, -x0, -y0
     return a, x0, y0
+
+
+# ---------------------------------------------------------------------------
+# The wrap decision, an axis bound, and the q that can pass it
+# ---------------------------------------------------------------------------
+
+# integers of _lattice_cells stay below this, so that they, and every
+# product of them that it forms, are exact in int64 and in floats
+_LATTICE_LIMIT = 2.0 ** 50
+_REDUCE_STEPS = 64      # Lagrange steps per basis, at most
+
+
+def _wrap_below(f: Expr, q, x1, x2, tau, out):
+    """out = F(wrap(q*x1), wrap(q*x2)) < tau with wrap(y) = y - rint(y),
+    for float q, x1, x2 and tau that broadcast to out's shape: a (B, 1)
+    column of q and of tau against (m,) coordinates decide a (q, point)
+    array, and (n,) arrays decide n cells.  q*x is the float product,
+    wrapped in place; the subtraction is exact (``_Kernel``)."""
+    y1, y2 = q * x1, q * x2
+    y1 -= np.rint(y1)
+    y2 -= np.rint(y2)
+    np.less(f.eval_xy(y1, y2), tau, out=out)
+
+
+def _lower(f: Expr, k: int):
+    """(c, B) with F(z) >= B(z) in floats for every finite z, where B is
+    a tree that reads z_k alone and B(z) ~ c*|z_k|; None when the rules
+    give none.  The rules: an Abs atom with a zero float coefficient on
+    the other axis is its own bound (the atom's plan drops that term); a
+    Scale scales its child's bound; a Max takes its child with the largest
+    c; a Min needs a bound on every child and takes their Min; a GeoMean
+    gives none (its float power has no proven rounding here).  Every
+    float operation of F above the atoms (times a positive factor, max,
+    min) is monotone, so F(z) >= B(z) holds node by node, and B(z) is
+    a non-decreasing function of |z_k|."""
+    if isinstance(f, Abs):
+        coef = f.form.floats()
+        return (abs(coef[k]), f) if coef[1 - k] == 0.0 else None
+    if isinstance(f, Scale):
+        got = _lower(f.child, k)
+        return None if got is None else (float(f.factor) * got[0],
+                                         Scale(f.factor, got[1]))
+    found = [_lower(c, k) for c in getattr(f, "children", ())]
+    if isinstance(f, Max):
+        return max((g for g in found if g is not None),
+                   key=lambda g: g[0], default=None)
+    if isinstance(f, Min) and None not in found:
+        return min(g[0] for g in found), Min(*(g[1] for g in found))
+    return None
+
+
+def _axis_bound(f: Expr):
+    """(k, c, B) for the axis k whose ``_lower`` bound has the larger
+    c > 0 (axis 0 on a tie), or None: F(z) >= B(z) ~ c*|z_k|."""
+    best = None
+    for k in (0, 1):
+        got = _lower(f, k)
+        if got is not None and got[0] > (0.0 if best is None else best[1]):
+            best = (k, *got)
+    return best
+
+
+def _axis_radius(bound, tau: float) -> float:
+    """A float t with B(t*e_k) >= tau, for the bound (k, c, B) of
+    ``_axis_bound``, starting from tau/c: then every finite z with |z_k|
+    >= t has F(z) >= B(z) >= B(t*e_k) >= tau, as B is non-decreasing in
+    |z_k|, so F(z) < tau needs |z_k| < t."""
+    k, c, b = bound
+    t = tau / c
+    z = [0.0, 0.0]
+    while True:
+        z[k] = t
+        if not b.eval_xy(*z) < tau:
+            return t
+        t = np.nextafter(t * (1.0 + 2.0 ** -45), np.inf)
+
+
+def _reduced_basis(x, width: float, scale: float):
+    """Integer bases u = (q1, p1), v = (q2, p2) of the lattice
+    {(q, q*x - p)}, one per x, Lagrange-reduced as far as floats tell in
+    the norm of (q/width, (q*x - p)/scale), and d = q2*p1 - q1*p2.
+
+    The start is u = (1, rint(x)), v = (0, 1), d = -1.  Each step swaps u
+    and v when u is the longer (d changes sign) and then sets v -= mu*u
+    for an integer mu, so (u, v) stays a basis and d stays +-1 whatever
+    the rounding of the float norms: they decide only how short the
+    basis gets.  A step is taken only while it shortens v and keeps every
+    integer below _LATTICE_LIMIT, at most _REDUCE_STEPS times."""
+    m = len(x)
+    q1, p1 = np.ones(m, dtype=np.int64), np.rint(x).astype(np.int64)
+    q2, p2 = np.zeros(m, dtype=np.int64), np.ones(m, dtype=np.int64)
+    d = np.full(m, -1, dtype=np.int64)
+
+    def coords(q, p, xi):
+        return q / width, (q * xi - p) / scale
+
+    live = np.arange(m)
+    for _ in range(_REDUCE_STEPS):
+        if not live.size:
+            break
+        xi = x[live]
+        uq, up, vq, vp = q1[live], p1[live], q2[live], p2[live]
+        s1, t1 = coords(uq, up, xi)
+        s2, t2 = coords(vq, vp, xi)
+        swap = s1 * s1 + t1 * t1 > s2 * s2 + t2 * t2
+        uq, vq = np.where(swap, vq, uq), np.where(swap, uq, vq)
+        up, vp = np.where(swap, vp, up), np.where(swap, up, vp)
+        s1, s2 = np.where(swap, s2, s1), np.where(swap, s1, s2)
+        t1, t2 = np.where(swap, t2, t1), np.where(swap, t1, t2)
+        d[live] = np.where(swap, -d[live], d[live])
+        mu = np.rint((s1 * s2 + t1 * t2) / (s1 * s1 + t1 * t1))
+        nq, np_ = vq - mu * uq, vp - mu * up      # floats, for the checks
+        s, t = coords(nq, np_, xi)
+        ok = ((mu != 0) & (s * s + t * t < s2 * s2 + t2 * t2)
+              & (np.abs(nq) < _LATTICE_LIMIT) & (np.abs(np_) < _LATTICE_LIMIT))
+        step = np.where(ok, mu, 0).astype(np.int64)
+        q1[live], p1[live] = uq, up
+        q2[live], p2[live] = vq - step * uq, vp - step * up
+        live = live[ok]
+    return q1, p1, q2, p2, d
+
+
+def _remainder(q, p, x):
+    """r = q*x - p in floats and a bound e >= |r - (q*x - p)| on its
+    error, for integers q, p below _LATTICE_LIMIT and x in [0, 1): q*x
+    rounds by at most 2^-53*|q|, the subtraction by 2^-53*|r|."""
+    r = q * x - p
+    return r, (np.abs(q) + np.abs(r)) * 2.0 ** -52
+
+
+def _lattice_cells(x, qlo: int, qhi: int, delta: float):
+    """Cells (i, q) that hold every q in [qlo, qhi] with
+    |wrap(q*x[i])| < delta, x[i] in [0, 1) and wrap as in
+    ``_wrap_below``: a generator of (i, q) int64 arrays of at most
+    _HIT_CELLS cells, or None when an integer would leave the range where
+    the margins below are proven (then the caller decides every q).
+
+    Such a q has an integer p with |q*x - p| < dr = delta + qhi*2^-51 in
+    the reals: the float q*x is within 2^-53*qhi of the real one, the wrap
+    subtracts exactly, and the float sum dr rounds by less than 2^-52*qhi.
+    So the cells are the points (q, r = q*x - p) of the lattice in the box
+    [qlo, qhi] x (-dr, dr), about 2*dr*(qhi - qlo + 1) of them per point.
+    In the basis u, v of ``_reduced_basis``, reduced for the box scaled to
+    a square (q1 > 0 after a swap or a sign change), a point is a*u + b*v
+    with b = d*(q1*r - r1*q) and r1 = q1*x - p1.  The b of the box form a
+    range of rows, from the corners and r1's error bound e1 (each float
+    bound widened by 2^-48 of the magnitudes it sums, against a rounding
+    of at most a few 2^-53 of them).  In a row, a meets
+    qlo <= a*q1 + b*q2 <= qhi exactly in int64, and |a*r1 + b*r2| < dr in
+    the reals, which the float r1, r2 and their bounds e1, e2 turn into
+    |a*r1f + b*r2f| < dr + |a|*e1 + |b|*e2 for every a of the first range;
+    its two float ends are widened by 2^-48 of the larger, against at
+    most 4*2^-53 of it from the rounding, and dropped where r1f = 0.  Any
+    cell more is only decided in vain, never wrong.  The rows and then
+    their cells go out in slices through ``_flat_ranks``."""
+    x = np.asarray(x, dtype=float)
+    dr = delta + qhi * 2.0 ** -51
+    width = float(qhi - qlo + 1)
+    q1, p1, q2, p2, d = _reduced_basis(x, width, max(dr, 1.0 / width))
+    flip = q1 == 0
+    q1, q2 = np.where(flip, q2, q1), np.where(flip, q1, q2)
+    p1, p2 = np.where(flip, p2, p1), np.where(flip, p1, p2)
+    sign = np.where(q1 < 0, -1, 1)
+    q1, p1, d = sign * q1, sign * p1, np.where(flip, -d, d) * sign
+    r1, e1 = _remainder(q1, p1, x)
+    r2, e2 = _remainder(q2, p2, x)
+    reach = q1 * dr
+    top = np.maximum(qlo * (r1 + e1), qhi * (r1 + e1))      # of r_u*q
+    low = np.minimum(qlo * (r1 - e1), qhi * (r1 - e1))
+    pad = (reach + qhi * (np.abs(r1) + e1)) * 2.0 ** -48
+    lo, hi = -reach - top - pad, reach - low + pad           # of b*d
+    blo = np.ceil(np.where(d > 0, lo, -hi))
+    bhi = np.floor(np.where(d > 0, hi, -lo))
+    span = np.maximum(np.abs(blo), np.abs(bhi))
+    if qhi >= _LATTICE_LIMIT or not (
+            span * np.maximum(np.abs(q2), 1) < _LATTICE_LIMIT).all():
+        return None
+    return _box_cells(qlo, qhi, dr, blo.astype(np.int64),
+                      np.maximum(bhi - blo + 1, 0).astype(np.int64),
+                      (q1, r1, e1), (q2, r2, e2))
+
+
+def _box_cells(qlo, qhi, dr, blo, rows, u, v):
+    """The cells of ``_lattice_cells``: rows b = blo[i] .. blo[i] +
+    rows[i] - 1 of point i, for u = (q1, r1, e1) and v = (q2, r2, e2)."""
+    for i, k in _flat_ranks(rows):
+        b = blo[i] + k
+        q1, r1, e1 = (w[i] for w in u)
+        q2, r2, e2 = (w[i] for w in v)
+        qb = b * q2
+        first, last = -((qb - qlo) // q1), (qhi - qb) // q1
+        tol = (dr + np.maximum(np.abs(first), np.abs(last)) * e1
+               + np.abs(b) * e2) * (1.0 + 2.0 ** -48)
+        t = b * r2
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ends = (-tol - t) / r1, (tol - t) / r1
+        lo = np.where(r1 == 0, -np.inf, np.minimum(*ends))
+        hi = np.where(r1 == 0, np.inf, np.maximum(*ends))
+        pad = np.maximum(np.abs(lo), np.abs(hi)) * 2.0 ** -48
+        with np.errstate(over="ignore", invalid="ignore"):  # NaN: no narrowing
+            first = np.fmax(first, np.ceil(lo - pad))
+            last = np.fmin(last, np.floor(hi + pad))
+        count = np.maximum(last - first + 1, 0)
+        base = np.where(count > 0, first, 0).astype(np.int64) * q1 + qb
+        for j, m in _flat_ranks(count.astype(np.int64)):
+            yield i[j], base[j] + m * q1[j]
+
+
+def _flat_ranks(counts):
+    """(j, k) arrays for the ranks k = 0 .. counts[j] - 1 of every j in
+    order, at most _HIT_CELLS pairs at a time."""
+    starts = np.cumsum(counts) - counts
+    total = int(starts[-1] + counts[-1]) if counts.size else 0
+    for lo in range(0, total, _HIT_CELLS):
+        hi = min(lo + _HIT_CELLS, total)
+        # the j whose ranks meet [lo, hi), the first and last cut to it
+        j0, j1 = np.searchsorted(starts, (lo, hi - 1), side="right") - 1
+        n = counts[j0:j1 + 1].copy()
+        n[-1] = hi - starts[j1]
+        n[0] -= lo - starts[j0]
+        j = np.repeat(np.arange(j0, j1 + 1), n)
+        yield j, np.arange(lo, hi) - starts[j]
 
 
 # ---------------------------------------------------------------------------

@@ -196,8 +196,10 @@ def _tail_one_q_at_a_time(f, psi, n, samples, seed):
     # the tube path
     ("multiplicative", sk.PsiFamily.power(2.0), 16, 3_000),
     ("union_jack", sk.PsiFamily.power(2.0), 16, 3_000),
+    # the enumerated q of the lattice path
+    ("height", sk.PsiFamily.power(2.0), 256, 5_000),
 ], ids=["height", "powlog_one_q", "saturated", "multiplicative",
-        "union_jack"])
+        "union_jack", "height_lattice"])
 def test_tail_equals_a_loop_over_single_q(registered_bodies, body, psi, n,
                                           samples):
     f = registered_bodies[body]
@@ -230,6 +232,60 @@ def test_tail_values_are_pinned(text, tau, n, value, stderr):
                               sk.PsiFamily.power(tau), n, samples=8192,
                               seed=104)
     assert (got.hex(), se.hex()) == (value.hex(), stderr)
+
+
+def _lattice_calls(monkeypatch):
+    """The point counts of the ``measure._lattice_cells`` calls to come."""
+    calls = []
+    cells = measure._lattice_cells
+
+    def counted(x, *args):
+        calls.append(len(x))
+        return cells(x, *args)
+    monkeypatch.setattr(measure, "_lattice_cells", counted)
+    return calls
+
+
+@pytest.mark.parametrize("text,tau,n,lattice", [
+    ("max(abs(1,0),abs(0,1))", 2.0, 256, True),
+    ("max(abs(1,0),abs(0,1))", 1.6, 1024, True),
+    ("max(abs(2,0),abs(0,sqrt2))", 1.6, 1024, True),
+    # the divergent tail: most samples leave within a few batches
+    ("max(abs(1,0),abs(0,1))", 1.4, 1024, False),
+    # delta = 64^-0.5: the lattice would hold most q
+    ("max(abs(1,0),abs(0,1))", 1.5, 64, False),
+    # no certified bound: the multiplicative body keeps the sweep
+    ("gm(abs(1,0),abs(0,1))", 2.5, 256, False),
+])
+def test_tail_takes_the_lattice_path_where_it_pays(monkeypatch, text, tau, n,
+                                                   lattice):
+    calls = _lattice_calls(monkeypatch)
+    sk.tail_measure(sk.parse_distance_function(text), sk.PsiFamily.power(tau),
+                    n, samples=5_000, seed=104)
+    assert len(calls) == (2 if lattice else 0)     # 5,000 samples: 2 chunks
+
+
+def test_tail_lattice_path_is_thread_count_independent(height, monkeypatch):
+    calls = _lattice_calls(monkeypatch)
+    psi = sk.PsiFamily.power(1.6)
+    got = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("STARKIT_THREADS", threads)
+        got[threads] = sk.tail_measure(height, psi, 1024, samples=20_000,
+                                       seed=104)
+    assert got["1"] == got["2"]
+    assert len(calls) == 2 * 5      # five chunks per run, each enumerated
+
+
+def test_tail_without_a_proven_lattice_sweeps_every_q(height, monkeypatch):
+    # integers past _LATTICE_LIMIT: _lattice_cells gives None, the chunk
+    # goes on sweeping, and the value is the same
+    psi = sk.PsiFamily.power(1.6)
+    want = sk.tail_measure(height, psi, 1024, samples=8192, seed=104)
+    calls = _lattice_calls(monkeypatch)
+    monkeypatch.setattr(measure, "_LATTICE_LIMIT", 2.0 ** 6)
+    assert sk.tail_measure(height, psi, 1024, samples=8192, seed=104) == want
+    assert len(calls) == 2
 
 
 def test_tail_and_search_build_one_kernel_per_call(height, monkeypatch):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import starkit as sk
 from starkit import measure, sampling
@@ -687,6 +687,140 @@ def test_kernel_estimates_keep_their_pinned_bits(registered_bodies, estimate,
     bodies[SHEARED] = sk.parse_distance_function(SHEARED)
     got = estimate(bodies)
     assert [float(v).hex() for v in got] == [v.hex() for v in want]
+
+
+# x_k where the lattice of q*x_k has a short vector, down to x_k = 0, where
+# every q is a candidate; and the largest float below 1
+_EDGE_X = [0.0, 0.5, float(Fraction(1, 3)), 1.0 - 2.0 ** -53]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(xs=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=12),
+       n=st.integers(1, 2 ** 14), tau=st.floats(1.05, 3.0),
+       near=st.lists(st.tuples(st.integers(0, 2 ** 14), st.integers(0, 2 ** 15),
+                               st.floats(-1.0, 1.0)), max_size=6))
+@example(xs=[0.25, 0.61803398874989], n=2 ** 14, tau=1.6,
+         near=[(5, 7, 1.0), (9, 2, -0.999999)])
+@example(xs=[0.1, 2.0 ** -40], n=4096, tau=3.0, near=[(3, 1, -1.0)])
+@example(xs=[0.3], n=1024, tau=1.05, near=[(0, 0, 0.5)])
+def test_lattice_cells_hold_every_q_that_passes_the_wrap(xs, n, tau, near):
+    # the enumerated (point, q) cells against the all-q sweep of the wrap
+    # test |wrap(q*x)| < delta, with delta the largest q*psi(q) of the
+    # block, as on the height body (c = 1).  The points of `near` put a
+    # lattice point (q, s*delta) near the edge of the box
+    qs = np.arange(n, 2 * n + 1)
+    delta = float((qs * qs.astype(float) ** -tau).max())
+    edge = [(n + a % (n + 1), b, s) for a, b, s in near]
+    x = np.array(xs + _EDGE_X + [(b % q + s * delta) / q % 1.0
+                                 for q, b, s in edge])
+    got = _assert_lattice_superset(x, n, delta)
+    assert got[x == 0.0].all()
+
+
+@pytest.mark.parametrize("n", [64, 1024, 2 ** 14])
+@pytest.mark.parametrize("tau", [1.05, 1.6, 3.0])
+def test_lattice_cells_hold_q_at_the_edge_of_delta(n, tau):
+    # points whose wrap at one q is the largest float below delta, or the
+    # least above -delta, found by stepping x a float at a time: there the
+    # real q*x - p may pass delta by the rounding of q*x, which the margins
+    # must cover
+    qs = np.arange(n, 2 * n + 1)
+    delta = float((qs * qs.astype(float) ** -tau).max())
+    rng = np.random.default_rng([n, int(tau * 100)])
+    x = []
+    for _ in range(150):
+        q = int(rng.integers(n, 2 * n + 1))
+        p = int(rng.integers(1, q))
+        x0 = (p + float(rng.choice([-1.0, 1.0])) * delta) / q
+        cand = x0 + np.arange(-64, 65) * np.spacing(x0)
+        w = q * cand - p        # the wrap: q*x rounds, the subtraction is exact
+        inside = np.abs(w) < delta
+        if inside.any():
+            x.append(cand[inside][np.argmax(np.abs(w[inside]))])
+    x = np.array(x)
+    assert len(x) > 100
+    _assert_lattice_superset(x, n, delta)
+
+
+def _assert_lattice_superset(x, n, delta):
+    """The cells of ``_lattice_cells`` over [n, 2n] as an (m, n + 1) mask,
+    checked to hold every (point, q) with |wrap(q*x)| < delta."""
+    qs = np.arange(n, 2 * n + 1)
+    cells = measure._lattice_cells(x, n, 2 * n, delta)
+    assert cells is not None
+    got = np.zeros((len(x), len(qs)), dtype=bool)
+    for i, q in cells:
+        assert len(i) == len(q) <= measure._HIT_CELLS
+        assert ((n <= q) & (q <= 2 * n)).all()
+        got[i, q - n] = True
+    y = qs.astype(float) * x[:, None]
+    want = np.abs(y - np.rint(y)) < delta
+    assert not (want & ~got).any(), (x[(want & ~got).any(axis=1)], n, delta)
+    return got
+
+
+def test_reduced_bases_are_bases():
+    # integer steps only: d = q2*p1 - q1*p2 is +-1 in exact integers, and
+    # the reduced u is far shorter than the start (1, rint(x))
+    x = np.concatenate([np.random.default_rng(21).random(500), _EDGE_X])
+    q1, p1, q2, p2, d = measure._reduced_basis(x, 1009.0, 0.0156)
+    for row in zip(q1.tolist(), p1.tolist(), q2.tolist(), p2.tolist(),
+                   d.tolist()):
+        a, b, c, e, sign = row
+        assert c * b - a * e == sign and sign in (-1, 1)
+    assert np.median(np.abs(q1)) > 10
+
+
+def test_lattice_cells_refuse_integers_past_the_limit(monkeypatch):
+    # no proof past _LATTICE_LIMIT: None, and the caller decides every q
+    monkeypatch.setattr(measure, "_LATTICE_LIMIT", 2.0 ** 6)
+    assert measure._lattice_cells(np.array([0.3, 0.7]), 1000, 2000,
+                                  0.01) is None
+
+
+@pytest.mark.parametrize("text,axis,c", [
+    ("max(abs(1,0),abs(0,1))", 0, 1.0),
+    ("max(abs(2,0),abs(0,sqrt2))", 0, 2.0),
+    ("max(abs(0,3),min(abs(-1,0),abs(2,0)))", 1, 3.0),
+    ("scale(2,max(abs(0,1),abs(1/3,0)))", 1, 2.0),
+])
+def test_axis_bound_of_certified_bodies(text, axis, c):
+    f = sk.parse_distance_function(text)
+    k, got, b = measure._axis_bound(f)
+    assert (k, got) == (axis, c)
+    assert _Kernel(f).axis_bound[:2] == (axis, c)
+    assert _Kernel(f, restricted=True).axis_bound is None
+    # F >= B, B reads z_k alone, and |z_k| >= radius keeps F >= tau
+    rng = np.random.default_rng(len(text))
+    z = rng.uniform(-2, 2, (2, 4000))
+    bz = b.eval_xy(*z)
+    assert (f.eval_xy(*z) >= bz).all()
+    other = z.copy()
+    other[1 - k] = rng.uniform(-2, 2, 4000)
+    assert np.array_equal(b.eval_xy(*other), bz)
+    for tau in (1e-3, 0.0156, 1 / 3, 0.7):
+        t = measure._axis_radius((k, got, b), tau)
+        assert t == pytest.approx(tau / c, rel=1e-12)
+        z[k] = np.where(np.abs(z[k]) < t, t, z[k])
+        assert (f.eval_xy(*z) >= tau).all()
+
+
+@pytest.mark.parametrize("text", [
+    "gm(abs(1,0),abs(0,1))",
+    "min(gm(abs(1,0),abs(0,1)),"
+    "gm(abs(invsqrt2,invsqrt2),abs(invsqrt2,-invsqrt2)))",
+    SHEARED,
+    "gm(abs(-sqrt2,1),abs(1,0))",
+    "min(abs(1,0),abs(0,1))",
+    "max(abs(1,1),abs(1,-1))",
+])
+def test_axis_bound_is_none_without_a_certificate(text):
+    # a skeleton line on an axis, a GeoMean, or no axis-aligned atom: no
+    # bound, and the kernel's tail keeps the sweep
+    f = sk.parse_distance_function(text)
+    assert measure._axis_bound(f) is None or not body_geometry(
+        f).axis_monotone
+    assert _Kernel(f).axis_bound is None
 
 
 # ---------------------------------------------------------------------------
