@@ -186,19 +186,19 @@ def tail_measure(f: Expr, psi: PsiFamily, n_block: int, samples: int = 100_000,
     the first batch the chunk may switch paths.  On an unrestricted
     axis-monotone body with a bound F(z) >= B(z) ~ c*|z_k|
     (``measure._axis_bound``), a hit needs |wrap(q*x_k)| < delta, where
-    delta is found from the largest q*psi(q) left (``_axis_radius``).  The
-    q that pass are the lattice points of a thin box, about 2*delta*R of
-    them per sample for the R values of q left (``_lattice_cells``), and
-    only those cells are decided, by the same wrap-and-compare as the
-    kernel's (``measure._wrap_below``): the same bits, at a cost that
-    follows the candidates.  The switch is taken when its measured cost
-    per sample, _LATTICE_SAMPLE_COST + 2*delta*R*_LATTICE_CELL_COST in
-    swept cells, is below min(R, 1/h), h being the share of the first
-    batch's (sample, q) cells that hit: the sweep costs about min(R, 1/h)
-    cells per sample, since a sample leaves at its first hit.  The sample
-    stream depends only on (seed, index), so runs with the same seed are
-    coupled across different psi.  psi is not checked for monotonicity
-    here (see ``PsiFamily``).
+    delta comes from the largest q*psi(q) left
+    (``measure._axis_radius``).  The q that pass are the points of a thin
+    lattice box, about 2*delta*R per sample for the R values of q left
+    (``measure._lattice_cells``), and only those cells are decided, by
+    the kernel's own wrap-and-compare (``measure._wrap_below``): the same
+    bits, at a cost that follows the candidates.  The switch is taken
+    when its measured cost per sample, _LATTICE_SAMPLE_COST +
+    2*delta*R*_LATTICE_CELL_COST in swept cells, is below min(R, 1/h),
+    h being the share of the first batch's (sample, q) cells that hit:
+    the sweep costs about min(R, 1/h) cells per sample, since a sample
+    leaves at its first hit.  The sample stream depends only on (seed,
+    index), so runs with the same seed are coupled across different psi.
+    psi is not checked for monotonicity here (see ``PsiFamily``).
     """
     if n_block < 1:
         raise ValueError("N must be >= 1")

@@ -795,28 +795,36 @@ def _lattice_cells(x, qlo: int, qhi: int, delta: float):
 
 def _box_cells(qlo, qhi, dr, blo, rows, u, v):
     """The cells of ``_lattice_cells``: rows b = blo[i] .. blo[i] +
-    rows[i] - 1 of point i, for u = (q1, r1, e1) and v = (q2, r2, e2)."""
+    rows[i] - 1 of point i, for u = (q1, r1, e1) and v = (q2, r2, e2).
+    The rows go _HIT_CELLS at a time, and only their (base, count) stay
+    while their cells go out."""
     for i, k in _flat_ranks(rows):
-        b = blo[i] + k
-        q1, r1, e1 = (w[i] for w in u)
-        q2, r2, e2 = (w[i] for w in v)
-        qb = b * q2
-        first, last = -((qb - qlo) // q1), (qhi - qb) // q1
-        tol = (dr + np.maximum(np.abs(first), np.abs(last)) * e1
-               + np.abs(b) * e2) * (1.0 + 2.0 ** -48)
-        t = b * r2
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ends = (-tol - t) / r1, (tol - t) / r1
-        lo = np.where(r1 == 0, -np.inf, np.minimum(*ends))
-        hi = np.where(r1 == 0, np.inf, np.maximum(*ends))
-        pad = np.maximum(np.abs(lo), np.abs(hi)) * 2.0 ** -48
-        with np.errstate(over="ignore", invalid="ignore"):  # NaN: no narrowing
-            first = np.fmax(first, np.ceil(lo - pad))
-            last = np.fmin(last, np.floor(hi + pad))
-        count = np.maximum(last - first + 1, 0)
-        base = np.where(count > 0, first, 0).astype(np.int64) * q1 + qb
-        for j, m in _flat_ranks(count.astype(np.int64)):
-            yield i[j], base[j] + m * q1[j]
+        step = u[0][i]
+        base, count = _row_span(qlo, qhi, dr, blo[i] + k,
+                                *(w[i] for w in u), *(w[i] for w in v))
+        for j, m in _flat_ranks(count):
+            yield i[j], base[j] + m * step[j]
+
+
+def _row_span(qlo, qhi, dr, b, q1, r1, e1, q2, r2, e2):
+    """(base, count) for the rows b of ``_lattice_cells``: a row's a-range
+    gives the cells q = base + m*q1 for m = 0 .. count - 1."""
+    qb = b * q2
+    first, last = -((qb - qlo) // q1), (qhi - qb) // q1
+    tol = (dr + np.maximum(np.abs(first), np.abs(last)) * e1
+           + np.abs(b) * e2) * (1.0 + 2.0 ** -48)
+    t = b * r2
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ends = (-tol - t) / r1, (tol - t) / r1
+    lo = np.where(r1 == 0, -np.inf, np.minimum(*ends))
+    hi = np.where(r1 == 0, np.inf, np.maximum(*ends))
+    pad = np.maximum(np.abs(lo), np.abs(hi)) * 2.0 ** -48
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN: no narrowing
+        first = np.fmax(first, np.ceil(lo - pad))
+        last = np.fmin(last, np.floor(hi + pad))
+    count = np.maximum(last - first + 1, 0)
+    base = np.where(count > 0, first, 0).astype(np.int64) * q1 + qb
+    return base, count.astype(np.int64)
 
 
 def _flat_ranks(counts):
