@@ -245,8 +245,8 @@ def _lattice_hits(kern: _Kernel, xs, q0: int, tau, delta: float):
     x1, x2 = xs.T.copy()
     for i, q in cells:
         below = np.empty(len(i), dtype=bool)
-        measure._wrap_below(kern.f, q.astype(float), x1[i], x2[i],
-                            tau[q - q0], below)
+        measure._wrap_below(kern.f, q, x1[i], x2[i],
+                            tau[(q - q0).astype(np.intp)], below)
         hit[i[below]] = True
     return hit
 

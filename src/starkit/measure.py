@@ -39,6 +39,7 @@ one pick per row whenever more than _HIT_CELLS are held.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -617,8 +618,8 @@ def _xgcd(a: int, b: int):
 # The wrap decision, an axis bound, and the q that can pass it
 # ---------------------------------------------------------------------------
 
-# integers of _lattice_cells stay below this, so that they, and every
-# product of them that it forms, are exact in int64 and in floats
+# the integers of _lattice_cells stay below this, held in floats, so that
+# they and every product of them that it forms are exact
 _LATTICE_LIMIT = 2.0 ** 50
 _REDUCE_STEPS = 64      # Lagrange steps per basis, at most
 
@@ -677,7 +678,7 @@ def _axis_radius(bound, tau: float) -> float:
     """A float t with B(t*e_k) >= tau, for the bound (k, c, B) of
     ``_axis_bound``, starting from tau/c: then every finite z with |z_k|
     >= t has F(z) >= B(z) >= B(t*e_k) >= tau, as B is non-decreasing in
-    |z_k|, so F(z) < tau needs |z_k| < t."""
+    |z_k|, so F(z) < tau needs |z_k| < t.  Each retry raises t."""
     k, c, b = bound
     t = tau / c
     z = [0.0, 0.0]
@@ -685,24 +686,27 @@ def _axis_radius(bound, tau: float) -> float:
         z[k] = t
         if not b.eval_xy(*z) < tau:
             return t
-        t = np.nextafter(t * (1.0 + 2.0 ** -45), np.inf)
+        t = t * (1.0 + 2.0 ** -45) + 2.0 ** -1074
 
 
 def _reduced_basis(x, width: float, scale: float):
     """Integer bases u = (q1, p1), v = (q2, p2) of the lattice
     {(q, q*x - p)}, one per x, Lagrange-reduced as far as floats tell in
-    the norm of (q/width, (q*x - p)/scale), and d = q2*p1 - q1*p2.
+    the norm of (q/width, (q*x - p)/scale), and d = q2*p1 - q1*p2, all
+    held exactly in floats.
 
     The start is u = (1, rint(x)), v = (0, 1), d = -1.  Each step swaps u
     and v when u is the longer (d changes sign) and then sets v -= mu*u
     for an integer mu, so (u, v) stays a basis and d stays +-1 whatever
     the rounding of the float norms: they decide only how short the
-    basis gets.  A step is taken only while it shortens v and keeps every
-    integer below _LATTICE_LIMIT, at most _REDUCE_STEPS times."""
+    basis gets.  A step is taken only while it shortens v and keeps both
+    integers of v below _LATTICE_LIMIT.  A float mu*u that is not exact
+    is 2^53 or more, so it cannot pass that test, and a step that passes
+    is exact.  There are at most _REDUCE_STEPS steps."""
     m = len(x)
-    q1, p1 = np.ones(m, dtype=np.int64), np.rint(x).astype(np.int64)
-    q2, p2 = np.zeros(m, dtype=np.int64), np.ones(m, dtype=np.int64)
-    d = np.full(m, -1, dtype=np.int64)
+    q1, p1 = np.ones(m), np.rint(x)
+    q2, p2 = np.zeros(m), np.ones(m)
+    d = np.full(m, -1.0)
 
     def coords(q, p, xi):
         return q / width, (q * xi - p) / scale
@@ -722,13 +726,12 @@ def _reduced_basis(x, width: float, scale: float):
         t1, t2 = np.where(swap, t2, t1), np.where(swap, t1, t2)
         d[live] = np.where(swap, -d[live], d[live])
         mu = np.rint((s1 * s2 + t1 * t2) / (s1 * s1 + t1 * t1))
-        nq, np_ = vq - mu * uq, vp - mu * up      # floats, for the checks
+        nq, np_ = vq - mu * uq, vp - mu * up
         s, t = coords(nq, np_, xi)
         ok = ((mu != 0) & (s * s + t * t < s2 * s2 + t2 * t2)
               & (np.abs(nq) < _LATTICE_LIMIT) & (np.abs(np_) < _LATTICE_LIMIT))
-        step = np.where(ok, mu, 0).astype(np.int64)
         q1[live], p1[live] = uq, up
-        q2[live], p2[live] = vq - step * uq, vp - step * up
+        q2[live], p2[live] = np.where(ok, nq, vq), np.where(ok, np_, vp)
         live = live[ok]
     return q1, p1, q2, p2, d
 
@@ -744,13 +747,15 @@ def _remainder(q, p, x):
 def _lattice_cells(x, qlo: int, qhi: int, delta: float):
     """Cells (i, q) that hold every q in [qlo, qhi] with
     |wrap(q*x[i])| < delta, x[i] in [0, 1) and wrap as in
-    ``_wrap_below``: a generator of (i, q) int64 arrays of at most
-    _HIT_CELLS cells, or None when an integer would leave the range where
-    the margins below are proven (then the caller decides every q).
+    ``_wrap_below``: a generator of arrays of i and of q (integers in
+    floats) of at most _HIT_CELLS cells, or None when an integer would
+    leave the range where the margins below are proven (then the caller
+    decides every q).
 
     Such a q has an integer p with |q*x - p| < dr = delta + qhi*2^-51 in
-    the reals: the float q*x is within 2^-53*qhi of the real one, the wrap
-    subtracts exactly, and the float sum dr rounds by less than 2^-52*qhi.
+    the reals (for delta < qhi): the float q*x is within 2^-53*qhi of the
+    real one, the wrap subtracts exactly, and the float sum dr rounds by
+    less than 2^-52*qhi.
     So the cells are the points (q, r = q*x - p) of the lattice in the box
     [qlo, qhi] x (-dr, dr), about 2*dr*(qhi - qlo + 1) of them per point.
     In the basis u, v of ``_reduced_basis``, reduced for the box scaled to
@@ -759,13 +764,16 @@ def _lattice_cells(x, qlo: int, qhi: int, delta: float):
     range of rows, from the corners and r1's error bound e1 (each float
     bound widened by 2^-48 of the magnitudes it sums, against a rounding
     of at most a few 2^-53 of them).  In a row, a meets
-    qlo <= a*q1 + b*q2 <= qhi exactly in int64, and |a*r1 + b*r2| < dr in
-    the reals, which the float r1, r2 and their bounds e1, e2 turn into
-    |a*r1f + b*r2f| < dr + |a|*e1 + |b|*e2 for every a of the first range;
-    its two float ends are widened by 2^-48 of the larger, against at
-    most 4*2^-53 of it from the rounding, and dropped where r1f = 0.  Any
-    cell more is only decided in vain, never wrong.  The rows and then
-    their cells go out in slices through ``_flat_ranks``."""
+    qlo <= a*q1 + b*q2 <= qhi exactly: n/q1 for integers |n| < 2^53 and
+    q1 >= 1 rounds to no other side of an integer, since n/q1 is one, or
+    at least 1/q1 away from one, and rounds by less.  And a meets
+    |a*r1 + b*r2| < dr in the reals, which the float r1, r2 and their
+    bounds e1, e2 turn into |a*r1f + b*r2f| < dr + |a|*e1 + |b|*e2 for
+    every a of the first range; its two float ends are widened by 2^-48
+    of the larger, against at most 4*2^-53 of it from the rounding, and
+    dropped where r1f = 0.  Any cell more is only decided in vain, never
+    wrong.  The rows and then their cells go out in slices through
+    ``_flat_ranks``."""
     x = np.asarray(x, dtype=float)
     dr = delta + qhi * 2.0 ** -51
     width = float(qhi - qlo + 1)
@@ -773,22 +781,24 @@ def _lattice_cells(x, qlo: int, qhi: int, delta: float):
     flip = q1 == 0
     q1, q2 = np.where(flip, q2, q1), np.where(flip, q1, q2)
     p1, p2 = np.where(flip, p2, p1), np.where(flip, p1, p2)
-    sign = np.where(q1 < 0, -1, 1)
+    sign = np.where(q1 < 0, -1.0, 1.0)
     q1, p1, d = sign * q1, sign * p1, np.where(flip, -d, d) * sign
     r1, e1 = _remainder(q1, p1, x)
     r2, e2 = _remainder(q2, p2, x)
     reach = q1 * dr
-    top = np.maximum(qlo * (r1 + e1), qhi * (r1 + e1))      # of r_u*q
+    # the extremes of r_u*q over the box, for the real r_u in r1 -+ e1,
+    # and then those of b*d = q1*r - r_u*q
+    top = np.maximum(qlo * (r1 + e1), qhi * (r1 + e1))
     low = np.minimum(qlo * (r1 - e1), qhi * (r1 - e1))
     pad = (reach + qhi * (np.abs(r1) + e1)) * 2.0 ** -48
-    lo, hi = -reach - top - pad, reach - low + pad           # of b*d
+    lo, hi = -reach - top - pad, reach - low + pad
     blo = np.ceil(np.where(d > 0, lo, -hi))
     bhi = np.floor(np.where(d > 0, hi, -lo))
     span = np.maximum(np.abs(blo), np.abs(bhi))
     if qhi >= _LATTICE_LIMIT or not (
-            span * np.maximum(np.abs(q2), 1) < _LATTICE_LIMIT).all():
+            span * np.maximum(np.abs(q2), 1.0) < _LATTICE_LIMIT).all():
         return None
-    return _box_cells(qlo, qhi, dr, blo.astype(np.int64),
+    return _box_cells(qlo, qhi, dr, blo,
                       np.maximum(bhi - blo + 1, 0).astype(np.int64),
                       (q1, r1, e1), (q2, r2, e2))
 
@@ -810,7 +820,7 @@ def _row_span(qlo, qhi, dr, b, q1, r1, e1, q2, r2, e2):
     """(base, count) for the rows b of ``_lattice_cells``: a row's a-range
     gives the cells q = base + m*q1 for m = 0 .. count - 1."""
     qb = b * q2
-    first, last = -((qb - qlo) // q1), (qhi - qb) // q1
+    first, last = np.ceil((qlo - qb) / q1), np.floor((qhi - qb) / q1)
     tol = (dr + np.maximum(np.abs(first), np.abs(last)) * e1
            + np.abs(b) * e2) * (1.0 + 2.0 ** -48)
     t = b * r2
@@ -823,8 +833,7 @@ def _row_span(qlo, qhi, dr, b, q1, r1, e1, q2, r2, e2):
         first = np.fmax(first, np.ceil(lo - pad))
         last = np.fmin(last, np.floor(hi + pad))
     count = np.maximum(last - first + 1, 0)
-    base = np.where(count > 0, first, 0).astype(np.int64) * q1 + qb
-    return base, count.astype(np.int64)
+    return np.where(count > 0, first, 0) * q1 + qb, count.astype(np.int64)
 
 
 def _flat_ranks(counts):
@@ -835,7 +844,8 @@ def _flat_ranks(counts):
     for lo in range(0, total, _HIT_CELLS):
         hi = min(lo + _HIT_CELLS, total)
         # the j whose ranks meet [lo, hi), the first and last cut to it
-        j0, j1 = np.searchsorted(starts, (lo, hi - 1), side="right") - 1
+        j0 = bisect.bisect_right(starts, lo) - 1
+        j1 = bisect.bisect_right(starts, hi - 1) - 1
         n = counts[j0:j1 + 1].copy()
         n[-1] = hi - starts[j1]
         n[0] -= lo - starts[j0]

@@ -723,13 +723,13 @@ def test_lattice_cells_hold_q_at_the_edge_of_delta(n, tau):
     # points whose wrap at one q is the largest float below delta, or the
     # least above -delta, found by stepping x a float at a time: there the
     # real q*x - p may pass delta by the rounding of q*x, which the margins
-    # must cover
+    # must cover.  A third of the q are n or 2n, the corners of the box
     qs = np.arange(n, 2 * n + 1)
     delta = float((qs * qs.astype(float) ** -tau).max())
     rng = np.random.default_rng([n, int(tau * 100)])
     x = []
     for _ in range(150):
-        q = int(rng.integers(n, 2 * n + 1))
+        q = int(rng.choice([n, 2 * n, rng.integers(n, 2 * n + 1)]))
         p = int(rng.integers(1, q))
         x0 = (p + float(rng.choice([-1.0, 1.0])) * delta) / q
         cand = x0 + np.arange(-64, 65) * np.spacing(x0)
@@ -752,7 +752,7 @@ def _assert_lattice_superset(x, n, delta):
     for i, q in cells:
         assert len(i) == len(q) <= measure._HIT_CELLS
         assert ((n <= q) & (q <= 2 * n)).all()
-        got[i, q - n] = True
+        got[i, (q - n).astype(int)] = True
     y = qs.astype(float) * x[:, None]
     want = np.abs(y - np.rint(y)) < delta
     assert not (want & ~got).any(), (x[(want & ~got).any(axis=1)], n, delta)
@@ -764,9 +764,11 @@ def test_reduced_bases_are_bases():
     # the reduced u is far shorter than the start (1, rint(x))
     x = np.concatenate([np.random.default_rng(21).random(500), _EDGE_X])
     q1, p1, q2, p2, d = measure._reduced_basis(x, 1009.0, 0.0156)
+    for a in (q1, p1, q2, p2, d):
+        assert np.array_equal(a, np.rint(a))    # integers, held in floats
     for row in zip(q1.tolist(), p1.tolist(), q2.tolist(), p2.tolist(),
                    d.tolist()):
-        a, b, c, e, sign = row
+        a, b, c, e, sign = map(int, row)
         assert c * b - a * e == sign and sign in (-1, 1)
     assert np.median(np.abs(q1)) > 10
 
@@ -818,8 +820,7 @@ def test_axis_bound_is_none_without_a_certificate(text):
     # a skeleton line on an axis, a GeoMean, or no axis-aligned atom: no
     # bound, and the kernel's tail keeps the sweep
     f = sk.parse_distance_function(text)
-    assert measure._axis_bound(f) is None or not body_geometry(
-        f).axis_monotone
+    assert measure._axis_bound(f) is None
     assert _Kernel(f).axis_bound is None
 
 
