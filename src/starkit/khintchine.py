@@ -27,7 +27,7 @@ _Q_BATCH = 16               # q values per membership call of tail_measure
 # CPU of tail_measure's lattice path in units of one swept (sample, q)
 # cell (5.6-8 ns): per sample for its basis and rows, and per enumerated
 # cell.  Fitted over psi exponents 1.4, 1.6 and 2.0 (height body, 4096
-# points, N = 1024, 2-vCPU Xeon VM), three runs gave 123-168 and 2.6-5.3
+# points, N = 1024, 2-vCPU Xeon VM), five runs gave 115-168 and 2.6-5.3
 _LATTICE_SAMPLE_COST = 130.0
 _LATTICE_CELL_COST = 5.0
 
