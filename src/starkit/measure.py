@@ -25,16 +25,19 @@ One ``_Kernel`` serves one body, restricted or not; q and eps are
 arguments of each call.  Its generator (``_Kernel._blocks``) enumerates
 those candidates for a whole batch of rows, one row per (point, q), as
 dense rectangles (rows by ranks) of integer offsets from each row's
-wrap, at most _HIT_CELLS cells each (``minimize_exhaustive``'s window
-goes in one-row rectangles of _WINDOW_CELLS), and one evaluator runs each
-rectangle through a single ``Expr.eval_xy`` call.  Every row has its own
-candidates, so a row's result does not depend on the rows beside it.  The
-hit test (``hits``, a batch of q values for every point) and the
-minimization (``minimize``, one q per row, as ``best_approximations``
-sweeps q) differ only in the per-row threshold that sizes the search, the
-step cap, and how they reduce the values: a hit ends a row's search, a
-minimum keeps the least values of each rectangle row and folds them to
-one pick per row whenever more than _HIT_CELLS are held.
+wrap, at most _HIT_CELLS cells each, and _MIN_RANKS ranks at least
+unless the rows have fewer left (``minimize_exhaustive``'s window goes in
+one-row rectangles of _WINDOW_CELLS).  One evaluator runs each rectangle
+through a single ``Expr.eval_xy`` call.  Each candidate of a row comes
+once: a rational tube skips the steps inside the row's central box and
+runs outward from it.  Every row has its own candidates, so a row's
+result does not depend on the rows beside it.  The hit test (``hits``, a
+batch of q values for every point) and the minimization (``minimize``,
+one q per row, as ``best_approximations`` sweeps q) differ only in the
+per-row threshold that sizes the search, the step cap, and how they
+reduce the values: a hit ends a row's search, a minimum keeps the least
+values of each rectangle row and folds them to one pick per row whenever
+more than _HIT_CELLS are held.
 """
 
 from __future__ import annotations
@@ -161,6 +164,15 @@ _HIT_CELLS = _SLICE_POINTS
 # rows per slice of _Kernel.minimize: the rectangles keep to _HIT_CELLS
 # cells, and this bounds the per-row tables behind them (a tube's lines)
 _MIN_ROWS = 128
+# ranks per rectangle of _rounds, at least: a rectangle pays its gathers,
+# its reduction along the ranks and the dropping of done rows once, and a
+# hit test's 4,096 live rows at two ranks a rectangle paid them for every
+# second cell.  On the 49 hits calls of a 200,000-sample Monte Carlo
+# density of the sheared body at eps = 0.1 (2-vCPU VM, in-process CPU,
+# 9 alternating pairs each), floors of 1, 4 and 8 ranks took 1.54x, 1.27x
+# and 1.08x the time of 16, and 32 took 0.95x (its radius-2 box of 24
+# ranks goes in one rectangle)
+_MIN_RANKS = 16
 
 
 def _points(x) -> np.ndarray:
@@ -416,9 +428,12 @@ class _Kernel:
         `done` is read again before each rectangle, so a consumer that sets
         it stops the enumeration for those rows; each source enumerates its
         nearest candidates first.  The sources: the wrap (o = 0); the
-        central box, whose rows share the Chebyshev rings of offsets (rank
-        0, the wrap again, is skipped); per rational line, the lattice
-        lines its tube reaches; per irrational line, rounded points along it.
+        central box of radius b (``_box_radius``), whose rows share the
+        Chebyshev rings of offsets (rank 0, the wrap again, is skipped);
+        per rational line, the steps of the lattice lines its tube reaches
+        that lie outside the box, outward from it; per irrational line,
+        rounded points along it, which may repeat a cell of the box.  So on
+        a rational skeleton a row's candidates come once each.
         """
         live = np.flatnonzero(~done)
         zero = np.zeros((1, 1))
@@ -427,9 +442,10 @@ class _Kernel:
             rows = live[i:i + _HIT_CELLS]
             yield rows, zero, zero, np.ones((rows.size, 1), dtype=bool)
         live = np.flatnonzero(~done)
-        b = self._box_radius(tau[live])
-        ring = _ring_offsets(int(b.max(initial=1)))
-        for r, lo, hi, valid in _rounds((2 * b + 1) ** 2 - 1, live, done):
+        b = self._box_radius(tau)
+        ring = _ring_offsets(int(b[live].max(initial=1)))
+        for r, lo, hi, valid in _rounds((2 * b[live] + 1) ** 2 - 1, live,
+                                        done):
             o = ring[:, lo + 1:hi + 1]      # ranks 1.. of the rings
             yield live[r], o[:1], o[1:], valid
         z0 = (y - p0).T
@@ -437,16 +453,26 @@ class _Kernel:
             if done.all():
                 return
             if lg.half.rational:
-                yield from self._rational_tube(lg, z0, tau, k_cap, done)
+                yield from self._rational_tube(lg, z0, tau, b, k_cap, done)
             else:
                 yield from self._irrational_tube(lg, y, p0, tau, k_cap, done)
 
-    def _rational_tube(self, lg, z0, tau, k_cap, done):
+    def _rational_tube(self, lg, z0, tau, b, k_cap, done):
         """Steps p = p0 + j*v + k*d along the lattice lines j = cross(p, d)
-        that each row's tube reaches: k = kc + dk, |dk| <= kw, per (row, j),
-        one rectangle row per (row, j).  Row i takes its own lines
-        floor(c0_i - reach_i) .. ceil(c0_i + reach_i), so its candidates do
-        not depend on the rows beside it."""
+        that each row's tube reaches, outside the row's central box of
+        radius b: k = kc + dk, |dk| <= kw, per (row, j).  Row i takes its
+        own lines floor(c0_i - reach_i) .. ceil(c0_i + reach_i), so its
+        candidates do not depend on the rows beside it.
+
+        The steps of a (row, j) inside the box, |j*v + (kc + dk)*d|_inf <=
+        b, are one interval [a, c] of dk, which the box has enumerated
+        already.  The others go out as two rectangle rows, one per side,
+        nearest the box first: dk = a-1, a-2, .. down to -kw, and c+1, c+2,
+        .. up to kw.  A line that meets the box at no dk in [-kw, kw]
+        takes a = 1 and c = 0, so that its steps run 0, -1, .. and 1, 2, ..
+        from kc.  So every candidate of a row comes once, from the box or
+        from one tube line, and the row's set is the box's and the tube's
+        as before."""
         r, s = lg.half.int_direction()
         L = math.hypot(r, s)
         # Bezout vector v with v1*s - v2*r = 1 steps across lattice lines
@@ -470,18 +496,49 @@ class _Kernel:
         j = j0[:, None] + col               # (row, line), padded to the widest
         steps = _arc_steps(lg, tau[live, None], np.abs(c0[:, None] - j) / L,
                            L, k_cap)
-        kw = np.maximum(np.ceil(steps), 1).astype(np.int64)
-        counts = np.where(col < n[:, None], 2 * kw + 1, 0).ravel()
+        kw = np.maximum(np.ceil(steps), 1)
         kc = np.rint((a0[:, None] - j * (v1 * r + v2 * s)) / L / L)
         # offset of each (row, line)'s step kc: j*v + kc*d, an exact integer
-        base1 = (j * v1 + kc * r).ravel()
-        base2 = (j * v2 + kc * s).ravel()
-        owner = live.repeat(len(col))
+        base1 = j * v1 + kc * r
+        base2 = j * v2 + kc * s
+        # [a, c], the dk in [-kw, kw] with |base + dk*d|_inf <= b.  Per
+        # coordinate with a step e = r or s other than 0, |o + dk*e| <= b
+        # holds for the integers dk from ceil(lo/|e|) to floor(hi/|e|), with
+        # lo, hi = -b - o, b - o for e > 0 and o - b, o + b for e < 0.  These
+        # are integers far below 2^53, exact in floats, and a float quotient
+        # n/|e| rounds to no other side of an integer: n/|e| is one, then
+        # exact, or it is at least 1/|e| away from one and rounds by at
+        # most |n/e|*2^-53, which is less.  So the ceil and floor of the
+        # float quotients are those of the real ones.  A coordinate with e
+        # = 0 is o along the whole line: the line misses the box if |o| > b.
+        bf = b[live, None].astype(float)
+        a, c = -kw, kw
+        for o, e in ((base1, r), (base2, s)):
+            if e:
+                lo, hi = (-bf - o, bf - o) if e > 0 else (o - bf, o + bf)
+                if abs(e) > 1:
+                    lo, hi = np.ceil(lo / abs(e)), np.floor(hi / abs(e))
+                a, c = np.maximum(a, lo), np.minimum(c, hi)
+            else:
+                c = np.where(np.abs(o) <= bf, c, -np.inf)
+        miss = a > c
+        a, c = np.where(miss, 1.0, a), np.where(miss, 0.0, c)
+        # one entry (row i, line k, side) for each side with steps: side -1
+        # runs down from dk = a-1, side +1 up from c+1
+        drawn = col < n[:, None]
+        sides = a + kw, kw - c      # the steps below a and above c
+        ent = [np.nonzero(drawn & (w > 0)) for w in sides]
+        i, k = (np.concatenate(x) for x in zip(*ent))
+        counts = np.concatenate([w[e] for w, e in zip(sides, ent)])
+        first = np.concatenate([a[ent[0]] - 1, c[ent[1]] + 1])
+        sign = np.repeat([-1.0, 1.0], [ent[0][0].size, ent[1][0].size])
+        start1, step1 = base1[i, k] + first * r, sign * r
+        start2, step2 = base2[i, k] + first * s, sign * s
+        owner = live[i]
         for t, lo, hi, valid in _rounds(counts, owner, done):
-            m = np.arange(lo, hi)
-            dk = (m + 1) // 2 * (2 * (m % 2) - 1)     # 0, 1, -1, 2, -2, ...
-            yield (owner[t], base1[t, None] + dk * r, base2[t, None] + dk * s,
-                   valid)
+            m = np.arange(lo, hi, dtype=float)
+            yield (owner[t], start1[t, None] + np.multiply.outer(step1[t], m),
+                   start2[t, None] + np.multiply.outer(step2[t], m), valid)
 
     def _irrational_tube(self, lg, y, p0, tau, k_cap, done):
         """Rounded points y -/+ k*_IRR_STEP*u along the line, k = 1..kmax_i,
@@ -531,9 +588,11 @@ def _ring_offsets(b: int) -> np.ndarray:
 
 def _rounds(counts: np.ndarray, owner: np.ndarray, done: np.ndarray):
     """Enumerate ranks 0 .. counts[r]-1 of every row r, low ranks first, as
-    rectangles of at most _HIT_CELLS cells: rows r by ranks lo .. hi-1,
-    one rank at least, so a row wider than the cap is split along its
-    ranks, and more rows than the cap go in several rectangles of one rank.
+    rectangles of at most _HIT_CELLS cells: rows r by ranks lo .. hi-1.
+    A rank range spans _HIT_CELLS // (rows left) ranks, at least
+    _MIN_RANKS and at most the ranks its rows have left, and its rows go
+    in rectangles of as many as keep to _HIT_CELLS cells, one at least, so
+    a row wider than the cap is split along its ranks.
     Before each later rank range, rows whose owner[r] is `done` are
     dropped, and so are rows whose ranks are used up.
     Yields (r, lo, hi, valid), where valid marks the ranks below counts[r]."""
@@ -541,11 +600,11 @@ def _rounds(counts: np.ndarray, owner: np.ndarray, done: np.ndarray):
     lo = 0
     while rows.size:
         c = counts[rows]
-        hi = min(lo + max(1, _HIT_CELLS // rows.size), int(c.max()))
+        hi = min(lo + max(_MIN_RANKS, _HIT_CELLS // rows.size), int(c.max()))
         ranks = np.arange(lo, hi)
-        for i in range(0, rows.size, _HIT_CELLS):
-            yield (rows[i:i + _HIT_CELLS], lo, hi,
-                   ranks < c[i:i + _HIT_CELLS, None])
+        step = max(1, _HIT_CELLS // (hi - lo))
+        for i in range(0, rows.size, step):
+            yield rows[i:i + step], lo, hi, ranks < c[i:i + step, None]
         lo = hi
         rows = rows[(c > lo) & ~done[owner[rows]]]
 

@@ -317,16 +317,24 @@ def _bisect(left, lo: np.ndarray, hi: np.ndarray, steps: int) -> np.ndarray:
     """Halve every bracket [lo, hi] `steps` times in lockstep, in place.
 
     left(mid) is True where the boundary lies above mid: lo moves up to mid
-    there, hi down to mid elsewhere.  Returns the final midpoints.  `mid`
-    is one buffer for all steps, so left must copy what it keeps of it.
+    there, hi down to mid elsewhere.  Returns the final midpoints.  left
+    must depend on the values of mid alone, and copy what it keeps of it:
+    the midpoints alternate between two buffers.
+    The halvings stop at their fixed point.  After a halving, each bracket
+    has one end at its midpoint; if the next midpoints all equal these,
+    left answers as it did, and every end is set to the value it holds.
+    So that halving changes nothing, and neither does any after it.
     """
-    mid = np.empty_like(lo)
+    mid, last = np.empty_like(lo), np.full_like(lo, np.nan)
     for _ in range(steps):
         np.add(lo, hi, out=mid)
         mid *= 0.5
+        if np.array_equal(mid, last):
+            break
         below = left(mid)
         np.copyto(lo, mid, where=below)
         np.copyto(hi, mid, where=~below)
+        mid, last = last, mid
     return 0.5 * (lo + hi)
 
 
@@ -374,8 +382,10 @@ def _crossing_slice(f: Expr, base: np.ndarray, step: np.ndarray,
         np.multiply(t_hi, 2.0, out=t_hi, where=grow)
         active = grow & (t_hi < _WIDTH_CAP)
     bracketed = inside0 & (t_hi < _WIDTH_CAP)
+    # [0, 0] is fixed from the first halving, so these points never keep
+    # _bisect going; their t is replaced below
     np.copyto(t_lo, 0.0, where=~bracketed)
-    np.copyto(t_hi, 1.0, where=~bracketed)
+    np.copyto(t_hi, 0.0, where=~bracketed)
     t = _bisect(lambda mid: value_at(mid) < eps, t_lo, t_hi, 80)
     return np.where(inside0, np.where(bracketed, t, np.inf), 0.0)
 

@@ -293,6 +293,82 @@ def test_batched_minimize_is_the_one_row_minimize(registered_bodies, body,
     assert on_tubes > 0 or not restricted
 
 
+def _box_and_tube_offsets(kern, z0, tau, k_cap):
+    """One row's candidate offsets o = p - p0 by the rule of the kernel
+    before its tubes skipped the central box: every o of the box of
+    radius b about the wrap, and every step kc - kw .. kc + kw of every
+    lattice line that a rational line's tube reaches, as (n, 2) floats that
+    may repeat.  The floats are the kernel's own, on one-element arrays."""
+    tau = np.array([tau])
+    b = int(kern._box_radius(tau)[0])
+    span = np.arange(-b, b + 1.0)
+    out = [np.stack(np.meshgrid(span, span, indexing="ij"), -1).reshape(-1, 2)]
+    for lg in kern.geo.lines:
+        r, s = lg.half.int_direction()
+        L = math.hypot(r, s)
+        _, v1, v2 = measure._xgcd(s, -r)
+        c0 = z0[0] * s - z0[1] * r
+        a0 = z0[0] * r + z0[1] * s
+        reach = (L * np.minimum(1.0, 2.0 * lg.width(1.0, tau)))[0]
+        for j in range(math.floor(c0 - reach), math.ceil(c0 + reach) + 1):
+            steps = measure._arc_steps(lg, tau, np.array([abs(c0 - j) / L]),
+                                       L, k_cap)[0]
+            kw = max(math.ceil(steps), 1)
+            kc = np.rint((a0 - j * (v1 * r + v2 * s)) / L / L)
+            k = kc + np.arange(-kw, kw + 1.0)
+            out.append(np.column_stack([j * v1 + k * r, j * v2 + k * s]))
+    return np.concatenate(out)
+
+
+def _offset_keys(o):
+    """One int64 per offset, equal only for equal offsets."""
+    o = o.astype(np.int64) + (1 << 24)
+    return (o[:, 0] << 26) + o[:, 1]
+
+
+@pytest.mark.parametrize("body", [
+    SHEARED, "union_jack", "multiplicative", "gm(abs(2,-1),abs(1,1))",
+    "abs(-18/10,-4)"], ids=["sheared", "union_jack", "multiplicative",
+                            "index_3", "strip"])
+@pytest.mark.parametrize("kind", ["hits", "minimize"])
+def test_each_candidate_of_a_row_comes_once(registered_bodies, body, kind):
+    # _blocks gives each row the box and its tube lines as before, but a
+    # tube step inside the box is left to the box: the row's set of p is
+    # the same, and no p comes twice.  The strip's flat tube takes the full
+    # step cap on every line, 4,096 a side under minimize, so it gets fewer
+    # rows
+    f = registered_bodies.get(body) or sk.parse_distance_function(body)
+    kern = _Kernel(f)
+    rng = np.random.default_rng([23, len(body), len(kind)])
+    m = 3 if body.startswith("abs") and kind == "minimize" else 40
+    qs = rng.integers(1, 301, m).astype(float)
+    y = qs[:, None] * rng.random((m, 2))
+    p0 = np.rint(y)
+    cap = qs * rng.uniform(0.01, 0.5, m)
+    if kind == "hits":
+        tau, k_cap = cap, measure._BATCH_K_CAP
+    else:
+        tau, k_cap = kern._tau(y, cap, None), measure._SCALAR_K_CAP
+    rows, offsets = [], []
+    for r, o1, o2, valid in kern._blocks(y, p0, tau, k_cap,
+                                         np.zeros(m, dtype=bool)):
+        _, idx, o = measure._cells(r, o1, o2, valid)
+        rows.append(idx)
+        offsets.append(o)
+    rows, keys = np.concatenate(rows), _offset_keys(np.concatenate(offsets))
+    on_tubes = 0
+    for i in range(m):
+        got = np.sort(keys[rows == i])
+        want = _box_and_tube_offsets(kern, y[i] - p0[i], tau[i], k_cap)
+        assert np.array_equal(np.unique(got), np.unique(_offset_keys(want))), i
+        repeats = np.count_nonzero(np.diff(got) == 0)
+        assert repeats == 0, (i, repeats)
+        on_tubes += np.abs(want).max() > kern._box_radius(tau[i:i + 1])[0]
+    # a minimize threshold, at most F of the wrap, can keep every tube step
+    # of a row inside its box, as on the multiplicative body
+    assert on_tubes > 0 or kind == "minimize"
+
+
 def test_minimize_holds_a_bounded_set_along_a_flat_tube(monkeypatch):
     # the skeleton line of this strip has a fitted width exponent of about
     # 0, so every row's tube takes the full step cap on about 45 lattice

@@ -10,7 +10,7 @@ from starkit.errors import DegenerateExpr, FitFailure, IrrationalSkeleton
 from starkit.exact import Quad
 from starkit.starbody import (_SLICE_POINTS, _WIDTH_CAP, Abs, GeoMean,
                               LinearForm, LineGeometry, Max, Min, Scale,
-                              _bisect_crossing, body_geometry,
+                              _bisect, _bisect_crossing, body_geometry,
                               is_axis_monotone)
 from starkit.measure import _arc_steps
 
@@ -355,6 +355,49 @@ def test_bisect_crossing_matches_the_where_loop(registered_bodies, eps):
         assert kinds == {"outside", "unbracketed", "crossed"}
     else:   # no point lies inside a body with eps <= 0
         assert kinds == {"outside"}
+
+
+def _halvings(left, lo, hi, steps):
+    """Reference: `steps` halvings of every bracket, none skipped."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        below = left(mid)
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_bisect_stops_at_its_fixed_point(multiplicative):
+    # brackets of [0, 1] about edges in [1/4, 1) shrink to two adjacent
+    # floats within 55 halvings; from there each halving repeats the last,
+    # and _bisect stops calling left with the bits of all 80
+    edge = np.array([0.3, 1 / 3, 0.7, 0.5, 0.25 + 2.0 ** -40, 0.9])
+    calls = []
+
+    def left(mid):
+        calls.append(mid.copy())
+        return mid < edge
+    want = _halvings(left, np.zeros(6), np.ones(6), 80)
+    calls.clear()
+    got = _bisect(left, np.zeros(6), np.ones(6), 80)
+    assert got.tobytes() == want.tobytes()
+    assert 50 < len(calls) < 80
+    assert not np.array_equal(calls[-1], calls[-2])
+    # a NaN bracket never settles, so every halving runs
+    calls.clear()
+    _bisect(left, np.where(edge == 0.5, np.nan, 0.0), np.ones(6), 80)
+    assert len(calls) == 80
+    # points outside the body get the bracket [0, 0], fixed at once: one
+    # evaluation decides them, one halving of their slice follows
+    evals = []
+    eval_xy = multiplicative.eval_xy
+
+    class Counted:
+        def eval_xy(self, x1, x2):
+            evals.append(np.size(x1))
+            return eval_xy(x1, x2)
+    out = _bisect_crossing(Counted(), np.full((40, 2), 0.5),
+                           np.array([1.0, 0.0]), 0.1)
+    assert not out.any() and len(evals) == 2
 
 
 def test_significance_multiplicative_axis(multiplicative):
