@@ -246,8 +246,9 @@ class _Kernel:
                             for h in (self.r_hat, self.s_hat))
 
     def _box_radius(self, tau: np.ndarray) -> np.ndarray:
+        """Each row's central box radius, an integer 1..64 in a float."""
         c = max(self.geo.offline_min, 1e-12)
-        return np.clip(np.ceil(tau / c) + 1, 1, 64).astype(np.int64)
+        return np.clip(np.ceil(tau / c) + 1, 1, 64)
 
     # -- exact minimization ---------------------------------------------------
 
@@ -443,9 +444,9 @@ class _Kernel:
             yield rows, zero, zero, np.ones((rows.size, 1), dtype=bool)
         live = np.flatnonzero(~done)
         b = self._box_radius(tau)
-        ring = _ring_offsets(int(b[live].max(initial=1)))
-        for r, lo, hi, valid in _rounds((2 * b[live] + 1) ** 2 - 1, live,
-                                        done):
+        bl = b[live]
+        ring = _ring_offsets(int(bl.max(initial=1)))
+        for r, lo, hi, valid in _rounds((2 * bl + 1) ** 2 - 1, live, done):
             o = ring[:, lo + 1:hi + 1]      # ranks 1.. of the rings
             yield live[r], o[:1], o[1:], valid
         z0 = (y - p0).T
@@ -472,73 +473,14 @@ class _Kernel:
         takes a = 1 and c = 0, so that its steps run 0, -1, .. and 1, 2, ..
         from kc.  So every candidate of a row comes once, from the box or
         from one tube line, and the row's set is the box's and the tube's
-        as before."""
-        r, s = lg.half.int_direction()
-        L = math.hypot(r, s)
-        # Bezout vector v with v1*s - v2*r = 1 steps across lattice lines
-        _, v1, v2 = _xgcd(s, -r)
-        live = np.flatnonzero(~done)
-        z1, z2 = z0[0][live], z0[1][live]
-        c0 = z1 * s - z2 * r    # cross(z0, d): offset index units
-        a0 = z1 * r + z2 * s    # dot(z0, d)
-        reach = L * np.minimum(1.0, 2.0 * lg.width(1.0, tau[live]))
-        j0 = np.floor(c0 - reach)
-        n = np.ceil(c0 + reach) - j0 + 1    # lattice lines of each row
-        over = np.flatnonzero(n > _MAX_LINES)
-        if over.size:
-            # every (row, line) pair is a rectangle row, and the (row, line)
-            # tables below are as wide as the most lines of a row
-            raise StarkitError(
-                f"the tube along the skeleton line of slope {s}/{r} meets "
-                f"{int(n[over[0]])} lattice lines, more than the "
-                f"{_MAX_LINES} that one row may take")
-        col = np.arange(int(n.max(initial=0)))
-        j = j0[:, None] + col               # (row, line), padded to the widest
-        steps = _arc_steps(lg, tau[live, None], np.abs(c0[:, None] - j) / L,
-                           L, k_cap)
-        kw = np.maximum(np.ceil(steps), 1)
-        kc = np.rint((a0[:, None] - j * (v1 * r + v2 * s)) / L / L)
-        # offset of each (row, line)'s step kc: j*v + kc*d, an exact integer
-        base1 = j * v1 + kc * r
-        base2 = j * v2 + kc * s
-        # [a, c], the dk in [-kw, kw] with |base + dk*d|_inf <= b.  Per
-        # coordinate with a step e = r or s other than 0, |o + dk*e| <= b
-        # holds for the integers dk from ceil(lo/|e|) to floor(hi/|e|), with
-        # lo, hi = -b - o, b - o for e > 0 and o - b, o + b for e < 0.  These
-        # are integers far below 2^53, exact in floats, and a float quotient
-        # n/|e| rounds to no other side of an integer: n/|e| is one, then
-        # exact, or it is at least 1/|e| away from one and rounds by at
-        # most |n/e|*2^-53, which is less.  So the ceil and floor of the
-        # float quotients are those of the real ones.  A coordinate with e
-        # = 0 is o along the whole line: the line misses the box if |o| > b.
-        bf = b[live, None].astype(float)
-        a, c = -kw, kw
-        for o, e in ((base1, r), (base2, s)):
-            if e:
-                lo, hi = (-bf - o, bf - o) if e > 0 else (o - bf, o + bf)
-                if abs(e) > 1:
-                    lo, hi = np.ceil(lo / abs(e)), np.floor(hi / abs(e))
-                a, c = np.maximum(a, lo), np.minimum(c, hi)
-            else:
-                c = np.where(np.abs(o) <= bf, c, -np.inf)
-        miss = a > c
-        a, c = np.where(miss, 1.0, a), np.where(miss, 0.0, c)
-        # one entry (row i, line k, side) for each side with steps: side -1
-        # runs down from dk = a-1, side +1 up from c+1
-        drawn = col < n[:, None]
-        sides = a + kw, kw - c      # the steps below a and above c
-        ent = [np.nonzero(drawn & (w > 0)) for w in sides]
-        i, k = (np.concatenate(x) for x in zip(*ent))
-        counts = np.concatenate([w[e] for w, e in zip(sides, ent)])
-        first = np.concatenate([a[ent[0]] - 1, c[ent[1]] + 1])
-        sign = np.repeat([-1.0, 1.0], [ent[0][0].size, ent[1][0].size])
-        start1, step1 = base1[i, k] + first * r, sign * r
-        start2, step2 = base2[i, k] + first * s, sign * s
-        owner = live[i]
+        as before.  The (row, line) tables behind them (``_tube_steps``)
+        are gone before the first rectangle."""
+        owner, counts, (s1, s2), (d1, d2) = _tube_steps(
+            lg, z0, tau, b, k_cap, np.flatnonzero(~done))
         for t, lo, hi, valid in _rounds(counts, owner, done):
             m = np.arange(lo, hi, dtype=float)
-            yield (owner[t], start1[t, None] + np.multiply.outer(step1[t], m),
-                   start2[t, None] + np.multiply.outer(step2[t], m), valid)
+            yield (owner[t], s1[t, None] + np.multiply.outer(d1[t], m),
+                   s2[t, None] + np.multiply.outer(d2[t], m), valid)
 
     def _irrational_tube(self, lg, y, p0, tau, k_cap, done):
         """Rounded points y -/+ k*_IRR_STEP*u along the line, k = 1..kmax_i,
@@ -570,6 +512,79 @@ def _arc_steps(lg: LineGeometry, tau, u, step: float, cap: int) -> np.ndarray:
         with np.errstate(over="ignore"):
             rho = base ** power
     return np.minimum(cap, tau * rho / step)
+
+
+def _tube_steps(lg: LineGeometry, z0, tau, b, k_cap, live):
+    """The tube of ``_Kernel._rational_tube`` for the rows `live`: one
+    entry per (row, lattice line, side) with steps outside the box, as
+    arrays (owner, counts, (start1, start2), (step1, step2)); its steps are
+    start + m*step for m = 0 .. count - 1."""
+    r, s = lg.half.int_direction()
+    L = math.hypot(r, s)
+    # Bezout vector v with v1*s - v2*r = 1 steps across lattice lines
+    _, v1, v2 = _xgcd(s, -r)
+    z1, z2 = z0[0][live], z0[1][live]
+    c0 = z1 * s - z2 * r    # cross(z0, d): offset index units
+    a0 = z1 * r + z2 * s    # dot(z0, d)
+    reach = L * np.minimum(1.0, 2.0 * lg.width(1.0, tau[live]))
+    j0 = np.floor(c0 - reach)
+    n = np.ceil(c0 + reach) - j0 + 1    # lattice lines of each row
+    over = np.flatnonzero(n > _MAX_LINES)
+    if over.size:
+        # the (row, line) tables below are as wide as the most lines of a
+        # row, and each side of a (row, line) may be a rectangle row
+        raise StarkitError(
+            f"the tube along the skeleton line of slope {s}/{r} meets "
+            f"{int(n[over[0]])} lattice lines, more than the "
+            f"{_MAX_LINES} that one row may take")
+    col = np.arange(int(n.max(initial=0)))
+    j = j0[:, None] + col               # (row, line), padded to the widest
+    kw = np.ceil(_arc_steps(lg, tau[live, None],
+                            np.abs(c0[:, None] - j) / L, L, k_cap))
+    np.maximum(kw, 1, out=kw)
+    kc = np.rint((a0[:, None] - j * (v1 * r + v2 * s)) / L / L)
+    # offset of each (row, line)'s step kc: j*v + kc*d, an exact integer
+    base = j * v1 + kc * r, j * v2 + kc * s
+    del j, kc   # a 4,096-point hit chunk's (row, line) tables are 90 KB each
+    # [a, c], the dk in [-kw, kw] with |base + dk*d|_inf <= b.  Per
+    # coordinate with a step e = r or s other than 0, |o + dk*e| <= b
+    # holds for the integers dk from ceil(lo/|e|) to floor(hi/|e|), with
+    # lo, hi = -b - o, b - o for e > 0 and o - b, o + b for e < 0.  These
+    # are integers far below 2^53, exact in floats, and a float quotient
+    # n/|e| rounds to no other side of an integer: n/|e| is one, then
+    # exact, or it is at least 1/|e| away from one and rounds by at
+    # most |n/e|*2^-53, which is less.  So the ceil and floor of the
+    # float quotients are those of the real ones.  A coordinate with e
+    # = 0 is o along the whole line: the line misses the box if |o| > b.
+    bf = b[live, None]
+    a, c = -kw, kw.copy()
+    for o, e in zip(base, (r, s)):
+        if e:
+            lo, hi = (-bf - o, bf - o) if e > 0 else (o - bf, o + bf)
+            if abs(e) > 1:
+                lo, hi = np.ceil(lo / abs(e)), np.floor(hi / abs(e))
+            np.maximum(a, lo, out=a)
+            np.minimum(c, hi, out=c)
+        else:
+            np.copyto(c, -np.inf, where=np.abs(o) > bf)
+    miss = a > c
+    np.copyto(a, 1.0, where=miss)
+    np.copyto(c, 0.0, where=miss)
+    # one entry (side, row i, line k) per side with steps: side 0 runs
+    # down from dk = a-1 to -kw, side 1 up from c+1 to kw, so with g = a
+    # or c and sign -1 or +1 it starts at g + sign and has kw - sign*g
+    # steps
+    has = np.empty((2,) + kw.shape, dtype=bool)
+    np.greater(a, -kw, out=has[0])
+    np.less(c, kw, out=has[1])
+    side, i, k = np.nonzero(has & (col < n[:, None]))
+    sign = 2.0 * side - 1.0
+    g = np.where(side, c[i, k], a[i, k])
+    counts, first = kw[i, k] - sign * g, g + sign
+    start1, step1 = base[0][i, k] + first * r, sign * r
+    start2, step2 = base[1][i, k] + first * s, sign * s
+    owner = live[i]
+    return owner, counts, (start1, start2), (step1, step2)
 
 
 @functools.lru_cache(maxsize=64)    # box radii are 1..64

@@ -294,11 +294,11 @@ def test_batched_minimize_is_the_one_row_minimize(registered_bodies, body,
 
 
 def _box_and_tube_offsets(kern, z0, tau, k_cap):
-    """One row's candidate offsets o = p - p0 by the rule of the kernel
-    before its tubes skipped the central box: every o of the box of
-    radius b about the wrap, and every step kc - kw .. kc + kw of every
-    lattice line that a rational line's tube reaches, as (n, 2) floats that
-    may repeat.  The floats are the kernel's own, on one-element arrays."""
+    """One row's candidate offsets o = p - p0 by the plain rule: every o of
+    the box of radius b about the wrap, and every step kc - kw .. kc + kw
+    of every lattice line that a rational line's tube reaches, as (n, 2)
+    floats, where a tube step inside the box comes twice.  The floats are
+    the kernel's own, on one-element arrays."""
     tau = np.array([tau])
     b = int(kern._box_radius(tau)[0])
     span = np.arange(-b, b + 1.0)
@@ -332,11 +332,10 @@ def _offset_keys(o):
                             "index_3", "strip"])
 @pytest.mark.parametrize("kind", ["hits", "minimize"])
 def test_each_candidate_of_a_row_comes_once(registered_bodies, body, kind):
-    # _blocks gives each row the box and its tube lines as before, but a
-    # tube step inside the box is left to the box: the row's set of p is
-    # the same, and no p comes twice.  The strip's flat tube takes the full
-    # step cap on every line, 4,096 a side under minimize, so it gets fewer
-    # rows
+    # _blocks leaves a tube step inside the box to the box: a row's set of
+    # p is the plain rule's, and no p comes twice.  The strip's flat tube
+    # takes the full step cap on every line, 4,096 a side under minimize,
+    # so it gets fewer rows
     f = registered_bodies.get(body) or sk.parse_distance_function(body)
     kern = _Kernel(f)
     rng = np.random.default_rng([23, len(body), len(kind)])
