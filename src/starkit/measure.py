@@ -472,9 +472,9 @@ class _Kernel:
         .. up to kw.  A line that meets the box at no dk in [-kw, kw]
         takes a = 1 and c = 0, so that its steps run 0, -1, .. and 1, 2, ..
         from kc.  So every candidate of a row comes once, from the box or
-        from one tube line, and the row's set is the box's and the tube's
-        as before.  The (row, line) tables behind them (``_tube_steps``)
-        are gone before the first rectangle."""
+        from one tube line, and the row's set is the union of the box and
+        the whole tube.  The (row, line) tables behind them
+        (``_tube_steps``) are gone before the first rectangle."""
         owner, counts, (s1, s2), (d1, d2) = _tube_steps(
             lg, z0, tau, b, k_cap, np.flatnonzero(~done))
         for t, lo, hi, valid in _rounds(counts, owner, done):
