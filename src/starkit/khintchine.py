@@ -16,20 +16,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import measure, sampling
+from . import sampling
 from .dsl import parse_number
 from .measure import (_Kernel, _analytic_density,
                       analytic_density_info, density)
 from .starbody import Expr
 
 _MONOTONE_BLOCK = 200_000   # q per block of PsiFamily.check_monotone
-_Q_BATCH = 16               # q values per membership call of tail_measure
-# CPU of tail_measure's lattice path in units of one swept (sample, q)
-# cell (5.6-8 ns): per sample for its basis and rows, and per enumerated
-# cell.  Fitted over psi exponents 1.4, 1.6 and 2.0 (height body, 4096
-# points, N = 1024, 2-vCPU Xeon VM), five runs gave 115-168 and 2.6-5.3
-_LATTICE_SAMPLE_COST = 130.0
-_LATTICE_CELL_COST = 5.0
 
 # ---------------------------------------------------------------------------
 # Approximation functions
@@ -180,75 +173,21 @@ def tail_measure(f: Expr, psi: PsiFamily, n_block: int, samples: int = 100_000,
     """Monte Carlo measure of U_{q in [N, 2N]} B_q(F, psi(q)).
 
     The decisions are those of one q at a time: F(q*x - p) < q*psi(q)
-    with psi(q) taken as ``float(psi(q))``.  Per chunk, one membership
-    kernel first tests the samples against _Q_BATCH values of q at a
-    time, and a sample leaves as soon as any q of a batch hits it.  After
-    the first batch the chunk may switch paths.  On an unrestricted
-    axis-monotone body with a bound F(z) >= B(z) ~ c*|z_k|
-    (``measure._axis_bound``), a hit needs |wrap(q*x_k)| < delta, where
-    delta comes from the largest q*psi(q) left
-    (``measure._axis_radius``).  The q that pass are the points of a thin
-    lattice box, about 2*delta*R per sample for the R values of q left
-    (``measure._lattice_cells``), and only those cells are decided, by
-    the kernel's own wrap-and-compare (``measure._wrap_below``): the same
-    bits, at a cost that follows the candidates.  The switch is taken
-    when its measured cost per sample, _LATTICE_SAMPLE_COST +
-    2*delta*R*_LATTICE_CELL_COST in swept cells, is below min(R, 1/h),
-    h being the share of the first batch's (sample, q) cells that hit:
-    the sweep costs about min(R, 1/h) cells per sample, since a sample
-    leaves at its first hit.  The sample stream depends only on (seed,
-    index), so runs with the same seed are coupled across different psi.
-    psi is not checked for monotonicity here (see ``PsiFamily``).
+    with psi(q) taken as ``float(psi(q))``.  Per chunk of samples, one
+    ``_Kernel.any_hit`` call decides whether some q of the block hits
+    each sample; it schedules the q-batches and may decide the later q
+    only where a lattice of q can pass the kernel's wrap test, with the
+    same bits.  The sample stream depends only on (seed, index), so runs
+    with the same seed are coupled across different psi.  psi is not
+    checked for monotonicity here (see ``PsiFamily``).
     """
     if n_block < 1:
         raise ValueError("N must be >= 1")
-    qs = np.arange(max(n_block, psi.q_start), 2 * n_block + 1)
-    eps = np.array([float(psi(int(q))) for q in qs])
-    tau = qs * eps      # as ``_Kernel.hits`` forms it
+    q0 = max(n_block, psi.q_start)
+    eps = np.array([float(psi(q)) for q in range(q0, 2 * n_block + 1)])
     kern = _Kernel(f)
-    rest = len(qs) - _Q_BATCH
-    delta = cost = math.inf     # cost: of the lattice path, per sample
-    if kern.axis_bound and rest > 0:
-        delta = measure._axis_radius(kern.axis_bound, tau[_Q_BATCH:].max())
-        cost = _LATTICE_SAMPLE_COST + _LATTICE_CELL_COST * 2.0 * delta * rest
-
-    def hit(pts):
-        alive = np.ones(len(pts), dtype=bool)
-        for lo in range(0, len(qs), _Q_BATCH):
-            idx = np.flatnonzero(alive)
-            if idx.size == 0:
-                break
-            h = kern.hits(pts[idx], qs[lo:lo + _Q_BATCH],
-                          eps[lo:lo + _Q_BATCH])
-            alive[idx[h.any(axis=1)]] = False
-            if lo == 0 and cost < rest and cost * h.mean() < 1:
-                live = np.flatnonzero(alive)
-                got = _lattice_hits(kern, pts[live], qs[_Q_BATCH],
-                                    tau[_Q_BATCH:], delta)
-                if got is not None:
-                    alive[live[got]] = False
-                    break
-        return ~alive
-
-    return sampling.indicator_estimate(hit, samples, seed)
-
-
-def _lattice_hits(kern: _Kernel, xs, q0: int, tau, delta: float):
-    """Whether some q = q0 .. q0 + len(tau) - 1 hits each point of xs,
-    deciding only the cells of ``measure._lattice_cells`` on the kernel's
-    bound axis (the other q cannot hit); None when it gives none."""
-    cells = measure._lattice_cells(xs[:, kern.axis_bound[0]], q0,
-                                   q0 + len(tau) - 1, delta)
-    if cells is None:
-        return None
-    hit = np.zeros(len(xs), dtype=bool)
-    x1, x2 = xs.T.copy()
-    for i, q in cells:
-        below = np.empty(len(i), dtype=bool)
-        measure._wrap_below(kern.f, q, x1[i], x2[i],
-                            tau[(q - q0).astype(np.intp)], below)
-        hit[i[below]] = True
-    return hit
+    return sampling.indicator_estimate(lambda pts: kern.any_hit(pts, q0, eps),
+                                       samples, seed)
 
 
 @dataclass
@@ -339,24 +278,18 @@ class BestApproximation:
 def best_approximations(f: Expr, x, q_max: int) -> list[BestApproximation]:
     """Per q <= Qmax the minimizing p, with record-breaking minima flagged.
 
-    The q up to ``measure._EXHAUSTIVE_Q`` take the full window one at a
-    time; all larger q go through one batched ``_Kernel.minimize``."""
+    One ``_Kernel.minimum`` call over q = 1 .. Qmax finds the minima of
+    F(q*x - p); the value at q is F(x - p/q) = F(q*x - p)/q."""
     if q_max < 1:
         raise ValueError("Qmax must be >= 1")
-    kern = _Kernel(f)
     # threshold irrelevant for pure minimization
-    small = min(q_max, measure._EXHAUSTIVE_Q)
-    found = [kern.minimize_exhaustive(x, q, 1.0) for q in range(1, small + 1)]
-    if q_max > small:
-        raws, ps = kern.minimize(x, np.arange(small + 1, q_max + 1), 1.0)
-        found += [(raw, (int(p1), int(p2)))
-                  for raw, (p1, p2) in zip(raws.tolist(), ps.tolist())]
+    raws, ps = _Kernel(f).minimum(x, np.arange(1, q_max + 1), 1.0)
     out = []
     best = math.inf
-    for q, (raw, p) in enumerate(found, start=1):
+    for q, (raw, p) in enumerate(zip(raws.tolist(), ps.tolist()), start=1):
         val = raw / q
         rec = val < best
         if rec:
             best = val
-        out.append(BestApproximation(q=q, p=p, value=val, record=rec))
+        out.append(BestApproximation(q, (int(p[0]), int(p[1])), val, rec))
     return out

@@ -16,10 +16,11 @@ F(x - p/q) over a candidate lattice set: a central box around round(q*x)
 plus segments along each skeleton direction out to the arc distance where
 the (safety-doubled) fitted tube width drops below the candidate's
 perpendicular offset.  For q <= _EXHAUSTIVE_Q it enumerates a full window
-instead (``_Kernel.minimum`` picks the path).  The two were checked equal
-on the registered bodies with rational skeletons only: along an
-irrational skeleton line the fast search can find a smaller value far
-out on the line, beyond the window (ROADMAP item 3).
+instead.  ``_Kernel.minimum`` picks the path per q, for one q or for an
+array of them, as ``best_approximations`` sweeps q.  The two were
+checked equal on the registered bodies with rational skeletons only:
+along an irrational skeleton line the fast search can find a smaller
+value far out on the line, beyond the window (ROADMAP item 3).
 
 One ``_Kernel`` serves one body, restricted or not; q and eps are
 arguments of each call.  Its generator (``_Kernel._blocks``) enumerates
@@ -38,6 +39,13 @@ per-row threshold that sizes the search, the step cap, and how they
 reduce the values: a hit ends a row's search, a minimum keeps the least
 values of each rectangle row and folds them to one pick per row whenever
 more than _HIT_CELLS are held.
+
+``_Kernel.any_hit`` asks whether some q of a run q0 .. q1 hits each
+point, as the dyadic tails of ``khintchine.tail_measure`` do: it calls
+``hits`` on _Q_BATCH values of q at a time, drops a point at its first
+hit, and may decide the rest of the run through the 2-D lattice of q*x
+(``_lattice_cells``) where the body's tree bounds F on one axis and that
+costs less than the sweep.
 """
 
 from __future__ import annotations
@@ -54,8 +62,8 @@ from .errors import (IrrationalSkeleton, NonConvergent, SkeletonMismatch,
                      StarkitError)
 from .sampling import indicator_estimate
 from .starbody import (Abs, Expr, GeoMean, HalfLine, Max, Min, Scale,
-                       LineGeometry, _SLICE_POINTS, _bisect, body_geometry,
-                       extract_skeleton, fundamental_rectangle)
+                       LineGeometry, _SLICE_POINTS, _bisect, as_point,
+                       body_geometry, extract_skeleton, fundamental_rectangle)
 
 # ---------------------------------------------------------------------------
 # Data types
@@ -173,15 +181,14 @@ _MIN_ROWS = 128
 # and 1.08x the time of 16, and 32 took 0.95x (its radius-2 box of 24
 # ranks goes in one rectangle)
 _MIN_RANKS = 16
-
-
-def _points(x) -> np.ndarray:
-    """x as an (m, 2) float array; ValueError for a NaN or infinite
-    coordinate, on every kernel path alike."""
-    xs = np.asarray(x, dtype=float).reshape(-1, 2)
-    if not np.isfinite(xs).all():
-        raise ValueError("points must be finite")
-    return xs
+_Q_BATCH = 16       # q values per ``hits`` call of _Kernel.any_hit
+# CPU of any_hit's lattice path in units of one swept (point, q) cell
+# (5.6-8 ns): per point for its basis and rows, and per enumerated cell.
+# Fitted over psi exponents 1.4, 1.6 and 2.0 of the dyadic tail (height
+# body, 4096 points, N = 1024, 2-vCPU Xeon VM), five runs gave 115-168
+# and 2.6-5.3
+_LATTICE_SAMPLE_COST = 130.0
+_LATTICE_CELL_COST = 5.0
 
 
 class _Kernel:
@@ -252,12 +259,24 @@ class _Kernel:
 
     # -- exact minimization ---------------------------------------------------
 
-    def minimum(self, x, q: int, eps: float) -> tuple[float, tuple[int, int]]:
-        """Minimum of F(q*x - p) and its p: a full window enumeration for
-        q <= _EXHAUSTIVE_Q, the candidate blocks above."""
-        if q <= _EXHAUSTIVE_Q:
-            return self.minimize_exhaustive(x, q, eps)
-        return self.minimize(x, q, eps)
+    def minimum(self, x, q, eps: float):
+        """Minimum of F(q*x - p) at the point x and its p: a full window
+        enumeration for each q <= _EXHAUSTIVE_Q, the candidate blocks
+        above.  A scalar q gives (value, (p1, p2)).  A 1-D q gives arrays
+        of the values and of their (m, 2) p, as ``minimize`` does: the
+        window's q one call each, in order, and the others in one batched
+        ``minimize``, so each row equals its scalar call."""
+        if np.ndim(q) == 0:
+            return (self.minimize_exhaustive if q <= _EXHAUSTIVE_Q
+                    else self.minimize)(x, q, eps)
+        qs = np.asarray(q)
+        small = qs <= _EXHAUSTIVE_Q
+        vals, p = np.empty(len(qs)), np.empty((len(qs), 2))
+        for i in np.flatnonzero(small).tolist():
+            vals[i], p[i] = self.minimize_exhaustive(x, int(qs[i]), eps)
+        if not small.all():
+            vals[~small], p[~small] = self.minimize(x, qs[~small], eps)
+        return vals, p
 
     def _tau(self, y, cap, mod) -> np.ndarray:
         """Search thresholds of the rows y = q*x: just above
@@ -280,7 +299,7 @@ class _Kernel:
         allowed candidate gets (inf, (0, 0)).  The rows go through in
         slices of _MIN_ROWS."""
         qs = np.atleast_1d(q)
-        y = qs[:, None] * _points(x)
+        y = qs[:, None] * as_point(x).reshape(-1, 2)
         cap = qs * np.asarray(eps, dtype=float)
         vals, p = np.empty(len(qs)), np.empty((len(qs), 2))
         for i in range(0, len(qs), _MIN_ROWS):
@@ -297,7 +316,7 @@ class _Kernel:
                             eps: float) -> tuple[float, tuple[int, int]]:
         """Same minimum through a full window enumeration (small q), in
         one-row rectangles of _WINDOW_CELLS window points."""
-        y = q * _points(x).reshape(1, 2)
+        y = q * as_point(x).reshape(1, 2)
         p0 = np.rint(y)
         mod = self._moduli([q])
         tau = self._tau(y, np.array([q * eps]), mod)[0]
@@ -364,7 +383,7 @@ class _Kernel:
         slice of at most _HIT_CELLS (q, point) cells at a time (one point
         per slice when there are more q values than that), and come back
         as its transpose."""
-        xs = _points(xs)
+        xs = as_point(xs).reshape(-1, 2)
         qs = np.atleast_1d(q)
         tau = qs * eps
         out = np.empty((len(qs), len(xs)), dtype=bool)
@@ -401,6 +420,67 @@ class _Kernel:
             # a tube's rectangle holds several rows of one owner
             hit[rows[below.any(axis=1)]] = True
         out[...] = hit.reshape(len(q), m)
+
+    def any_hit(self, xs, q0: int, eps) -> np.ndarray:
+        """Whether some q = q0 .. q0 + len(eps) - 1 hits each point of xs,
+        q deciding as in ``hits`` with eps[q - q0]: shape (m,).
+
+        The points meet _Q_BATCH values of q at a time, one ``hits`` call
+        per batch, and a point leaves at its first hit.  After the first
+        batch the call may switch paths.  On an unrestricted axis-monotone
+        body with a bound F(z) >= B(z) ~ c*|z_k| (``_axis_bound``), a hit
+        needs |wrap(q*x_k)| < delta, where delta comes from the largest
+        q*eps left (``_axis_radius``).  The q that pass are the points of a
+        thin lattice box, about 2*delta*R per point for the R values of q
+        left (``_lattice_cells``), and only those cells are decided, by
+        the wrap-and-compare of ``hits`` (``_wrap_below``): the same bits,
+        at a cost that follows the candidates.  The switch is taken when
+        its measured cost per point, _LATTICE_SAMPLE_COST +
+        2*delta*R*_LATTICE_CELL_COST in swept cells, is below min(R, 1/h),
+        h being the share of the first batch's (point, q) cells that hit:
+        the sweep costs about min(R, 1/h) cells per point, since a point
+        leaves at its first hit.  Nothing of a call stays on the kernel."""
+        xs = as_point(xs).reshape(-1, 2)
+        qs = np.arange(q0, q0 + len(eps))
+        rest = len(qs) - _Q_BATCH
+        alive = np.ones(len(xs), dtype=bool)
+        for lo in range(0, len(qs), _Q_BATCH):
+            idx = np.flatnonzero(alive)
+            if idx.size == 0:
+                break
+            h = self.hits(xs[idx], qs[lo:lo + _Q_BATCH],
+                          eps[lo:lo + _Q_BATCH])
+            alive[idx[h.any(axis=1)]] = False
+            if lo or rest <= 0 or not self.axis_bound:
+                continue
+            tau = qs[_Q_BATCH:] * eps[_Q_BATCH:]    # as ``hits`` forms it
+            delta = _axis_radius(self.axis_bound, tau.max())
+            cost = (_LATTICE_SAMPLE_COST
+                    + _LATTICE_CELL_COST * 2.0 * delta * rest)
+            if cost < rest and cost * h.mean() < 1:
+                live = np.flatnonzero(alive)
+                got = self._lattice_hits(xs[live], qs[_Q_BATCH], tau, delta)
+                if got is not None:
+                    alive[live[got]] = False
+                    break
+        return ~alive
+
+    def _lattice_hits(self, xs, q0, tau, delta):
+        """``any_hit`` for q = q0 .. q0 + len(tau) - 1, tau = q*eps,
+        deciding only the cells of ``_lattice_cells`` on the bound axis (the
+        other q cannot hit); None when it gives none."""
+        cells = _lattice_cells(xs[:, self.axis_bound[0]], q0,
+                               q0 + len(tau) - 1, delta)
+        if cells is None:
+            return None
+        hit = np.zeros(len(xs), dtype=bool)
+        x1, x2 = xs.T.copy()
+        for i, q in cells:
+            below = np.empty(len(i), dtype=bool)
+            _wrap_below(self.f, q, x1[i], x2[i],
+                        tau[(q - q0).astype(np.intp)], below)
+            hit[i[below]] = True
+        return hit
 
     # -- candidate rectangles -------------------------------------------------
 
@@ -1022,15 +1102,15 @@ def _section_length(kern: _Kernel, eps: float, x2) -> np.ndarray:
     one for each value of the 1-D x2.
 
     Each section scans its own grid of _SECTION_GRID cells in one ``hits``
-    call.  One call for the grids of a whole batch, with the flat
-    candidate blocks of 2^16 that the kernel had then, raised the peak RSS
-    of ``density --method quadrature`` on the sheared body from 40.6 to
-    46.9 MB.  Then one
-    lockstep ``_bisect`` refines every hit/miss edge of every section, 40
-    ``hits`` calls for the whole batch, each edge's row carrying the x2 of
-    its section.  A row's candidates, its own lattice lines in
-    ``_rational_tube`` included, do not depend on the rows beside it, so a
-    batch's lengths equal those of batches of one, bit for bit.
+    call, for memory.  One call for the grids of a whole level took 0.90x
+    the CPU of ``density(..., method="quadrature")`` on the sheared body
+    at eps = 0.375 (fresh interpreters, 2-vCPU VM, 6 alternating runs
+    each), with the same value, but raised ru_maxrss from 37.5 to 38.5
+    MB.  Then one lockstep ``_bisect`` refines every hit/miss edge of
+    every section, 40 ``hits`` calls for the whole batch, each edge's row
+    carrying the x2 of its section.  A row's candidates, its own lattice
+    lines in ``_rational_tube`` included, do not depend on the rows beside
+    it, so a batch's lengths equal those of batches of one, bit for bit.
     """
     x2 = np.asarray(x2, dtype=float)
     x1 = np.linspace(0.0, 1.0, _SECTION_GRID + 1)

@@ -40,12 +40,14 @@ _SLICE_POINTS = 1 << 13
 
 
 def as_point(x) -> np.ndarray:
-    """Validate and convert a point (or array of points) to float ndarray."""
+    """Validate and convert a point (or array of points) to float ndarray:
+    ValueError for a last dimension other than 2 and for a NaN or infinite
+    coordinate."""
     p = np.asarray(x, dtype=float)
     if p.shape[-1] != 2:
         raise ValueError("points must have final dimension 2")
     if not np.all(np.isfinite(p)):
-        raise ValueError("points must have finite components")
+        raise ValueError("points must be finite")
     return p
 
 

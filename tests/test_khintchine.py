@@ -303,6 +303,29 @@ def test_tail_and_search_build_one_kernel_per_call(height, monkeypatch):
     assert len(built) == 2
 
 
+@pytest.mark.parametrize("text,tau,n,calls", [
+    ("max(abs(1,0),abs(0,1))", 1.6, 1024, 2),
+    ("max(abs(1,0),abs(0,1))", 1.4, 1024, 130),
+    ("gm(abs(1,0),abs(0,1))", 2.5, 256, 34),
+    ("gm(abs(1,-1),abs(0,1))", 1.5, 64, 10),
+])
+def test_tail_makes_the_pinned_hits_calls(monkeypatch, text, tau, n, calls):
+    # one _Kernel.hits call per q-batch that a chunk still needs, on two
+    # chunks of 4,096 samples: perfbench's measure.hits_* counters see
+    # each one.  The counts were measured before the kernel's any_hit
+    # took over the tail's loop
+    made = []
+    hits = measure._Kernel.hits
+
+    def counted(self, *args):
+        made.append(len(args[0]))
+        return hits(self, *args)
+    monkeypatch.setattr(measure._Kernel, "hits", counted)
+    sk.tail_measure(sk.parse_distance_function(text), sk.PsiFamily.power(tau),
+                    n, samples=8192, seed=104)
+    assert len(made) == calls
+
+
 # ---------------------------------------------------------------------------
 # Euler phi sums
 # ---------------------------------------------------------------------------

@@ -212,6 +212,30 @@ def test_minimum_enumerates_a_window_up_to_q_64(union_jack, monkeypatch):
                      (65, "minimize"), (300, "minimize")]
 
 
+@pytest.mark.parametrize("restricted", [False, True])
+def test_minimum_of_a_q_array_is_its_scalar_calls(union_jack, monkeypatch,
+                                                  restricted):
+    # across q = 64/65: the window per q, in order, then one batched
+    # minimize, and every row is its scalar call, value and p, bit for bit
+    kern = _Kernel(union_jack, restricted)
+    qs = np.arange(58, 72)
+    xs = [(0.41, 0.73), (0.1234, 0.8712), (2 / 3, 0.25)]
+    want = [[kern.minimum(x, q, 0.5) for q in qs.tolist()] for x in xs]
+    calls = []
+    for name in ("minimize", "minimize_exhaustive"):
+        def wrapped(self, x, q, eps, _orig=getattr(_Kernel, name),
+                    _name=name):
+            calls.append((np.ndim(q), _name))
+            return _orig(self, x, q, eps)
+        monkeypatch.setattr(_Kernel, name, wrapped)
+    for x, rows in zip(xs, want):
+        vals, ps = kern.minimum(x, qs, 0.5)
+        got = [(v.hex(), (int(p1), int(p2)))
+               for v, (p1, p2) in zip(vals.tolist(), ps.tolist())]
+        assert got == [(v.hex(), p) for v, p in rows]
+    assert calls == 3 * ([(0, "minimize_exhaustive")] * 7 + [(1, "minimize")])
+
+
 def _one_row_minimize(kern, x, q, eps):
     """``_Kernel.minimize`` as it ran before it took batches: one row, its
     threshold from the wrap evaluated as numpy scalars, every valid cell
@@ -723,6 +747,7 @@ def test_kernel_rejects_a_non_finite_point(registered_bodies, body):
                 lambda: kern.minimize(bad, 100, 0.01),
                 lambda: kern.minimize(xs, qs + 100, 0.01),
                 lambda: kern.minimize_exhaustive(bad, 5, 0.1),
+                lambda: kern.any_hit(xs, 5, np.array([0.1, 0.05])),
                 lambda: sk.batch_hits(f, xs, 5, 0.1, kern.restricted),
                 lambda: sk.resonant_membership(f, bad, sk.ResonantSpec(
                     q=5, epsilon=0.1, restricted=kern.restricted)),
@@ -897,6 +922,50 @@ def test_axis_bound_is_none_without_a_certificate(text):
     f = sk.parse_distance_function(text)
     assert measure._axis_bound(f) is None
     assert _Kernel(f).axis_bound is None
+
+
+@pytest.mark.parametrize("text,restricted,tau,n,lattice", [
+    # the height body: the lattice path after the first batch, and the
+    # sweep on the divergent side
+    ("max(abs(1,0),abs(0,1))", False, 1.6, 1024, True),
+    ("max(abs(1,0),abs(0,1))", False, 1.4, 1024, False),
+    # no certified axis bound: the multiplicative and sheared bodies sweep
+    ("gm(abs(1,0),abs(0,1))", False, 2.0, 256, False),
+    (SHEARED, False, 2.0, 48, False),
+    # a restricted kernel takes no wrap shortcut
+    ("max(abs(1,0),abs(0,1))", True, 1.6, 48, False),
+    ("gm(abs(1,0),abs(0,1))", True, 2.0, 48, False),
+])
+@pytest.mark.parametrize("limit", [None, 2.0 ** 6])
+def test_any_hit_is_the_or_of_the_scalar_hits(monkeypatch, text, restricted,
+                                              tau, n, lattice, limit):
+    # q = n .. 2n with eps = q^-tau, on 4,096 points; a _LATTICE_LIMIT of
+    # 2^6 leaves the lattice no proof, and the call goes on sweeping
+    kern = _Kernel(sk.parse_distance_function(text), restricted)
+    xs = np.random.default_rng(23).random((4096, 2))
+    eps = np.arange(n, 2 * n + 1) ** -tau
+    want = np.zeros(len(xs), dtype=bool)
+    for q, e in zip(range(n, 2 * n + 1), eps.tolist()):
+        want |= kern.hits(xs, q, e)
+    assert 0.05 < want.mean() < 0.99
+    calls = []
+    cells = measure._lattice_cells
+
+    def counted(*args):
+        got = cells(*args)
+        calls.append(got is not None)
+        return got
+    monkeypatch.setattr(measure, "_lattice_cells", counted)
+    if limit is not None:
+        monkeypatch.setattr(measure, "_LATTICE_LIMIT", limit)
+    got = kern.any_hit(xs, n, eps)
+    assert got.shape == (len(xs),) and got.dtype == bool
+    assert np.array_equal(got, want)
+    assert calls == ([limit is None] if lattice else [])
+
+
+def test_any_hit_of_no_q_hits_nothing(height):
+    assert not _Kernel(height).any_hit(np.full((3, 2), 0.5), 5, []).any()
 
 
 # ---------------------------------------------------------------------------
