@@ -185,6 +185,8 @@ def ubiquity_sequence(alpha_inv, n_max: int) -> list[int]:
 def covering_check(alpha_inv, x0: float, n: int, radius: float) -> bool:
     """Exact check that intervals of the given radius around the first N
     orbit points cover the circle."""
+    if n < 1:
+        raise ValueError("N must be >= 1")
     pts = np.sort(_orbit(float(alpha_inv), float(x0), n))
     gaps = np.diff(pts, append=pts[0] + 1.0)
     return bool(np.max(gaps) <= 2.0 * radius)

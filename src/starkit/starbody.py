@@ -316,12 +316,14 @@ def extract_skeleton(f: Expr) -> SkeletonReport:
 
 
 def _bisect(left, lo: np.ndarray, hi: np.ndarray, steps: int) -> np.ndarray:
-    """Halve every bracket [lo, hi] `steps` times in lockstep, in place.
+    """Halve every bracket [lo, hi] `steps` times in lockstep.
 
     left(mid) is True where the boundary lies above mid: lo moves up to mid
-    there, hi down to mid elsewhere.  Returns the final midpoints.  left
-    must depend on the values of mid alone, and copy what it keeps of it:
-    the midpoints alternate between two buffers.
+    there, hi down to mid elsewhere.  Returns the final midpoints; lo and
+    hi are not written.  left must depend on the values of mid alone, and
+    copy what it keeps of it: the midpoints alternate between two buffers.
+    The ends move by selection, ``np.where``, which picks the same
+    elements as masked copies into lo and hi at a quarter of their cost.
     The halvings stop at their fixed point.  After a halving, each bracket
     has one end at its midpoint; if the next midpoints all equal these,
     left answers as it did, and every end is set to the value it holds.
@@ -334,8 +336,7 @@ def _bisect(left, lo: np.ndarray, hi: np.ndarray, steps: int) -> np.ndarray:
         if np.array_equal(mid, last):
             break
         below = left(mid)
-        np.copyto(lo, mid, where=below)
-        np.copyto(hi, mid, where=~below)
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
         mid, last = last, mid
     return 0.5 * (lo + hi)
 
@@ -359,27 +360,84 @@ def _bisect_crossing(f: Expr, base: np.ndarray, step: np.ndarray,
     return out.reshape(base.shape[:-1])
 
 
+def _sqrt_threshold(eps: float) -> float:
+    """The least double T >= 0 with sqrt(T) >= eps, for eps > 0.
+
+    The first loop walks up from eps*eps until sqrt(t) >= eps; it ends at
+    inf at the latest, since sqrt(inf) = inf.  The second walks down while
+    the next lower double keeps sqrt >= eps; it ends at 0 at the latest,
+    since sqrt(0) = 0 < eps.  Each step moves to another of finitely many
+    doubles, so both loops end; eps*eps lies a few doubles from T, or
+    under- or overflows to where T is the first double up or down.
+    T is inf when eps exceeds the square root of the largest double.
+    """
+    t = eps * eps
+    while math.sqrt(t) < eps:
+        t = math.nextafter(t, math.inf)
+    while math.sqrt(math.nextafter(t, 0.0)) >= eps:
+        t = math.nextafter(t, 0.0)
+    return t
+
+
+def _below(f: Expr, eps: float):
+    """The test F(x, y) < eps as a function of coordinate arrays.
+
+    At a root ``GeoMean`` of two children a and b, F = sqrt(a*b): numpy
+    takes an array's ``** 0.5`` as ``np.sqrt`` (a test checks the bits).
+    sqrt is correctly rounded, so it is monotone, and on P >= 0 or NaN
+    sqrt(P) < eps holds exactly when P < T, T = ``_sqrt_threshold(eps)``:
+    below T every double has sqrt < eps, from T up sqrt >= eps, and NaN
+    fails both comparisons.  So there the test compares a*b against T
+    and skips the root.  Every other root, a duck-typed f, and eps <= 0
+    or not finite, compare ``f.eval_xy`` against eps.
+    """
+    if type(f) is GeoMean and len(f.children) == 2 and 0 < eps < math.inf:
+        a, b = f.children
+        square = _sqrt_threshold(float(eps))
+        return lambda x, y: np.multiply(a._eval(x, y), b._eval(x, y)) < square
+    return lambda x, y: f.eval_xy(x, y) < eps
+
+
 def _crossing_slice(f: Expr, base: np.ndarray, step: np.ndarray,
                     eps: float) -> np.ndarray:
-    """``_bisect_crossing`` on one slice of points, base of shape (m, 2)."""
-    x0, y0 = base[:, 0], base[:, 1]
-    x, y = np.empty(len(base)), np.empty(len(base))
+    """``_bisect_crossing`` on one slice of points, base of shape (m, 2).
 
-    def value_at(t):
-        # F(base + t*step) through the coordinate buffers, filled in place
-        np.add(x0, np.multiply(t, step[0], out=x), out=x)
-        np.add(y0, np.multiply(t, step[1], out=y), out=y)
-        return f.eval_xy(x, y)
+    The ray base + t*step follows a plan fixed per call, as ``Abs`` fixes
+    its own: a step coordinate s of 0 reads the base coordinate itself,
+    one of +-1 is c + t or c - t, and any other is c + t*s.  F sees the
+    bits of c + t*s.  t*1 = t, t*(-1) = -t, and a - b is a + (-b).  For
+    finite t >= 0, t*0 is a zero and c + (+-0) = c, except that -0 + +0 =
+    +0; F reads a coordinate only through ``Abs``, which clears the sign
+    of a zero (``Abs._eval``).  The halvings evaluate t in [0, t_hi]; the
+    growth may evaluate an infinite t_hi (eps = inf), or one at or past
+    _WIDTH_CAP, but such a point ends unbracketed whatever F is there.
+    """
+    m = len(base)
+    # contiguous, since every evaluation reads them: a strided read costs
+    # up to twice as much as a contiguous one
+    x0, y0 = base[:, 0].copy(), base[:, 1].copy()
+
+    def coordinate(c, s):
+        if s == 0:
+            return lambda t: c
+        out = np.empty(m)
+        if s == 1:
+            return lambda t: np.add(c, t, out=out)
+        if s == -1:
+            return lambda t: np.subtract(c, t, out=out)
+        return lambda t: np.add(c, np.multiply(t, s, out=out), out=out)
+    ray_x, ray_y = coordinate(x0, step[0]), coordinate(y0, step[1])
+    below = _below(f, eps)
 
     inside0 = f.eval_xy(x0, y0) < eps
-    t_lo = np.zeros(len(base))
-    t_hi = np.full(len(base), eps, dtype=float)
+    t_lo = np.zeros(m)
+    t_hi = np.full(m, eps, dtype=float)
     # grow brackets geometrically; a NaN value counts as not crossed
     active = inside0.copy()
     for _ in range(90):
         if not np.any(active):
             break
-        grow = active & ~(value_at(t_hi) >= eps)
+        grow = active & ~(f.eval_xy(ray_x(t_hi), ray_y(t_hi)) >= eps)
         np.copyto(t_lo, t_hi, where=grow)
         np.multiply(t_hi, 2.0, out=t_hi, where=grow)
         active = grow & (t_hi < _WIDTH_CAP)
@@ -388,7 +446,7 @@ def _crossing_slice(f: Expr, base: np.ndarray, step: np.ndarray,
     # _bisect going; their t is replaced below
     np.copyto(t_lo, 0.0, where=~bracketed)
     np.copyto(t_hi, 0.0, where=~bracketed)
-    t = _bisect(lambda mid: value_at(mid) < eps, t_lo, t_hi, 80)
+    t = _bisect(lambda mid: below(ray_x(mid), ray_y(mid)), t_lo, t_hi, 80)
     return np.where(inside0, np.where(bracketed, t, np.inf), 0.0)
 
 

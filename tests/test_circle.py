@@ -191,6 +191,13 @@ def test_ubiquity_covering_property():
             assert covering_check(a, 0.0, n, 3.0 / (n + 1))
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_covering_check_rejects_an_empty_orbit(n):
+    # as three_distance_partition does, not an IndexError on no gaps
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        covering_check(math.sqrt(2) - 1, 0.0, n, 0.5)
+
+
 def test_ubiquity_gaps_grow_roughly_geometric():
     ns = sk.ubiquity_sequence(math.sqrt(2) - 1, 10_000)
     # the admissible set is unbounded at this scale
@@ -239,6 +246,29 @@ def test_interval_system_width_symmetry(cusp_line):
     ratio = system.w_plus / system.w_minus
     assert np.all(ratio > 0.9) and np.all(ratio < 1.1)
     assert abs(ratio[-1] - 1.0) < 1e-2
+
+
+# w+ and w- cross along the line's normal, the halves of I_n along (+-1, 0)
+_EXTENT_PINS = {
+    1: ("0x1.6aebd80d15de2p-6", "0x1.5ef22cc795c5cp-6",
+        "0x1.c07b1b494dd20p-6", "0x1.aa712967e1d20p-6"),
+    1000: ("0x1.11d5795c495b4p-15", "0x1.11d578088c710p-15",
+           "0x1.4f606c2800000p-15", "0x1.4f6069b800000p-15"),
+    2000: ("0x1.11e6fe195f594p-16", "0x1.11e6fe082105ap-16",
+           "0x1.4f75e0e000000p-16", "0x1.4f75dfe000000p-16"),
+}
+
+
+def test_interval_system_extents_keep_their_bits(cusp_line):
+    # measured with masked bracket copies, the full ray arithmetic and
+    # sqrt at the root; every crossing must keep these bits
+    f, line = cusp_line
+    system = sk.interval_system(f, line, 0.2, 0.5, 2000)
+    for n, pins in _EXTENT_PINS.items():
+        got = tuple(float(v[n - 1]).hex() for v in (
+            system.w_plus, system.w_minus, system.half_left,
+            system.half_right))
+        assert got == pins, n
 
 
 def test_interval_system_harmonic_sums(cusp_line):

@@ -10,8 +10,8 @@ from starkit.errors import DegenerateExpr, FitFailure, IrrationalSkeleton
 from starkit.exact import Quad
 from starkit.starbody import (_SLICE_POINTS, _WIDTH_CAP, Abs, GeoMean,
                               LinearForm, LineGeometry, Max, Min, Scale,
-                              _bisect, _bisect_crossing, body_geometry,
-                              is_axis_monotone)
+                              _bisect, _bisect_crossing, _sqrt_threshold,
+                              body_geometry, is_axis_monotone)
 from starkit.measure import _arc_steps
 
 # ---------------------------------------------------------------------------
@@ -288,8 +288,11 @@ def test_width_gridscan_agreement(registered_bodies):
 
 
 def _where_loop_crossing(f, base, step, eps, iters=80):
-    """Reference: the np.where bracket-and-halve loop that _bisect_crossing
-    replaced with in-place updates; the two must agree bit for bit."""
+    """Reference: a plain np.where bracket-and-halve loop on F(base +
+    t*step) < eps, every coordinate and F in full.  _bisect_crossing grows
+    in place, stops at the fixed point, moves rays by a per-coordinate plan
+    and compares a squared threshold at a two-child GeoMean root; the two
+    must agree bit for bit."""
     x0, y0 = base[..., 0], base[..., 1]
     inside0 = f.eval_xy(x0, y0) < eps
     t_lo = np.zeros(np.shape(x0))
@@ -322,9 +325,11 @@ def test_bisect_crossing_matches_the_where_loop(registered_bodies, eps):
     rng = np.random.default_rng(8)
     scale = 10.0 ** rng.uniform(-3, 1, (399, 1))
     pts = rng.uniform(-1, 1, (399, 2)) * scale
-    # on an axis and on the sqrt2 line (unbracketed along them), and NaN
+    # on an axis and on the sqrt2 line (unbracketed along them), NaN, and
+    # -0.0 coordinates, which a zero step coordinate passes on as they are
     special = [[0.3, 0.0], [0.0, 0.7], [0.5, 0.5 * math.sqrt(2)],
-               [math.nan, 0.1], [-2.0, 0.0], [0.0, -1e-3]]
+               [math.nan, 0.1], [-2.0, 0.0], [0.0, -1e-3],
+               [-0.0, 0.4], [0.25, -0.0], [-0.0, -0.0]]
     base = np.vstack([pts, special]).reshape(-1, 3, 2)
     # more than two slices of _SLICE_POINTS, as a 3-D base, with NaN rows
     # on both sides of each slice edge
@@ -333,7 +338,8 @@ def test_bisect_crossing_matches_the_where_loop(registered_bodies, eps):
     for i in (0, 5, _SLICE_POINTS - 1, _SLICE_POINTS, 2 * _SLICE_POINTS - 1,
               2 * _SLICE_POINTS, m - 1):
         big[i, i % 2] = math.nan
-    steps = [np.array([1.0, 0.0]), np.array([0.0, -1.0]),
+    steps = [np.array([1.0, 0.0]), np.array([-1.0, 0.0]),
+             np.array([0.0, 1.0]), np.array([0.0, -1.0]),
              np.array([-0.6, 0.8])]
     kinds = set()
     for name, f in registered_bodies.items():
@@ -355,6 +361,42 @@ def test_bisect_crossing_matches_the_where_loop(registered_bodies, eps):
         assert kinds == {"outside", "unbracketed", "crossed"}
     else:   # no point lies inside a body with eps <= 0
         assert kinds == {"outside"}
+
+
+_SQUARES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072009e-308, 1e300,
+                     math.inf, math.nan]),
+    st.floats(min_value=0.0))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(ps=st.lists(_SQUARES, min_size=1, max_size=20),
+       eps=st.one_of(st.sampled_from([5e-324, 1e-310, 1e-160, 0.2, 1.0,
+                                      1.3407807929942596e154, 1e300,
+                                      math.inf]),
+                     st.floats(min_value=5e-324, max_value=1e300)))
+def test_squared_threshold_is_the_root_comparison(ps, eps):
+    # P < T(eps) holds exactly where np.sqrt(P) < eps, at T itself and the
+    # doubles beside it too, so a two-child GeoMean root may skip its sqrt
+    t = _sqrt_threshold(eps)
+    p = np.array(ps + [t, math.nextafter(t, 0.0), math.nextafter(t, math.inf)])
+    assert ((p < t) == (np.sqrt(p) < eps)).all(), (eps, t)
+
+
+def test_array_half_power_is_sqrt(multiplicative, irrational_cusp):
+    # the premise of the squared threshold: on arrays, GeoMean's ** 0.5 is
+    # np.sqrt of the children's product, byte for byte
+    rng = np.random.default_rng(25)
+    x = np.concatenate([[0.0, 5e-324, 1e-310, math.inf, math.nan],
+                        np.abs(rng.standard_normal(4000))
+                        * 10.0 ** rng.uniform(-300, 300, 4000)])
+    for v in (x, x[:1]):
+        assert (v ** 0.5).tobytes() == np.sqrt(v).tobytes()
+    x1, x2 = rng.uniform(-1, 1, (2, 4000)) * 10.0 ** rng.uniform(-3, 3, 4000)
+    for f in (multiplicative, irrational_cusp):
+        a, b = f.children
+        want = np.sqrt(a.eval_xy(x1, x2) * b.eval_xy(x1, x2))
+        assert f.eval_xy(x1, x2).tobytes() == want.tobytes()
 
 
 def _halvings(left, lo, hi, steps):
