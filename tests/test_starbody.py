@@ -363,6 +363,22 @@ def test_bisect_crossing_matches_the_where_loop(registered_bodies, eps):
         assert kinds == {"outside"}
 
 
+def test_bisect_crossing_at_an_infinite_eps_matches_the_where_loop(
+        registered_bodies):
+    # the growth then evaluates t = inf, where the ray plan reads a base
+    # coordinate and the full arithmetic inf*0 = NaN; every point inside
+    # ends unbracketed either way
+    base = np.array([[0.3, 0.0], [-0.0, 0.7], [2.0, -1.0], [math.nan, 0.1]])
+    for name, f in registered_bodies.items():
+        for step in (np.array([1.0, 0.0]), np.array([0.0, -1.0]),
+                     np.array([-0.6, 0.8])):
+            with np.errstate(invalid="ignore"):
+                got = _bisect_crossing(f, base, step, math.inf)
+                want = _where_loop_crossing(f, base, step, math.inf)
+            assert got.tobytes() == want.tobytes(), (name, step)
+            assert got[:3].tolist() == [math.inf] * 3
+
+
 _SQUARES = st.one_of(
     st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072009e-308, 1e300,
                      math.inf, math.nan]),
