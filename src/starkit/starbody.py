@@ -315,6 +315,21 @@ def extract_skeleton(f: Expr) -> SkeletonReport:
 # ---------------------------------------------------------------------------
 
 
+def _halve(left, lo: np.ndarray, hi: np.ndarray, steps: int):
+    """The halvings of ``_bisect``: (lo, hi, settled) after `steps` of them,
+    or after fewer, with settled True, once they reach their fixed point."""
+    mid, last = np.empty_like(lo), np.full_like(lo, np.nan)
+    for _ in range(steps):
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        if np.array_equal(mid, last):
+            return lo, hi, True
+        below = left(mid)
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        mid, last = last, mid
+    return lo, hi, False
+
+
 def _bisect(left, lo: np.ndarray, hi: np.ndarray, steps: int) -> np.ndarray:
     """Halve every bracket [lo, hi] `steps` times in lockstep.
 
@@ -329,16 +344,36 @@ def _bisect(left, lo: np.ndarray, hi: np.ndarray, steps: int) -> np.ndarray:
     has one end at its midpoint; if the next midpoints all equal these,
     left answers as it did, and every end is set to the value it holds.
     So that halving changes nothing, and neither does any after it.
+
+    *Where a bracket ends* (``_staircase_finish`` relies on this).  Take
+    doubles 0 <= lo < hi < 2*lo and a step: left True on the doubles of
+    [lo, s) and False on those of [s, hi], for a double s in (lo, hi].
+    Then the halvings end on (a, b) = (the double below s, s), and return
+    0.5*(a + b), if the steps left number at least ceil(log2 G) + 1, G
+    the gap of the bit patterns (int64 views) of lo and hi.
+    - The midpoint is the double nearest the exact one, mu: the sum is
+      exact below 2^-1021, where every double is a multiple of 2^-1074,
+      and its halving is exact above.  While a double lies strictly
+      between lo and hi, it is nearer to mu than the ends are, so the
+      midpoint lies strictly inside.  lo only moves to a double left of s
+      and hi to one at or right of s, so the bracket narrows to (a, b),
+      whose midpoint is a or b: left answers True at a and False at b.
+    - The count.  hi < 2*lo puts the bracket in one binade, or across a
+      power of two 2^e from a binade of spacing u into one of 2u.  All its
+      doubles are multiples of u; let v be its width in units of u, so
+      G <= v <= 2G.  Each halving lowers ceil(log2 v) by one until the
+      ends are adjacent, so there are at most ceil(log2 G) + 1 of them.
+      Within a binade the halvings bisect integers: v goes to at most
+      ceil(v/2) (or to 2*ceil(v/4) units of 2u).  Across 2^e, a midpoint
+      below 2^e rounds by at most u/2, and v goes to at most ceil(v/2)
+      again.  Above 2^e the grid is 2u.  With lo an odd number of u below
+      2^e, mu is u/2 from that grid, and v goes to ceil(v/2).  With an even
+      number, mu is on the grid, or on a tie u from it; a tie leaves
+      v/2 + 1 but needs v = 2 mod 4, and then v/2 and v/2 + 1 have the
+      same ceil(log2).
+    A bracket [0, hi] is left out: its end can take up to 1,074 halvings.
     """
-    mid, last = np.empty_like(lo), np.full_like(lo, np.nan)
-    for _ in range(steps):
-        np.add(lo, hi, out=mid)
-        mid *= 0.5
-        if np.array_equal(mid, last):
-            break
-        below = left(mid)
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        mid, last = last, mid
+    lo, hi, _ = _halve(left, lo, hi, steps)
     return 0.5 * (lo + hi)
 
 
@@ -399,36 +434,117 @@ def _below(f: Expr, eps: float):
     return lambda x, y: f.eval_xy(x, y) < eps
 
 
+def _ray(c: np.ndarray, s: float):
+    """t -> c + t*s, one coordinate of a ray, by the plan that
+    ``_crossing_slice`` fixes: c itself for s = 0, else a new array or
+    out."""
+    if s == 0:
+        return lambda t, out=None: c
+    if s == 1:
+        return lambda t, out=None: np.add(c, t, out=out)
+    if s == -1:
+        return lambda t, out=None: np.subtract(c, t, out=out)
+    return lambda t, out=None: np.add(c, np.multiply(t, s, out=out), out=out)
+
+
+def _switch(ray, c, s, lo, hi, a, b, live):
+    """Where live, the least double t in (lo, hi] with ray(t) == b, given
+    ray(lo) == a != b == ray(hi); lo elsewhere.
+
+    The ray is monotone in t, so the doubles with ray(t) == b are those
+    of [t*, hi] for some t*.  The estimate is where c + t*s crosses the
+    exact midpoint of a and b.  Each walk moves it one double at a time,
+    up until ray(t) == b, then down while the double below has it; the
+    guards t < hi and t > lo end them.  Only the ray is evaluated, not F.
+    """
+    t = ((a - c) + (b - a) * 0.5) / s
+    t = np.where(live & (t > lo), t, lo)
+    t = np.where(t < hi, t, hi)
+    while (up := live & (t < hi) & (ray(t) != b)).any():
+        t = np.where(up, (t.view(np.int64) + 1).view(np.float64), t)
+    while True:
+        prev = (t.view(np.int64) - 1).view(np.float64)
+        down = live & (prev > lo) & (ray(prev) == b)
+        if not down.any():
+            return t
+        t = np.where(down, prev, t)
+
+
+def _staircase_finish(below, plan, lo, hi, k):
+    """The ends of the halvings of ``_crossing_slice`` from halving k on,
+    computed directly: (t, rest), with t exact wherever rest is False.
+
+    A point qualifies when, at its bracket [lo, hi]:
+    - each moving ray coordinate is a staircase: its values at lo and at
+      hi are equal or adjacent doubles (int64 views at most 1 apart).
+      Rounding is monotone, so t -> fl(c + t*s) is, and every t in
+      [lo, hi] gives one of the two values, up to the sign of a zero,
+      which F does not read (``Abs._eval``).  With one moving coordinate
+      the ray point at t is lo's or hi's; with two, there is at most one
+      mixed point, (X_hi, Y_lo) or (X_lo, Y_hi), on the doubles between
+      the two coordinates' switches (``_switch``);
+    - the halving test is True at lo's ray point and False at hi's,
+      evaluated there: an end that never moved comes from the growth,
+      whose test counts NaN as inside.  So the test is a step along the
+      bracket, and its switch s is the first coordinate switch, or the
+      second where the mixed point tests True;
+    - hi < 2*lo and k + ceil(log2 G) + 1 <= 80, G the gap of the int64
+      views of lo and hi.  Then the halvings left end on the double below
+      s and s (``_bisect``), before the cap of 80.
+    Every other bracketed point is in rest and keeps halving.
+    """
+    ends = [[ray(t) for ray, _, _ in plan] for t in (lo, hi)]
+    ok = below(*ends[0]) & ~below(*ends[1]) & (hi < 2.0 * lo)
+    ok &= hi.view(np.int64) - lo.view(np.int64) <= 1 << min(79 - k, 62)
+    moving = [(ray, c, s, a, b) for (ray, c, s), a, b in zip(plan, *ends)
+              if s != 0]
+    for *_, a, b in moving:
+        d = b.view(np.int64) - a.view(np.int64)
+        ok &= (d >= -1) & (d <= 1)
+    cuts = [_switch(ray, c, s, lo, hi, a, b, ok & (a != b))
+            for ray, c, s, a, b in moving]
+    if len(cuts) == 1:
+        cut = cuts[0]
+    else:
+        (xl, yl), (xh, yh) = ends
+        x_first = cuts[0] < cuts[1]
+        mixed = below(np.where(x_first, xh, xl), np.where(x_first, yl, yh))
+        cut = np.where(mixed, np.maximum(*cuts), np.minimum(*cuts))
+    return 0.5 * ((cut.view(np.int64) - 1).view(np.float64) + cut), ~ok
+
+
 def _crossing_slice(f: Expr, base: np.ndarray, step: np.ndarray,
                     eps: float) -> np.ndarray:
     """``_bisect_crossing`` on one slice of points, base of shape (m, 2).
 
-    The ray base + t*step follows a plan fixed per call, as ``Abs`` fixes
-    its own: a step coordinate s of 0 reads the base coordinate itself,
-    one of +-1 is c + t or c - t, and any other is c + t*s.  F's values
-    are those at c + t*s, bit for bit: t*1 = t, t*(-1) = -t, and a - b is
-    a + (-b).  For finite t >= 0, t*0 is a zero and c + (+-0) = c, except
-    that -0 + +0 = +0; F reads a coordinate only through ``Abs``, which
-    clears the sign of a zero (``Abs._eval``).  The halvings evaluate t in
-    [0, t_hi]; the growth may evaluate an infinite t_hi (eps = inf), or
-    one at or past _WIDTH_CAP, but such a point ends unbracketed whatever
-    F is there.
+    The ray base + t*step follows a plan fixed per call (``_ray``), as
+    ``Abs`` fixes its own: a step coordinate s of 0 reads the base
+    coordinate itself, one of +-1 is c + t or c - t, and any other is
+    c + t*s.  F's values are those at c + t*s, bit for bit: t*1 = t,
+    t*(-1) = -t, and a - b is a + (-b).  For finite t >= 0, t*0 is a zero
+    and c + (+-0) = c, except that -0 + +0 = +0; F reads a coordinate only
+    through ``Abs``, which clears the sign of a zero (``Abs._eval``).  The
+    halvings evaluate t in [0, t_hi]; the growth may evaluate an infinite
+    t_hi (eps = inf), or one at or past _WIDTH_CAP, but such a point ends
+    unbracketed whatever F is there.
+
+    Far out on a line, c + t*s rounds at the scale of c, not of t, and the
+    ray points of a bracket's ends become equal or adjacent doubles long
+    before the halvings end.  So the halvings stop at halving k, where the
+    widest bracket times |s| falls below 2^-53 min |c| with one halving to
+    spare, about the spacing at c; ``_staircase_finish`` computes the ends
+    from there (coverage: 34 to 51 halvings each, of 69 to 76).  The
+    points it leaves keep halving to the cap, by themselves.
     """
     m = len(base)
     # contiguous, since every evaluation reads them: an add on 8,192
     # strided points took 5.5 us against 2.8 us contiguous (2-vCPU Xeon)
     x0, y0 = base[:, 0].copy(), base[:, 1].copy()
+    plan = [(_ray(c, s), c, s) for c, s in ((x0, step[0]), (y0, step[1]))]
+    out = np.empty(m), np.empty(m)
 
-    def coordinate(c, s):
-        if s == 0:
-            return lambda t: c
-        out = np.empty(m)
-        if s == 1:
-            return lambda t: np.add(c, t, out=out)
-        if s == -1:
-            return lambda t: np.subtract(c, t, out=out)
-        return lambda t: np.add(c, np.multiply(t, s, out=out), out=out)
-    ray_x, ray_y = coordinate(x0, step[0]), coordinate(y0, step[1])
+    def ray(t):
+        return [r(t, o) for (r, _, _), o in zip(plan, out)]
     below = _below(f, eps)
 
     inside0 = f.eval_xy(x0, y0) < eps
@@ -439,16 +555,31 @@ def _crossing_slice(f: Expr, base: np.ndarray, step: np.ndarray,
     for _ in range(90):
         if not np.any(active):
             break
-        grow = active & ~(f.eval_xy(ray_x(t_hi), ray_y(t_hi)) >= eps)
+        grow = active & ~(f.eval_xy(*ray(t_hi)) >= eps)
         np.copyto(t_lo, t_hi, where=grow)
         np.multiply(t_hi, 2.0, out=t_hi, where=grow)
         active = grow & (t_hi < _WIDTH_CAP)
     bracketed = inside0 & (t_hi < _WIDTH_CAP)
     # [0, 0] is fixed from the first halving, so these points never keep
-    # _bisect going; their t is replaced below
+    # the halvings going; their t is replaced below
     np.copyto(t_lo, 0.0, where=~bracketed)
     np.copyto(t_hi, 0.0, where=~bracketed)
-    t = _bisect(lambda mid: below(ray_x(mid), ray_y(mid)), t_lo, t_hi, 80)
+    width = float(np.max(t_hi - t_lo, initial=0.0))
+    near = min((float(np.min(np.abs(c), initial=math.inf)) / abs(s)
+                for _, c, s in plan if s != 0), default=0.0)
+    k = 80
+    if near > 0 and 0 < width / near < math.inf:
+        k = min(80, max(0, math.ceil(54 + math.log2(width / near))))
+    lo, hi, settled = _halve(lambda mid: below(*ray(mid)), t_lo, t_hi, k)
+    if settled or k == 80:
+        t = 0.5 * (lo + hi)
+    else:
+        t, rest = _staircase_finish(below, plan, lo, hi, k)
+        rest &= bracketed
+        if rest.any():
+            sub = [_ray(c[rest], s) for _, c, s in plan]
+            t[rest] = _bisect(lambda mid: below(*(r(mid) for r in sub)),
+                              lo[rest], hi[rest], 80 - k)
     return np.where(inside0, np.where(bracketed, t, np.inf), 0.0)
 
 

@@ -287,12 +287,15 @@ def test_width_gridscan_agreement(registered_bodies):
             assert abs(wm - gm_) <= 2e-5, name
 
 
-def _where_loop_crossing(f, base, step, eps, iters=80):
+def _where_loop_crossing(f, base, step, eps, iters=80, mixed=None):
     """Reference: a plain np.where bracket-and-halve loop on F(base +
     t*step) < eps, every coordinate and F in full.  _bisect_crossing grows
-    in place, stops at the fixed point, moves rays by a per-coordinate plan
-    and compares a squared threshold at a two-child GeoMean root; the two
-    must agree bit for bit."""
+    in place, stops at the fixed point, moves rays by a per-coordinate plan,
+    compares a squared threshold at a two-child GeoMean root, and computes
+    the last halvings' end from the ray's rounding staircase; the two must
+    agree bit for bit.  With a dict `mixed`, counts under True and False
+    the tests at midpoints whose ray point takes one coordinate from lo's
+    and the other from hi's, where both coordinates differ."""
     x0, y0 = base[..., 0], base[..., 1]
     inside0 = f.eval_xy(x0, y0) < eps
     t_lo = np.zeros(np.shape(x0))
@@ -312,8 +315,16 @@ def _where_loop_crossing(f, base, step, eps, iters=80):
     hi = np.where(bracketed, t_hi, 1.0)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        v = f.eval_xy(x0 + mid * step[0], y0 + mid * step[1])
-        below = v < eps
+        x, y = x0 + mid * step[0], y0 + mid * step[1]
+        below = f.eval_xy(x, y) < eps
+        if mixed is not None:
+            (xl, yl), (xh, yh) = ((x0 + t * step[0], y0 + t * step[1])
+                                  for t in (lo, hi))
+            cross = ((x == xl) & (y == yh)) | ((x == xh) & (y == yl))
+            cross &= bracketed & (xl != xh) & (yl != yh)
+            for side in (True, False):
+                mixed[side] = mixed.get(side, 0) + int(
+                    (cross & (below == side)).sum())
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     out = np.where(bracketed, 0.5 * (lo + hi), out)
@@ -377,6 +388,120 @@ def test_bisect_crossing_at_an_infinite_eps_matches_the_where_loop(
                 want = _where_loop_crossing(f, base, step, math.inf)
             assert got.tobytes() == want.tobytes(), (name, step)
             assert got[:3].tolist() == [math.inf] * 3
+
+
+def _far_bases(line, n):
+    """Bases on `line` at the arcs interval_system gives the crossings n
+    at y0 = 0.5: far out, where the ray coordinates round at their own
+    scale and the halvings end on the staircase."""
+    r_n = (0.5 + np.asarray(n, dtype=float)) / math.sin(
+        math.atan(line.slope_value))
+    u = line.unit_direction()
+    return np.stack([r_n * u[0], r_n * u[1]], axis=-1)
+
+
+@pytest.fixture(scope="module")
+def sqrt2_line(irrational_cusp):
+    return [h for h in sk.extract_skeleton(irrational_cusp).lines
+            if not h.rational and h.slope_value > 0][0]
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.05])
+def test_bisect_crossing_far_out_matches_the_where_loop(irrational_cusp,
+                                                        sqrt2_line, eps):
+    # the sqrt2 line at arcs 1e3 to 1e6, as interval_system builds them,
+    # along its horizontal steps (one moving coordinate) and its normals
+    # (two); the finish must give every crossing the where loop's bits
+    f, n = irrational_cusp, np.unique(np.geomspace(700, 7e5, 3000).round())
+    base = _far_bases(sqrt2_line, n)
+    normal = sqrt2_line.normal()
+    evals = []
+
+    class Counted:
+        def eval_xy(self, x1, x2):
+            evals.append(1)
+            return f.eval_xy(x1, x2)
+    for step in (np.array([1.0, 0.0]), np.array([-1.0, 0.0]), normal,
+                 -normal):
+        got = _bisect_crossing(f, base, step, eps)
+        want = _where_loop_crossing(f, base, step, eps)
+        assert np.isfinite(want).all() and (want > 0).all()
+        assert got.tobytes() == want.tobytes(), step
+        evals.clear()
+        assert _bisect_crossing(Counted(), base, step, eps).tobytes() == (
+            want.tobytes())
+        # inside0, one growth, the halvings to the staircase and the
+        # finish's two or three tests, against 80 halvings in full
+        assert len(evals) < 60, (step, len(evals))
+
+
+def test_bisect_crossing_keeps_the_cap_just_inside_the_boundary(
+        irrational_cusp, sqrt2_line):
+    # bases one double from the crossing: the halvings from [0, eps] then
+    # need about 52 more after lo first moves, and the cap of 80 stops
+    # them first; those points must keep halving, not be finished
+    f, eps = irrational_cusp, 0.2
+    base = _far_bases(sqrt2_line, np.geomspace(700, 7e4, 40).round())
+    for step in (np.array([1.0, 0.0]), sqrt2_line.normal()):
+        t = _where_loop_crossing(f, base, step, eps)
+        edge = base + t[:, None] * step
+        near = np.concatenate([np.nextafter(edge, edge + k * step)
+                               for k in (-1.0, 0.0, 1.0)])
+        near = np.concatenate([near, np.nextafter(near, -near)])
+        got = _bisect_crossing(f, near, step, eps)
+        want = _where_loop_crossing(f, near, step, eps)
+        assert got.tobytes() == want.tobytes(), step
+        capped = want != _where_loop_crossing(f, near, step, eps, iters=200)
+        assert (capped & (want > eps * 2.0 ** -60)).sum() >= 10, step
+    # close to the origin on a steep body, lo stays 0 through all 80
+    # halvings: the crossing is below eps * 2^-80, so t = eps * 2^-81
+    steep, step = Scale(2 ** 60, f), np.array([1.0, 0.0])
+    tiny = sqrt2_line.arc_point(np.linspace(1e-10, 2e-10, 50))
+    got = _bisect_crossing(steep, tiny, step, eps)
+    want = _where_loop_crossing(steep, tiny, step, eps)
+    assert got.tobytes() == want.tobytes()
+    assert (want == eps * 2.0 ** -81).sum() >= 10
+
+
+@pytest.mark.parametrize("eps", [0.2, math.nextafter(0.2, 1.0)])
+def test_bisect_crossing_with_a_nan_growth_end_matches_the_where_loop(eps):
+    # F = |x - y| reads NaN from 0.3 to 0.5.  From 0.15 to 0.2 the growth
+    # along (1, 0) passes over t = eps and brackets [eps, 2 eps] with a lo
+    # that tests False, and every midpoint tests False too.  The finish
+    # must test lo itself and leave these points halving, as the where
+    # loop does; from 0.01 to 0.05 the points cross before the NaN.  The
+    # two eps give lo an even and an odd last bit, where a finish that
+    # took lo's test as True would end below lo
+    class NanBand:
+        def eval_xy(self, x1, x2):
+            v = np.abs(x1 - x2)
+            return np.where((v > 0.3) & (v <= 0.5), np.nan, v)
+    x = np.geomspace(300.0, 3e5, 64)
+    d = np.concatenate([np.linspace(0.15, 0.2, 64, endpoint=False),
+                        np.linspace(0.01, 0.05, 64, endpoint=False)])
+    base = np.stack([np.tile(x, 2), np.tile(x, 2) - d], axis=-1)
+    step = np.array([1.0, 0.0])
+    got = _bisect_crossing(NanBand(), base, step, eps)
+    want = _where_loop_crossing(NanBand(), base, step, eps)
+    assert got.tobytes() == want.tobytes()
+    assert (np.abs(want[:64] - eps) < 1e-10).all()
+    assert ((want[64:] > 0.14) & (want[64:] <= eps)).all()
+
+
+def test_bisect_crossing_mixed_points_test_each_way(irrational_cusp,
+                                                    sqrt2_line):
+    # along a normal both ray coordinates move, so a midpoint can take x
+    # from one end and y from the other; over these bases such points
+    # test True and False, and the finish must decide them by F
+    f = irrational_cusp
+    base = _far_bases(sqrt2_line, np.unique(np.geomspace(1e3, 1e6, 2000)
+                                            .round()))
+    for step in (sqrt2_line.normal(), -sqrt2_line.normal()):
+        mixed = {}
+        want = _where_loop_crossing(f, base, step, 0.2, mixed=mixed)
+        assert mixed[True] > 0 and mixed[False] > 0, mixed
+        got = _bisect_crossing(f, base, step, 0.2)
+        assert got.tobytes() == want.tobytes()
 
 
 _SQUARES = st.one_of(
