@@ -533,8 +533,9 @@ def _crossing_slice(f: Expr, base: np.ndarray, step: np.ndarray,
     before the halvings end.  So the halvings stop at halving k, where the
     widest bracket times |s| falls below 2^-53 min |c| with one halving to
     spare, about the spacing at c; ``_staircase_finish`` computes the ends
-    from there (coverage: 34 to 51 halvings each, of 69 to 76).  The
-    points it leaves keep halving to the cap, by themselves.
+    from there.  perfbench's coverage slices stop at halving 36 to 53 of
+    the 69 to 76 they ran before.  The points the finish leaves keep
+    halving to the cap, by themselves.
     """
     m = len(base)
     # contiguous, since every evaluation reads them: an add on 8,192
