@@ -9,7 +9,8 @@ adaptive quadrature or stratified Monte Carlo.  The periodized quadrature
 (``_periodized_quadrature``) is an adaptive Simpson rule over x2 of the
 section lengths in x1, walked one level of its tree at a time: the new
 midpoints of a level are one ``_section_length`` call, which bisects the
-hit/miss edges of all their sections in one lockstep.
+hit/miss edges of all their sections together, _SECTION_DEPTH halvings
+per ``hits`` call.
 
 ``resonant_membership`` decides x in B_q(F, eps) by minimizing
 F(x - p/q) over a candidate lattice set: a central box around round(q*x)
@@ -375,15 +376,18 @@ class _Kernel:
 
     # -- vectorized hit decisions -------------------------------------------
 
-    def hits(self, xs: np.ndarray, q, eps) -> np.ndarray:
+    def hits(self, xs: np.ndarray, q, eps, check: bool = True) -> np.ndarray:
         """Whether F(q*x - p) < q*eps for some allowed p, for the points xs
         of shape (m, 2): shape (m, B) for arrays of B values of q and eps,
         column j for q[j] and eps[j], and shape (m,) for a scalar q and eps
         (a batch of one).  The decisions fill one q-major (B, m) array, a
         slice of at most _HIT_CELLS (q, point) cells at a time (one point
         per slice when there are more q values than that), and come back
-        as its transpose."""
-        xs = as_point(xs).reshape(-1, 2)
+        as its transpose.  check=False skips the validation of xs, which
+        must then be a finite float array of shape (m, 2) (``any_hit``
+        passes the chunk it has validated)."""
+        if check:
+            xs = as_point(xs).reshape(-1, 2)
         qs = np.atleast_1d(q)
         tau = qs * eps
         out = np.empty((len(qs), len(xs)), dtype=bool)
@@ -426,8 +430,8 @@ class _Kernel:
         q deciding as in ``hits`` with eps[q - q0]: shape (m,).
 
         The points meet _Q_BATCH values of q at a time, one ``hits`` call
-        per batch, and a point leaves at its first hit.  After the first
-        batch the call may switch paths.  On an unrestricted axis-monotone
+        per batch on the points validated here, and a point leaves at its
+        first hit.  After the first batch the call may switch paths.  On an unrestricted axis-monotone
         body with a bound F(z) >= B(z) ~ c*|z_k| (``_axis_bound``), a hit
         needs |wrap(q*x_k)| < delta, where delta comes from the largest
         q*eps left (``_axis_radius``).  The q that pass are the points of a
@@ -449,7 +453,7 @@ class _Kernel:
             if idx.size == 0:
                 break
             h = self.hits(xs[idx], qs[lo:lo + _Q_BATCH],
-                          eps[lo:lo + _Q_BATCH])
+                          eps[lo:lo + _Q_BATCH], False)
             alive[idx[h.any(axis=1)]] = False
             if lo or rest <= 0 or not self.axis_bound:
                 continue
@@ -1094,6 +1098,13 @@ def _bounded_area_unit(f: Expr) -> float:
 
 
 _SECTION_GRID = 1024   # x1 cells scanned before each section edge is bisected
+# halvings of the section edges per ``hits`` call (``_bisect``'s depth): a
+# call of a few hundred points costs mostly its fixed part, so
+# ``density(..., method="quadrature")`` on the sheared body took 96, 79,
+# 73, 72, 77 and 91 ms of CPU at depths 1 to 6 at eps = 0.375, and 631,
+# 451, 423 and 446 ms at depths 1, 3, 4 and 5 at eps = 0.15 (in-process,
+# 2-vCPU Xeon, medians of 9 alternating runs)
+_SECTION_DEPTH = 4
 _QUAD_TOL = 1e-7       # adaptive Simpson tolerance of the periodized quadrature
 
 
@@ -1106,9 +1117,13 @@ def _section_length(kern: _Kernel, eps: float, x2) -> np.ndarray:
     the CPU of ``density(..., method="quadrature")`` on the sheared body
     at eps = 0.375 (fresh interpreters, 2-vCPU VM, 6 alternating runs
     each), with the same value, but raised ru_maxrss from 37.5 to 38.5
-    MB.  Then one lockstep ``_bisect`` refines every hit/miss edge of
-    every section, 40 ``hits`` calls for the whole batch, each edge's row
-    carrying the x2 of its section.  A row's candidates, its own lattice
+    MB.  Then one ``_bisect`` refines every hit/miss edge of every
+    section with 40 halvings, _SECTION_DEPTH of them per ``hits`` call:
+    ceil(40 / _SECTION_DEPTH) calls for the whole batch, each on
+    2^_SECTION_DEPTH - 1 subtree nodes per edge (fewer in a last call of
+    fewer levels), each node's row carrying the x2 of its section.  The
+    halvings and their midpoints are those of one halving per call, so
+    the depth does not change a bit.  A row's candidates, its own lattice
     lines in ``_rational_tube`` included, do not depend on the rows beside
     it, so a batch's lengths equal those of batches of one, bit for bit.
     """
@@ -1119,13 +1134,19 @@ def _section_length(kern: _Kernel, eps: float, x2) -> np.ndarray:
     sec, edges = np.nonzero(h[:, :-1] != h[:, 1:])
     cross = x1[edges]
     if len(edges):
-        h_left = h[sec, edges]
-        mid_pts = np.column_stack([cross, x2[sec]])  # column 0 is set per step
+        # one row per subtree node of each edge, node-major as _bisect
+        # lays out its midpoints; a call of fewer levels takes a prefix
+        nodes = 2 ** _SECTION_DEPTH - 1
+        h_left = np.tile(h[sec, edges], nodes)
+        mid_pts = np.column_stack([np.tile(cross, nodes),
+                                   np.tile(x2[sec], nodes)])
 
         def same_as_left(mid):
-            mid_pts[:, 0] = mid
-            return kern.hits(mid_pts, 1, eps) == h_left
-        cross = _bisect(same_as_left, cross, x1[edges + 1], 40)
+            pts = mid_pts[:len(mid)]
+            pts[:, 0] = mid     # column 0 is set per call
+            return kern.hits(pts, 1, eps) == h_left[:len(mid)]
+        cross = _bisect(same_as_left, cross, x1[edges + 1], 40,
+                        _SECTION_DEPTH)
     # sum each section's runs of True cells between its refined boundaries
     ends = iter(cross.tolist())
     out = np.empty(len(x2))

@@ -1317,6 +1317,36 @@ def test_level_walk_is_the_depth_first_recursion(body, eps, monkeypatch):
     assert sorted(evaluated) == sorted(want_x2)
 
 
+@pytest.mark.parametrize("body, eps, pinned", [
+    (SHEARED, 0.375, "0x1.c5b4729cbb526p-1"),
+    (SHEARED, 0.15, "0x1.3a138660223e2p-2"),
+    ("multiplicative", 0.1, "0x1.599c3d386b2c2p-3"),
+    ("union_jack", 0.3, "0x1.f9e97deef75f8p-1"),
+], ids=["sheared-0.375", "sheared-0.15", "multiplicative", "union_jack"])
+def test_periodized_quadrature_keeps_its_bits(registered_bodies, body, eps,
+                                              pinned):
+    # measured while the section edges were halved one at a time per
+    # ``hits`` call; the first is perfbench's quadrature value
+    f = registered_bodies.get(body) or sk.parse_distance_function(body)
+    assert measure._periodized_quadrature(f, eps).hex() == pinned
+
+
+def test_section_length_makes_the_pinned_hits_calls(monkeypatch):
+    # one grid scan per section, then the bisection of the batch's 6 edges:
+    # 40 calls of 6 points when each call served one halving, now
+    # ceil(40 / 4) calls of the 15 nodes of each edge's 4-level subtree
+    made = []
+    hits = measure._Kernel.hits
+
+    def counted(self, *args):
+        made.append(len(args[0]))
+        return hits(self, *args)
+    monkeypatch.setattr(measure._Kernel, "hits", counted)
+    kern = _Kernel(sk.parse_distance_function(SHEARED))
+    measure._section_length(kern, 0.375, _SECTION_X2)
+    assert made == [1025] * 7 + [15 * 6] * 10
+
+
 def test_quadrature_budget_exhaustion(multiplicative):
     from starkit.errors import NonConvergent
     from starkit.measure import _periodized_quadrature

@@ -10,8 +10,9 @@ from starkit.errors import DegenerateExpr, FitFailure, IrrationalSkeleton
 from starkit.exact import Quad
 from starkit.starbody import (_SLICE_POINTS, _WIDTH_CAP, Abs, GeoMean,
                               LinearForm, LineGeometry, Max, Min, Scale,
-                              _bisect, _bisect_crossing, _sqrt_threshold,
-                              body_geometry, is_axis_monotone)
+                              _bisect, _bisect_crossing, _halve,
+                              _sqrt_threshold, body_geometry,
+                              is_axis_monotone)
 from starkit.measure import _arc_steps
 
 # ---------------------------------------------------------------------------
@@ -558,17 +559,27 @@ def test_bisect_stops_at_its_fixed_point(multiplicative):
 
     def left(mid):
         calls.append(mid.copy())
-        return mid < edge
+        return np.tile(edge, len(mid) // 6) > mid
     want = _halvings(left, np.zeros(6), np.ones(6), 80)
     calls.clear()
     got = _bisect(left, np.zeros(6), np.ones(6), 80)
     assert got.tobytes() == want.tobytes()
     assert 50 < len(calls) < 80
     assert not np.array_equal(calls[-1], calls[-2])
+    halvings = len(calls)
+    # depth d: one call per d halvings, ceil(halvings / d) calls in all,
+    # whether the fixed point falls on a call's first level or a later one
+    for depth in range(2, 6):
+        calls.clear()
+        got = _bisect(left, np.zeros(6), np.ones(6), 80, depth)
+        assert got.tobytes() == want.tobytes()
+        assert len(calls) == -(-halvings // depth) < -(-80 // depth)
     # a NaN bracket never settles, so every halving runs
-    calls.clear()
-    _bisect(left, np.where(edge == 0.5, np.nan, 0.0), np.ones(6), 80)
-    assert len(calls) == 80
+    for depth in range(1, 6):
+        calls.clear()
+        _bisect(left, np.where(edge == 0.5, np.nan, 0.0), np.ones(6), 80,
+                depth)
+        assert len(calls) == -(-80 // depth)
     # points outside the body get the bracket [0, 0], fixed at once: one
     # evaluation decides them, one halving of their slice follows
     evals = []
@@ -581,6 +592,73 @@ def test_bisect_stops_at_its_fixed_point(multiplicative):
     out = _bisect_crossing(Counted(), np.full((40, 2), 0.5),
                            np.array([1.0, 0.0]), 0.1)
     assert not out.any() and len(evals) == 2
+
+
+def _bit_hash(mid):
+    """A non-monotone left: one bit of a hash of each midpoint's bits."""
+    u = mid.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    return (u >> np.uint64(63)).astype(bool)
+
+
+def _halving_cases():
+    rng = np.random.default_rng(27)
+    lo = rng.uniform(0.0, 1.0, 40)
+    hi = lo + rng.uniform(0.0, 1.0, 40) * 2.0 ** -rng.integers(0, 50, 40)
+    lo[:8] = 0.0                     # [0, hi] brackets
+    lo[8:10] = np.nan                # NaN brackets
+    hi[10:12] = np.nan
+    edge = rng.uniform(0.0, 2.0, 40)
+    edge[:4] = 1e-300                # far below hi: never settles in 80
+    return {
+        "monotone": (lambda mid: np.tile(edge, len(mid) // 40) > mid,
+                     lo, hi),
+        "bits": (_bit_hash, lo, hi),
+        "settling": (lambda mid: np.tile(edge[12:], len(mid) // 28) > mid,
+                     lo[12:], hi[12:]),
+        "bits-settling": (_bit_hash, lo[12:], hi[12:]),
+    }
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("steps", [1, 7, 40, 55, 80])
+@pytest.mark.parametrize("case", ["monotone", "bits", "settling",
+                                  "bits-settling"])
+def test_halving_depth_is_the_one_at_a_time_halvings(case, steps, depth):
+    # the walk through each call's subtrees takes the path of one halving
+    # at a time: the same ends, bit for bit, the same fixed point, and left
+    # sees those halvings' midpoints as node 0 of its calls.  The settling
+    # cases reach their fixed point at halving 54, inside the last call of
+    # 55 steps at depths 4 and 5, and at a call's first level at 2 and 3
+    left, lo, hi = _halving_cases()[case]
+    n = len(lo)
+    seen = {1: [], depth: []}
+
+    def recorded(d):
+        def call(mid):
+            assert len(mid) in [(2 ** k - 1) * n for k in range(1, d + 1)]
+            seen[d].append(mid[:n].copy())
+            return left(mid)
+        return call
+    want = _halvings(left, lo, hi, steps)
+    one = _halve(recorded(1), lo.copy(), hi.copy(), steps)
+    got = _halve(recorded(depth), lo.copy(), hi.copy(), steps, depth)
+    assert (0.5 * (one[0] + one[1])).tobytes() == want.tobytes()
+    assert got[0].tobytes() == one[0].tobytes()
+    assert got[1].tobytes() == one[1].tobytes()
+    assert got[2] == one[2]
+    assert len(seen[depth]) == -(-len(seen[1]) // depth)
+    for i, mid in enumerate(seen[depth]):
+        assert mid.tobytes() == seen[1][i * depth].tobytes()
+    assert _bisect(left, lo, hi, steps, depth).tobytes() == want.tobytes()
+
+
+def test_halving_cases_cover_both_ends():
+    # some cases above stop at a fixed point within 80 halvings, the others
+    # run out of steps
+    settled = {case: _halve(left, lo, hi, 80)[2]
+               for case, (left, lo, hi) in _halving_cases().items()}
+    assert settled == {"monotone": False, "bits": False, "settling": True,
+                       "bits-settling": True}
 
 
 def test_significance_multiplicative_axis(multiplicative):
