@@ -631,24 +631,24 @@ def test_halving_depth_is_the_one_at_a_time_halvings(case, steps, depth):
     # 55 steps at depths 4 and 5, and at a call's first level at 2 and 3
     left, lo, hi = _halving_cases()[case]
     n = len(lo)
-    seen = {1: [], depth: []}
 
-    def recorded(d):
+    def recorded(seen, d):
         def call(mid):
             assert len(mid) in [(2 ** k - 1) * n for k in range(1, d + 1)]
-            seen[d].append(mid[:n].copy())
+            seen.append(mid[:n].copy())
             return left(mid)
         return call
+    seen_one, seen = [], []
     want = _halvings(left, lo, hi, steps)
-    one = _halve(recorded(1), lo.copy(), hi.copy(), steps)
-    got = _halve(recorded(depth), lo.copy(), hi.copy(), steps, depth)
+    one = _halve(recorded(seen_one, 1), lo.copy(), hi.copy(), steps)
+    got = _halve(recorded(seen, depth), lo.copy(), hi.copy(), steps, depth)
     assert (0.5 * (one[0] + one[1])).tobytes() == want.tobytes()
     assert got[0].tobytes() == one[0].tobytes()
     assert got[1].tobytes() == one[1].tobytes()
     assert got[2] == one[2]
-    assert len(seen[depth]) == -(-len(seen[1]) // depth)
-    for i, mid in enumerate(seen[depth]):
-        assert mid.tobytes() == seen[1][i * depth].tobytes()
+    assert len(seen) == -(-len(seen_one) // depth)
+    for i, mid in enumerate(seen):
+        assert mid.tobytes() == seen_one[i * depth].tobytes()
     assert _bisect(left, lo, hi, steps, depth).tobytes() == want.tobytes()
 
 
