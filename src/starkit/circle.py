@@ -98,6 +98,10 @@ class GapPartition:
 
 
 def _orbit(alpha_inv: float, x0: float, n: int) -> np.ndarray:
+    """The points {x0 + k*alpha_inv}, k = 1..n, unsorted; ValueError for a
+    NaN or infinite alpha_inv or x0, whose points would all be NaN."""
+    if not (math.isfinite(alpha_inv) and math.isfinite(x0)):
+        raise ValueError("alpha_inv and x0 must be finite")
     ks = np.arange(1, n + 1, dtype=float)
     return np.mod(x0 + ks * alpha_inv, 1.0)
 
@@ -111,6 +115,15 @@ def _merge_close(values: np.ndarray, tol: float) -> tuple[float, ...]:
     return tuple(float(v) for v in out)
 
 
+def _sorted_orbit(alpha_inv, x0, n: int):
+    """The first N orbit points sorted in [0, 1), and the circular gap
+    after each."""
+    if n < 1:
+        raise ValueError("N must be >= 1")
+    pts = np.sort(_orbit(float(alpha_inv), float(x0), n))
+    return pts, np.diff(pts, append=pts[0] + 1.0)
+
+
 _GAP_MERGE_TOL = 1e-9   # gaps closer than this count as one distinct gap
 
 
@@ -119,10 +132,7 @@ def three_distance_partition(alpha_inv, x0: float = 0.0,
     """Points {x0 + k/alpha}, k = 1..N, their circular gaps and the distinct
     gap values, merged within _GAP_MERGE_TOL (at most three by the Three
     Distances Theorem)."""
-    if n < 1:
-        raise ValueError("N must be >= 1")
-    pts = np.sort(_orbit(float(alpha_inv), float(x0), n))
-    gaps = np.diff(pts, append=pts[0] + 1.0)
+    pts, gaps = _sorted_orbit(alpha_inv, x0, n)
     return GapPartition(n=n, points=tuple(pts), gaps=tuple(gaps),
                         distinct_gaps=_merge_close(gaps, _GAP_MERGE_TOL))
 
@@ -185,11 +195,7 @@ def ubiquity_sequence(alpha_inv, n_max: int) -> list[int]:
 def covering_check(alpha_inv, x0: float, n: int, radius: float) -> bool:
     """Exact check that intervals of the given radius around the first N
     orbit points cover the circle."""
-    if n < 1:
-        raise ValueError("N must be >= 1")
-    pts = np.sort(_orbit(float(alpha_inv), float(x0), n))
-    gaps = np.diff(pts, append=pts[0] + 1.0)
-    return bool(np.max(gaps) <= 2.0 * radius)
+    return bool(np.max(_sorted_orbit(alpha_inv, x0, n)[1]) <= 2.0 * radius)
 
 
 def generalized_ubiquity_lambda(system: "IntervalSystem",

@@ -9,8 +9,8 @@ adaptive quadrature or stratified Monte Carlo.  The periodized quadrature
 (``_periodized_quadrature``) is an adaptive Simpson rule over x2 of the
 section lengths in x1, walked one level of its tree at a time: the new
 midpoints of a level are one ``_section_length`` call, which bisects the
-hit/miss edges of all their sections together, _SECTION_DEPTH halvings
-per ``hits`` call.
+hit/miss edges of all their sections together, as an exact search over
+the multiples of 2^-50, _SECTION_DEPTH halvings per ``hits`` call.
 
 ``resonant_membership`` decides x in B_q(F, eps) by minimizing
 F(x - p/q) over a candidate lattice set: a central box around round(q*x)
@@ -63,7 +63,7 @@ from .errors import (IrrationalSkeleton, NonConvergent, SkeletonMismatch,
                      StarkitError)
 from .sampling import indicator_estimate
 from .starbody import (Abs, Expr, GeoMean, HalfLine, Max, Min, Scale,
-                       LineGeometry, _SLICE_POINTS, _bisect, as_point,
+                       LineGeometry, _SLICE_POINTS, as_point,
                        body_geometry, extract_skeleton, fundamental_rectangle)
 
 # ---------------------------------------------------------------------------
@@ -1098,12 +1098,13 @@ def _bounded_area_unit(f: Expr) -> float:
 
 
 _SECTION_GRID = 1024   # x1 cells scanned before each section edge is bisected
-# halvings of the section edges per ``hits`` call (``_bisect``'s depth): a
-# call of a few hundred points costs mostly its fixed part, so
-# ``density(..., method="quadrature")`` on the sheared body took 96, 79,
-# 73, 72, 77 and 91 ms of CPU at depths 1 to 6 at eps = 0.375, and 631,
-# 451, 423 and 446 ms at depths 1, 3, 4 and 5 at eps = 0.15 (in-process,
-# 2-vCPU Xeon, medians of 9 alternating runs)
+# halvings of the section edges per ``hits`` call: a call of a few hundred
+# points costs mostly its fixed part, so ``density(..., method=
+# "quadrature")`` on the sheared body took 96, 79, 73, 72, 77 and 91 ms of
+# CPU at 1 to 6 halvings per call at eps = 0.375, and 631, 451, 423 and
+# 446 ms at 1, 3, 4 and 5 at eps = 0.15 (in-process, 2-vCPU Xeon, medians
+# of 9 alternating runs).  Every point the search tests is exact whatever
+# the depth (``_section_length``)
 _SECTION_DEPTH = 4
 _QUAD_TOL = 1e-7       # adaptive Simpson tolerance of the periodized quadrature
 
@@ -1117,15 +1118,24 @@ def _section_length(kern: _Kernel, eps: float, x2) -> np.ndarray:
     the CPU of ``density(..., method="quadrature")`` on the sheared body
     at eps = 0.375 (fresh interpreters, 2-vCPU VM, 6 alternating runs
     each), with the same value, but raised ru_maxrss from 37.5 to 38.5
-    MB.  Then one ``_bisect`` refines every hit/miss edge of every
-    section with 40 halvings, _SECTION_DEPTH of them per ``hits`` call:
-    ceil(40 / _SECTION_DEPTH) calls for the whole batch, each on
-    2^_SECTION_DEPTH - 1 subtree nodes per edge (fewer in a last call of
-    fewer levels), each node's row carrying the x2 of its section.  The
-    halvings and their midpoints are those of one halving per call, so
-    the depth does not change a bit.  A row's candidates, its own lattice
-    lines in ``_rational_tube`` included, do not depend on the rows beside
-    it, so a batch's lengths equal those of batches of one, bit for bit.
+    MB.  Then every hit/miss edge [x1[e], x1[e] + 2^-10] of every section
+    is bisected 40 times, as a search over integers.  The grid points
+    are exact (i * 2^-10), and with r halvings left an edge's bracket is
+    [lo, lo + 2^r u], u = 2^-50, lo = x1[e] + k*u for an integer
+    k < 2^40.  Such numbers are multiples of 2^-51 in [0, 1], exact
+    doubles since the grid has 2^10 <= 2^(53-41) cells, so each halving's
+    midpoint is exact and strictly inside: the search is the halvings of
+    ``starbody._bisect`` on [x1[e], x1[e + 1]], the same midpoints, the
+    same answers and no fixed point, and its crossing, x1[e] + (2k + 1)
+    * u/2, is that bisection's, bit for bit.  One ``hits`` call serves
+    _SECTION_DEPTH halvings of the whole batch: with r halvings left and
+    d of them in the call, it tests the points x1[e] + (k + j*2^(r-d)) * u
+    for j = 1 .. 2^d - 1 of every edge, each row carrying the x2 of its
+    section, and a d-level descent over j moves k as the d halvings do,
+    whether or not the answers are monotone in x1.  A row's candidates,
+    its own lattice lines in ``_rational_tube`` included, do not depend on
+    the rows beside it, so a batch's lengths equal those of batches of
+    one, bit for bit.
     """
     x2 = np.asarray(x2, dtype=float)
     x1 = np.linspace(0.0, 1.0, _SECTION_GRID + 1)
@@ -1134,19 +1144,21 @@ def _section_length(kern: _Kernel, eps: float, x2) -> np.ndarray:
     sec, edges = np.nonzero(h[:, :-1] != h[:, 1:])
     cross = x1[edges]
     if len(edges):
-        # one row per subtree node of each edge, node-major as _bisect
-        # lays out its midpoints; a call of fewer levels takes a prefix
-        nodes = 2 ** _SECTION_DEPTH - 1
-        h_left = np.tile(h[sec, edges], nodes)
-        mid_pts = np.column_stack([np.tile(cross, nodes),
-                                   np.tile(x2[sec], nodes)])
-
-        def same_as_left(mid):
-            pts = mid_pts[:len(mid)]
-            pts[:, 0] = mid     # column 0 is set per call
-            return kern.hits(pts, 1, eps) == h_left[:len(mid)]
-        cross = _bisect(same_as_left, cross, x1[edges + 1], 40,
-                        _SECTION_DEPTH)
+        h_left, rows = h[sec, edges][:, None], np.arange(len(edges))
+        k = np.zeros(len(edges))    # integers, exact as floats
+        for r in range(40, 0, -_SECTION_DEPTH):
+            d = min(_SECTION_DEPTH, r)
+            offsets = np.arange(1.0, 2 ** d) * 2.0 ** (r - d)
+            pts = np.empty((len(edges), len(offsets), 2))
+            pts[..., 0] = cross[:, None] + (k[:, None] + offsets) * 2.0 ** -50
+            pts[..., 1] = x2[sec, None]
+            same = kern.hits(pts.reshape(-1, 2), 1, eps).reshape(
+                len(edges), -1) == h_left
+            j = np.zeros(len(edges), dtype=np.intp)
+            for half in 2 ** np.arange(d - 1, -1, -1):
+                j += half * same[rows, j + half - 1]
+            k += j * 2.0 ** (r - d)
+        cross = cross + (2.0 * k + 1.0) * 2.0 ** -51
     # sum each section's runs of True cells between its refined boundaries
     ends = iter(cross.tolist())
     out = np.empty(len(x2))

@@ -315,57 +315,15 @@ def extract_skeleton(f: Expr) -> SkeletonReport:
 # ---------------------------------------------------------------------------
 
 
-def _halve(left, lo: np.ndarray, hi: np.ndarray, steps: int, depth: int = 1):
-    """The halvings of ``_bisect``: (lo, hi, settled) after `steps` of them,
-    or after fewer, with settled True, once they reach their fixed point.
-
-    One call of left tests the next `depth` halvings (fewer at the end):
-    the midpoints of every bracket's subtree, computed as those halvings
-    compute them, after which the walk takes each bracket's path."""
-    mid, last = np.empty_like(lo), np.full_like(lo, np.nan)
-    for done in range(0, steps, depth):
-        np.add(lo, hi, out=mid)
-        mid *= 0.5
-        if np.array_equal(mid, last):
-            return lo, hi, True
-        levels = min(depth, steps - done)
-        if levels == 1:
-            below = left(mid)
-            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-            mid, last = last, mid
-            continue
-        # level l of a subtree: its 2^l brackets are the adjacent pairs of
-        # 2^l + 1 ends; node j (level order, node 0 the bracket's midpoint)
-        # has children 2j + 1, where left is False, and 2j + 2
-        ends, tree = np.stack([lo, hi]), []
-        for _ in range(levels):
-            tree.append((ends[:-1] + ends[1:]) * 0.5)
-            both = np.empty((2 * len(ends) - 1, len(lo)))
-            both[::2], both[1::2] = ends, tree[-1]
-            ends = both
-        tree = np.concatenate(tree)
-        below = left(tree.reshape(-1)).reshape(tree.shape)
-        node, cols = np.zeros(len(lo), dtype=np.intp), np.arange(len(lo))
-        for level in range(levels):
-            m = tree[node, cols]
-            if level and np.array_equal(m, last):
-                return lo, hi, True
-            go = below[node, cols]
-            lo, hi = np.where(go, m, lo), np.where(go, hi, m)
-            node = 2 * node + 1 + go
-            last = m
-    return lo, hi, False
-
-
-def _bisect(left, lo: np.ndarray, hi: np.ndarray, steps: int,
-            depth: int = 1) -> np.ndarray:
-    """Halve every bracket [lo, hi] `steps` times in lockstep.
+def _bisect(left, lo: np.ndarray, hi: np.ndarray, steps: int):
+    """Halve every bracket [lo, hi] `steps` times in lockstep: (lo, hi,
+    settled) after them, or after fewer, with settled True, once they reach
+    their fixed point.
 
     left(mid) is True where the boundary lies above mid: lo moves up to mid
-    there, hi down to mid elsewhere.  Returns the final midpoints; lo and
-    hi are not written.  left must depend on the values of mid alone (and
-    on each element's bracket, below), and copy what it keeps of it: the
-    midpoints alternate between two buffers.
+    there, hi down to mid elsewhere; the arrays passed in are not written.
+    left must depend on the values of mid alone, and copy what it keeps of
+    it: the midpoints alternate between two buffers.
     The ends move by selection, ``np.where``, which picks the same
     elements as masked copies into lo and hi: 16 us for the pair on 8,192
     points with a random mask, against 89 us for the copies (2-vCPU Xeon).
@@ -374,30 +332,12 @@ def _bisect(left, lo: np.ndarray, hi: np.ndarray, steps: int,
     left answers as it did, and every end is set to the value it holds.
     So that halving changes nothing, and neither does any after it.
 
-    *Depth.*  One call of left serves `depth` halvings (the last call the
-    halvings left, if fewer).  With n brackets and k levels it gets
-    (2^k - 1)*n midpoints, node-major: element j*n + i is node j of
-    bracket i's subtree, in level order, so the first 2^l - 1 nodes are
-    levels 0 .. l-1 and a call of fewer levels gets a prefix of the
-    layout.  Its answer there may depend on the bracket, i, but otherwise
-    on the element's value alone.  Node 0 is (lo + hi)*0.5; a node's
-    children are the midpoints of its bracket's halves, (lo + mid)*0.5
-    where left says False and (mid + hi)*0.5 where it says True, the ends
-    and sum that one halving forms.  The walk then reads left's answer at
-    each bracket's node, moves the ends by it and goes to that child,
-    level by level, and checks the fixed point before each level as one
-    halving does.  So left answers at the midpoints of one-at-a-time
-    halvings, every (lo, hi) along the way keeps its bits whether or not
-    left is monotone, and the end pair below holds at every depth; the
-    other nodes' answers are not read.  At depth 1 left gets the n
-    midpoints, in one of the two buffers.
-
     *Where a bracket ends* (``_staircase_finish`` relies on this).  Take
     doubles 0 <= lo < hi < 2*lo and a step: left True on the doubles of
     [lo, s) and False on those of [s, hi], for a double s in (lo, hi].
-    Then the halvings end on (a, b) = (the double below s, s), and return
-    0.5*(a + b), if the steps left number at least ceil(log2 G) + 1, G
-    the gap of the bit patterns (int64 views) of lo and hi.
+    Then the halvings end on (a, b) = (the double below s, s), if the
+    steps left number at least ceil(log2 G) + 1, G the gap of the bit
+    patterns (int64 views) of lo and hi.
     - The midpoint is the double nearest the exact one, mu: the sum is
       exact below 2^-1021, where every double is a multiple of 2^-1074,
       and its halving is exact above.  While a double lies strictly
@@ -420,8 +360,16 @@ def _bisect(left, lo: np.ndarray, hi: np.ndarray, steps: int,
       same ceil(log2).
     A bracket [0, hi] is left out: its end can take up to 1,074 halvings.
     """
-    lo, hi, _ = _halve(left, lo, hi, steps, depth)
-    return 0.5 * (lo + hi)
+    mid, last = np.empty_like(lo), np.full_like(lo, np.nan)
+    for _ in range(steps):
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        if np.array_equal(mid, last):
+            return lo, hi, True
+        below = left(mid)
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        mid, last = last, mid
+    return lo, hi, False
 
 
 def _bisect_crossing(f: Expr, base: np.ndarray, step: np.ndarray,
@@ -537,7 +485,8 @@ def _staircase_finish(below, plan, lo, hi, k):
       second where the mixed point tests True;
     - hi < 2*lo and k + ceil(log2 G) + 1 <= 80, G the gap of the int64
       views of lo and hi.  Then the halvings left end on the double below
-      s and s (``_bisect``), before the cap of 80.
+      s and s (``_bisect``), before the cap of 80, and t is their midpoint,
+      as ``_crossing_slice`` forms it from the ends.
     Every other bracketed point is in rest and keeps halving.
     """
     ends = [[ray(t) for ray, _, _ in plan] for t in (lo, hi)]
@@ -582,7 +531,8 @@ def _crossing_slice(f: Expr, base: np.ndarray, step: np.ndarray,
     spare, about the spacing at c; ``_staircase_finish`` computes the ends
     from there.  perfbench's coverage slices stop at halving 36 to 53 of
     the 69 to 76 they ran before.  The points the finish leaves keep
-    halving to the cap, by themselves.
+    halving to the cap, by themselves.  t is the midpoint of each point's
+    final ends, formed here from the (lo, hi) that ``_bisect`` returns.
     """
     m = len(base)
     # contiguous, since every evaluation reads them: an add on 8,192
@@ -618,7 +568,7 @@ def _crossing_slice(f: Expr, base: np.ndarray, step: np.ndarray,
     k = 80
     if near > 0 and 0 < width / near < math.inf:
         k = min(80, max(0, math.ceil(54 + math.log2(width / near))))
-    lo, hi, settled = _halve(lambda mid: below(*ray(mid)), t_lo, t_hi, k)
+    lo, hi, settled = _bisect(lambda mid: below(*ray(mid)), t_lo, t_hi, k)
     if settled or k == 80:
         t = 0.5 * (lo + hi)
     else:
@@ -626,8 +576,9 @@ def _crossing_slice(f: Expr, base: np.ndarray, step: np.ndarray,
         rest &= bracketed
         if rest.any():
             sub = [_ray(c[rest], s) for _, c, s in plan]
-            t[rest] = _bisect(lambda mid: below(*(r(mid) for r in sub)),
+            a, b, _ = _bisect(lambda mid: below(*(r(mid) for r in sub)),
                               lo[rest], hi[rest], 80 - k)
+            t[rest] = 0.5 * (a + b)
     return np.where(inside0, np.where(bracketed, t, np.inf), 0.0)
 
 

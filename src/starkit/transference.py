@@ -121,8 +121,10 @@ class TransferParams:
     n: int
 
     def __post_init__(self):
-        if self.lam <= 0 or self.mu <= 0 or self.n < 1:
-            raise ValueError("lambda, mu must be positive and n >= 1")
+        if not (0 < self.lam < math.inf and 0 < self.mu < math.inf
+                and self.n >= 1):
+            raise ValueError("lambda, mu must be positive and finite and "
+                             "n >= 1")
 
     @property
     def p_bound(self) -> float:
@@ -159,9 +161,11 @@ def find_nu(x: Sequence[float], lam: float) -> Optional[NuVector]:
     reciprocal); zero coordinates share the value that restores prod = 1.
     Returns None exactly when the geometric mean exceeds lam.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("lambda must be positive and finite")
     xs = [abs(float(v)) for v in x]
+    if not all(map(math.isfinite, xs)):
+        raise ValueError("x must be finite")
     n = len(xs)
     gm = math.prod(xs) ** (1.0 / n)
     if gm > lam:
@@ -640,7 +644,8 @@ def _transfer(kind: str, x: Sequence[Coordinate], epsilon: float,
 
     x needs at least one coordinate and epsilon must be positive.  A bound
     of 0 leaves an empty region (``NoSolutions``); a negative one is
-    rejected, since the mult and union-jack regions square it.  rows(expo)
+    rejected, since the mult and union-jack regions square it, and so is
+    an infinite one, whose region has no end.  rows(expo)
     gives the candidate rows q and their sizes, from a window search
     (``_window_rows``) over the harness's region at every n, which returns
     every row of the region that can pass the filter.  Keeps the rows with
@@ -661,8 +666,9 @@ def _transfer(kind: str, x: Sequence[Coordinate], epsilon: float,
         raise ValueError("x must have at least one coordinate")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if not bound >= 0:
-        raise ValueError(f"bound must not be negative, got {bound}")
+    if not 0 <= bound < math.inf:
+        raise ValueError(
+            f"bound must not be negative or infinite, got {bound}")
     n = len(x)
     expo = -float(k) - epsilon
     q, size = rows(expo)

@@ -198,6 +198,20 @@ def test_covering_check_rejects_an_empty_orbit(n):
         covering_check(math.sqrt(2) - 1, 0.0, n, 0.5)
 
 
+@pytest.mark.parametrize("alpha_inv, x0", [
+    (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (0.5, math.nan),
+    (0.5, math.inf)], ids=["nan", "inf", "-inf", "x0-nan", "x0-inf"])
+def test_orbit_rejects_a_non_finite_rotation(alpha_inv, x0):
+    # every orbit point would be NaN: no partition, cover or admissible N
+    for call in (lambda: sk.three_distance_partition(alpha_inv, x0, 5),
+                 lambda: covering_check(alpha_inv, x0, 5, 0.5)):
+        with pytest.raises(ValueError, match="finite"):
+            call()
+    if x0 == 0.0:
+        with pytest.raises(ValueError, match="finite"):
+            sk.ubiquity_sequence(alpha_inv, 100)
+
+
 def test_ubiquity_gaps_grow_roughly_geometric():
     ns = sk.ubiquity_sequence(math.sqrt(2) - 1, 10_000)
     # the admissible set is unbounded at this scale

@@ -14,7 +14,7 @@ import starkit as sk
 from starkit import measure, sampling
 from starkit.errors import IrrationalSkeleton, SkeletonMismatch
 from starkit.measure import _Kernel, analytic_density_info
-from starkit.starbody import Abs, GeoMean, Max, Scale, body_geometry
+from starkit.starbody import Abs, GeoMean, Max, Scale, _bisect, body_geometry
 
 from conftest import brute_membership, random_dsl
 
@@ -1262,6 +1262,89 @@ def test_section_lengths_of_random_rational_bodies_batch_as_ones():
         x2 = [0.0, 1.0] + [rng.random() for _ in range(3)]
         lengths = _sections_batch_as_ones(f, rng.uniform(0.05, 0.5), x2)
         checked += np.count_nonzero((0.0 < lengths) & (lengths < 1.0)) >= 2
+
+
+def _one_halving_per_call(kern, eps, x2):
+    """The section lengths with each section's edges bisected by
+    ``_bisect``, one halving per ``hits`` call, as _section_length did
+    before its integer search."""
+    x1 = np.linspace(0.0, 1.0, measure._SECTION_GRID + 1)
+    out = []
+    for v in x2:
+        h = kern.hits(np.column_stack([x1, np.full_like(x1, v)]), 1, eps)
+        edges = np.flatnonzero(h[:-1] != h[1:])
+
+        def same_as_left(mid):
+            pts = np.column_stack([mid, np.full_like(mid, v)])
+            return kern.hits(pts, 1, eps) == h[edges]
+        lo, hi, _ = _bisect(same_as_left, x1[edges], x1[edges + 1], 40)
+        b = ([0.0] * bool(h[0]) + (0.5 * (lo + hi)).tolist()
+             + [1.0] * bool(h[-1]))
+        total = 0.0
+        for a, c in zip(b[::2], b[1::2]):
+            total += c - a
+        out.append(total)
+    return np.array(out)
+
+
+def _assert_search_is_one_halving_per_call(kern, eps, x2):
+    got = measure._section_length(kern, eps, x2)
+    want = _one_halving_per_call(kern, eps, x2)
+    assert got.tobytes() == want.tobytes(), (eps, x2, got, want)
+    return got
+
+
+def test_section_grid_keeps_the_search_exact():
+    # the search's points are multiples of 2^-(log2(grid) + 41) in [0, 1]:
+    # exact doubles while that exponent is at most 53
+    grid = measure._SECTION_GRID
+    assert grid & (grid - 1) == 0
+    assert grid.bit_length() - 1 + 41 <= 53
+
+
+@pytest.mark.parametrize("body, eps", [
+    (SHEARED, 0.375), (SHEARED, 0.15), ("height", 0.25),
+    ("multiplicative", 0.1), ("union_jack", 0.15),
+], ids=["sheared-0.375", "sheared-0.15", "height", "multiplicative",
+        "union_jack"])
+def test_section_search_is_one_halving_per_call(registered_bodies, body, eps):
+    f = registered_bodies.get(body) or sk.parse_distance_function(body)
+    lengths = _assert_search_is_one_halving_per_call(_Kernel(f), eps,
+                                                     _SECTION_X2)
+    assert np.count_nonzero((0.0 < lengths) & (lengths < 1.0)) >= 2
+
+
+def test_section_search_on_random_rational_bodies():
+    rng = random.Random(5)
+    checked = 0
+    while checked < 8:
+        text = random_dsl(rng, rational=True)
+        try:
+            f = sk.parse_distance_function(text)
+        except sk.DegenerateExpr:
+            continue
+        x2 = [0.0, rng.random(), rng.random()]
+        lengths = _assert_search_is_one_halving_per_call(
+            _Kernel(f), rng.uniform(0.05, 0.5), x2)
+        checked += np.count_nonzero((0.0 < lengths) & (lengths < 1.0)) > 0
+
+
+class _HashKernel:
+    """A fake kernel: one bit of a hash of each point's two coordinates,
+    so hits flips many times inside every grid cell."""
+
+    def hits(self, xs, q, eps):
+        u = xs.view(np.uint64)
+        u = (u[:, 0] * np.uint64(0x9E3779B97F4A7C15)
+             ^ u[:, 1] * np.uint64(0xC2B2AE3D27D4EB4F))
+        return ((u * np.uint64(0x165667B19E3779F9)) >> np.uint64(63)
+                ).astype(bool)
+
+
+def test_section_search_follows_a_non_monotone_hits():
+    x2 = [0.0, 0.3, 0.6180339887498949]
+    lengths = _assert_search_is_one_halving_per_call(_HashKernel(), 0.1, x2)
+    assert ((0.0 < lengths) & (lengths < 1.0)).all()
 
 
 def _depth_first_quadrature(f, eps):

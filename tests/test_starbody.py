@@ -10,9 +10,8 @@ from starkit.errors import DegenerateExpr, FitFailure, IrrationalSkeleton
 from starkit.exact import Quad
 from starkit.starbody import (_SLICE_POINTS, _WIDTH_CAP, Abs, GeoMean,
                               LinearForm, LineGeometry, Max, Min, Scale,
-                              _bisect, _bisect_crossing, _halve,
-                              _sqrt_threshold, body_geometry,
-                              is_axis_monotone)
+                              _bisect, _bisect_crossing, _sqrt_threshold,
+                              body_geometry, is_axis_monotone)
 from starkit.measure import _arc_steps
 
 # ---------------------------------------------------------------------------
@@ -542,12 +541,15 @@ def test_array_half_power_is_sqrt(multiplicative, irrational_cusp):
 
 
 def _halvings(left, lo, hi, steps):
-    """Reference: `steps` halvings of every bracket, none skipped."""
+    """Reference: `steps` halvings of every bracket, none skipped: (lo, hi,
+    whether some halving's midpoints all equal the previous halving's)."""
+    last, settled = None, False
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
+        settled |= last is not None and np.array_equal(mid, last)
         below = left(mid)
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+        lo, hi, last = np.where(below, mid, lo), np.where(below, hi, mid), mid
+    return lo, hi, settled
 
 
 def test_bisect_stops_at_its_fixed_point(multiplicative):
@@ -559,27 +561,20 @@ def test_bisect_stops_at_its_fixed_point(multiplicative):
 
     def left(mid):
         calls.append(mid.copy())
-        return np.tile(edge, len(mid) // 6) > mid
+        return mid < edge
     want = _halvings(left, np.zeros(6), np.ones(6), 80)
     calls.clear()
     got = _bisect(left, np.zeros(6), np.ones(6), 80)
-    assert got.tobytes() == want.tobytes()
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[2] and want[2]
     assert 50 < len(calls) < 80
     assert not np.array_equal(calls[-1], calls[-2])
-    halvings = len(calls)
-    # depth d: one call per d halvings, ceil(halvings / d) calls in all,
-    # whether the fixed point falls on a call's first level or a later one
-    for depth in range(2, 6):
-        calls.clear()
-        got = _bisect(left, np.zeros(6), np.ones(6), 80, depth)
-        assert got.tobytes() == want.tobytes()
-        assert len(calls) == -(-halvings // depth) < -(-80 // depth)
     # a NaN bracket never settles, so every halving runs
-    for depth in range(1, 6):
-        calls.clear()
-        _bisect(left, np.where(edge == 0.5, np.nan, 0.0), np.ones(6), 80,
-                depth)
-        assert len(calls) == -(-80 // depth)
+    calls.clear()
+    assert not _bisect(left, np.where(edge == 0.5, np.nan, 0.0), np.ones(6),
+                       80)[2]
+    assert len(calls) == 80
     # points outside the body get the bracket [0, 0], fixed at once: one
     # evaluation decides them, one halving of their slice follows
     evals = []
@@ -610,52 +605,41 @@ def _halving_cases():
     edge = rng.uniform(0.0, 2.0, 40)
     edge[:4] = 1e-300                # far below hi: never settles in 80
     return {
-        "monotone": (lambda mid: np.tile(edge, len(mid) // 40) > mid,
-                     lo, hi),
+        "monotone": (lambda mid: edge > mid, lo, hi),
         "bits": (_bit_hash, lo, hi),
-        "settling": (lambda mid: np.tile(edge[12:], len(mid) // 28) > mid,
-                     lo[12:], hi[12:]),
+        "settling": (lambda mid: edge[12:] > mid, lo[12:], hi[12:]),
         "bits-settling": (_bit_hash, lo[12:], hi[12:]),
     }
 
 
-@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("calls", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("steps", [1, 7, 40, 55, 80])
 @pytest.mark.parametrize("case", ["monotone", "bits", "settling",
                                   "bits-settling"])
-def test_halving_depth_is_the_one_at_a_time_halvings(case, steps, depth):
-    # the walk through each call's subtrees takes the path of one halving
-    # at a time: the same ends, bit for bit, the same fixed point, and left
-    # sees those halvings' midpoints as node 0 of its calls.  The settling
-    # cases reach their fixed point at halving 54, inside the last call of
-    # 55 steps at depths 4 and 5, and at a call's first level at 2 and 3
+def test_halving_depth_is_the_one_at_a_time_halvings(case, steps, calls):
+    # the same ends as the reference, bit for bit, and in one call settled
+    # exactly where a halving repeated the last one's midpoints.  The steps
+    # split over several calls, each resuming from the ends of the last as
+    # _crossing_slice resumes the points its staircase finish leaves, give
+    # the same ends too, and a call settles only where the reference has:
+    # a fixed point at the seam is found one halving later.  The settling
+    # cases reach their fixed point at halving 54, so 55 steps settle on
+    # the last
     left, lo, hi = _halving_cases()[case]
-    n = len(lo)
-
-    def recorded(seen, d):
-        def call(mid):
-            assert len(mid) in [(2 ** k - 1) * n for k in range(1, d + 1)]
-            seen.append(mid[:n].copy())
-            return left(mid)
-        return call
-    seen_one, seen = [], []
     want = _halvings(left, lo, hi, steps)
-    one = _halve(recorded(seen_one, 1), lo.copy(), hi.copy(), steps)
-    got = _halve(recorded(seen, depth), lo.copy(), hi.copy(), steps, depth)
-    assert (0.5 * (one[0] + one[1])).tobytes() == want.tobytes()
-    assert got[0].tobytes() == one[0].tobytes()
-    assert got[1].tobytes() == one[1].tobytes()
-    assert got[2] == one[2]
-    assert len(seen) == -(-len(seen_one) // depth)
-    for i, mid in enumerate(seen):
-        assert mid.tobytes() == seen_one[i * depth].tobytes()
-    assert _bisect(left, lo, hi, steps, depth).tobytes() == want.tobytes()
+    size, settled = -(-steps // calls), False
+    for done in range(0, steps, size):
+        lo, hi, s = _bisect(left, lo, hi, min(size, steps - done))
+        settled |= s
+    assert lo.tobytes() == want[0].tobytes()
+    assert hi.tobytes() == want[1].tobytes()
+    assert settled == want[2] if calls == 1 else settled <= want[2]
 
 
 def test_halving_cases_cover_both_ends():
     # some cases above stop at a fixed point within 80 halvings, the others
     # run out of steps
-    settled = {case: _halve(left, lo, hi, 80)[2]
+    settled = {case: _bisect(left, lo, hi, 80)[2]
                for case, (left, lo, hi) in _halving_cases().items()}
     assert settled == {"monotone": False, "bits": False, "settling": True,
                        "bits-settling": True}

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -395,6 +396,34 @@ def test_multitrans_no_solutions_raises():
     # bound (below 1) leaves the enumeration empty
     with pytest.raises(NoSolutions):
         sk.verify_theorem_multitrans((0.5003, 0.4997), 3.0, 0.5)
+
+
+@pytest.mark.parametrize("bound", [math.inf, math.nan])
+def test_transfer_rejects_a_bound_without_an_end(bound):
+    # an infinite height bound used to reach an int64 cast of inf and a
+    # misleading NoSolutions; the multiplicative region is left out here,
+    # since without the check it would enumerate a box of 10^9 per axis
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="bound"):
+            sk.verify_khintchine_transfer((SQRT2, SQRT3), 0.1, bound)
+        with pytest.raises(ValueError, match="bound"):
+            sk.verify_theorem_unionjack(SQRT2, SQRT3, 0.25, bound)
+
+
+@pytest.mark.parametrize("lam, mu", [
+    (math.nan, 2.0), (0.5, math.nan), (math.inf, 2.0), (0.5, math.inf)])
+def test_transfer_params_must_be_finite(lam, mu):
+    with pytest.raises(ValueError):
+        TransferParams(lam=lam, mu=mu, n=2)
+
+
+@pytest.mark.parametrize("x, lam", [
+    ([math.nan, 1.0], 0.5), ([math.inf, 1.0], 0.5), ([0.2, 0.3], math.nan),
+    ([0.2, 0.3], math.inf)], ids=["x-nan", "x-inf", "lam-nan", "lam-inf"])
+def test_find_nu_rejects_non_finite_input(x, lam):
+    with pytest.raises(ValueError):
+        sk.find_nu(x, lam)
 
 
 def test_unionjack_pipeline():
