@@ -1266,8 +1266,8 @@ def test_section_lengths_of_random_rational_bodies_batch_as_ones():
 
 def _one_halving_per_call(kern, eps, x2):
     """The section lengths with each section's edges bisected by
-    ``_bisect``, one halving per ``hits`` call, as _section_length did
-    before its integer search."""
+    ``_bisect``, one halving per ``hits`` call, one section at a time:
+    the reference for _section_length's batched integer search."""
     x1 = np.linspace(0.0, 1.0, measure._SECTION_GRID + 1)
     out = []
     for v in x2:
